@@ -3,15 +3,19 @@
 // (shared runners are too noisy for that). It asserts:
 //   1. conv-shaped GEMMs (small m, large n) plan a parallel 2D tile grid —
 //      the serial-fallback bug class this engine was built to kill;
-//   2. GEMM outputs are bitwise identical across scheduler pool sizes;
-//   3. a conv forward+backward pair is bitwise identical across pool sizes
+//   2. the GEMM dispatches to the widest SIMD kernel the host's CPU flags
+//      allow, so a silent fallback to the portable kernel fails;
+//   3. GEMM outputs are bitwise identical across scheduler pool sizes;
+//   4. a conv forward+backward pair is bitwise identical across pool sizes
 //      (fixed-fanout gradient reduction riding the work-stealing pool).
-// It also times the reduced shapes and emits BENCH_perf_smoke.json for
-// trend tracking. Dedicated perf runners can opt into a wall-clock gate:
+// It also times the reduced shapes (at the dispatched level, and GFLOP/s at
+// every supported level) and emits BENCH_perf_smoke.json for trend
+// tracking. Dedicated perf runners can opt into a wall-clock gate:
 // point EBCT_PERF_BASELINE at a previous BENCH_perf_smoke.json and any
 // timed row slower than EBCT_PERF_MAX_SLOWDOWN x its baseline (default
 // 1.25) fails the run. Shared CI leaves the env unset. Exit code 0 = pass.
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -68,6 +72,32 @@ void check_parallel_plan() {
   }
   // Tiny problems must stay serial — fork/join would swamp them.
   check(!tensor::gemm_plan(16, 16, 16).parallel, "tiny GEMM stays serial");
+}
+
+/// The widest GEMM level this CPU's feature flags allow — read from the CPU
+/// here, not from the engine, so a kernel missing from the build or a broken
+/// dispatch shows up as a mismatch.
+tensor::GemmIsa host_best_isa() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (__builtin_cpu_supports("avx512f")) return tensor::GemmIsa::kAvx512;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    return tensor::GemmIsa::kAvx2;
+#endif
+  return tensor::GemmIsa::kPortable;
+}
+
+void check_gemm_dispatch(bench::JsonReporter& report) {
+  const tensor::GemmIsa isa = tensor::gemm_isa();
+  const tensor::GemmIsa best = host_best_isa();
+  const tensor::GemmKernelShape shape = tensor::gemm_kernel_shape(isa);
+  std::printf("%-24s %s (%zux%zu), host best %s\n", "gemm_dispatch",
+              tensor::gemm_isa_name(isa), shape.mr, shape.nr, tensor::gemm_isa_name(best));
+  report.add(std::string("gemm_dispatch_") + tensor::gemm_isa_name(isa),
+             {{"level", static_cast<double>(isa)},
+              {"host_best_level", static_cast<double>(best)},
+              {"mr", static_cast<double>(shape.mr)},
+              {"nr", static_cast<double>(shape.nr)}});
+  check(isa == best, "GEMM dispatches to the best level the host supports");
 }
 
 void check_gemm_determinism() {
@@ -140,6 +170,28 @@ void time_reduced_shapes(bench::JsonReporter& report, TimingRows& timings,
     std::printf("%-24s %8.3f ms  %7.2f GFLOP/s\n", name, sec * 1e3, gflops);
     report.add(name, {{"seconds", sec}, {"gflops", gflops}});
     timings.emplace_back(name, sec);
+
+    // Throughput of every level the host runs, on the same shape. Rows carry
+    // no "seconds" key, so the wall-clock gate ignores them.
+    for (int l = 0; l < tensor::kNumGemmIsas; ++l) {
+      const auto isa = static_cast<tensor::GemmIsa>(l);
+      if (!tensor::gemm_isa_supported(isa)) continue;
+      const tensor::ScopedGemmIsa pin(isa);
+      tensor::gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n);  // warm
+      const auto t0 = std::chrono::steady_clock::now();
+      double elapsed = 0.0;
+      int reps = 0;
+      do {
+        tensor::gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+        ++reps;
+        elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      } while (elapsed < 0.1);
+      const double level_gflops = 2.0 * s.m * s.k * s.n * reps / elapsed / 1e9;
+      std::snprintf(name, sizeof(name), "gemm_%s_m%zu_k%zu_n%zu", tensor::gemm_isa_name(isa),
+                    s.m, s.k, s.n);
+      std::printf("  %-30s %7.2f GFLOP/s\n", name, level_gflops);
+      report.add(name, {{"gflops", level_gflops}});
+    }
   }
 
   // Small-batch conv forward+backward: the shape class the unified
@@ -173,7 +225,7 @@ void time_reduced_shapes(bench::JsonReporter& report, TimingRows& timings,
 }
 
 /// Per-phase iteration-to-iteration variance on a small framework training
-/// run, via the obs::MetricsRegistry drained around every iteration. The
+/// run, from obs::MetricsRegistry snapshots around every iteration. The
 /// coefficient of variation per phase is the runner-noise characterization
 /// the EBCT_PERF_ENFORCE decision (ROADMAP, carried from PR 3) is based
 /// on: wall-clock gating is only as trustworthy as the quietest phase.
@@ -199,13 +251,22 @@ void measure_phase_variance(bench::JsonReporter& report, int machine_threads) {
   core::TrainingSession session(*net, loader, cfg);
   session.run(2);  // warm-up
 
+  // Per-iteration samples are differences of non-destructive snapshots, so
+  // the registry keeps its totals for the session_metrics row below.
   constexpr int kSamples = 8;
   auto& reg = obs::MetricsRegistry::instance();
   std::vector<obs::PhaseSnapshot> samples;
-  (void)reg.drain();  // discard warm-up accumulation
+  obs::PhaseSnapshot prev = reg.snapshot();
   for (int i = 0; i < kSamples; ++i) {
     session.run(1);
-    samples.push_back(reg.drain());
+    const obs::PhaseSnapshot now = reg.snapshot();
+    obs::PhaseSnapshot d{};
+    for (int p = 0; p < obs::kNumPhases; ++p) {
+      d[p].ns = now[p].ns - prev[p].ns;
+      d[p].count = now[p].count - prev[p].count;
+    }
+    samples.push_back(d);
+    prev = now;
   }
 
   std::printf("%-24s %10s %10s %6s\n", "phase_variance", "mean ms", "stddev ms",
@@ -288,6 +349,7 @@ int main() {
   bench::JsonReporter report("perf_smoke");
   TimingRows timings;
   check_parallel_plan();
+  check_gemm_dispatch(report);
   check_gemm_determinism();
   check_conv_determinism();
   time_reduced_shapes(report, timings, machine_threads);

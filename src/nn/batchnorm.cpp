@@ -26,18 +26,61 @@ BatchNorm::BatchNorm(std::string name, std::size_t channels, double momentum, do
   beta_.weight_decay_multiplier = 0.0;
 }
 
+namespace {
+
+/// Partial-sum lanes of the per-channel reductions: a fixed count, so the
+/// sums are the same at every pool size, and enough independent chains for
+/// the compiler to vectorise the loop.
+constexpr std::size_t kLanes = 8;
+
+/// Sum in double of `f(j)` over the elements of one channel of an
+/// [n, C, hw] batch, j being the element's offset from the channel's first
+/// element (rows of hw, `chw` apart). Element i of each row feeds lane
+/// i % kLanes; the lanes fold in lane order.
+template <typename F>
+double channel_sum(std::size_t n, std::size_t chw, std::size_t hw, F f) {
+  double lane[kLanes] = {};
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::size_t row = s * chw;
+    std::size_t i = 0;
+    for (; i + kLanes <= hw; i += kLanes)
+      for (std::size_t l = 0; l < kLanes; ++l) lane[l] += f(row + i + l);
+    for (std::size_t l = 0; i < hw; ++i, ++l) lane[l] += f(row + i);
+  }
+  double total = 0.0;
+  for (double v : lane) total += v;
+  return total;
+}
+
+}  // namespace
+
+void BatchNorm::batch_stats(const float* x, std::size_t n, std::size_t hw, std::size_t c,
+                            double& mean, double& var) const {
+  // Exact two-pass statistics: the mean first, then the centred sum of
+  // squares, immune to the cancellation of the sum/sum-of-squares form when
+  // |mean| >> stddev. Both sweeps are pure functions of the shape.
+  const std::size_t chw = channels_ * hw;
+  const double count = static_cast<double>(n * hw);
+  const float* xc = x + c * hw;
+  mean = channel_sum(n, chw, hw, [xc](std::size_t j) { return double(xc[j]); }) / count;
+  const double m = mean;
+  var = channel_sum(n, chw, hw, [xc, m](std::size_t j) {
+          const double d = xc[j] - m;
+          return d * d;
+        }) / count;
+}
+
 Tensor BatchNorm::forward(const Tensor& input, bool train) {
   if (input.shape().rank() != 4 || input.shape().c() != channels_)
     throw std::invalid_argument(name_ + ": expected NCHW with C=" + std::to_string(channels_));
   in_shape_ = input.shape();
   const std::size_t n = in_shape_.n(), hw = in_shape_.h() * in_shape_.w();
   const std::size_t chw = channels_ * hw;
-  const double count = static_cast<double>(n * hw);
 
   Tensor out(in_shape_);
   // When the store pages layer state, x_hat goes through it as a byte-exact
   // tensor (governed by the memory budget, spillable to disk); otherwise it
-  // stays in the malloc-free scratch arena.
+  // stays in this layer's own buffer, sized once and reused every step.
   const bool paged = store_ != nullptr && store_->pages_layer_state();
   Tensor x_hat_paged_t;
   float* x_hat;
@@ -45,7 +88,8 @@ Tensor BatchNorm::forward(const Tensor& input, bool train) {
     x_hat_paged_t = Tensor(in_shape_);
     x_hat = x_hat_paged_t.data();
   } else {
-    x_hat = x_hat_.acquire(in_shape_.numel());
+    x_hat_.resize(in_shape_.numel());
+    x_hat = x_hat_.data();
   }
   inv_std_.assign(channels_, 0.0f);
 
@@ -54,26 +98,7 @@ Tensor BatchNorm::forward(const Tensor& input, bool train) {
   tensor::parallel_for(channels_, 4 * n * hw, [&](std::size_t c) {
     double mean, var;
     if (train) {
-      // Single Welford sweep per channel: mean and M2 accumulate together
-      // in one pass, immune to the cancellation of the old sum/sum-of-
-      // squares formulation when |mean| >> stddev. The element order is a
-      // pure function of the shape (sample-major, index order), so the
-      // statistics are byte-identical at every pool size.
-      double mean_w = 0.0, m2 = 0.0;
-      std::size_t k = 0;
-      for (std::size_t s = 0; s < n; ++s) {
-        const float* src = input.data() + s * chw + c * hw;
-        for (std::size_t i = 0; i < hw; ++i) {
-          const double x = src[i];
-          ++k;
-          const double d = x - mean_w;
-          mean_w += d / static_cast<double>(k);
-          m2 += d * (x - mean_w);
-        }
-      }
-      mean = mean_w;
-      var = m2 / count;
-      if (var < 0.0) var = 0.0;
+      batch_stats(input.data(), n, hw, c, mean, var);
       running_mean_[c] = static_cast<float>(momentum_ * running_mean_[c] + (1.0 - momentum_) * mean);
       running_var_[c] = static_cast<float>(momentum_ * running_var_[c] + (1.0 - momentum_) * var);
     } else {
@@ -96,9 +121,9 @@ Tensor BatchNorm::forward(const Tensor& input, bool train) {
   });
   if (paged) {
     x_hat_handle_ = store_->stash_exact(name_, std::move(x_hat_paged_t));
-    x_hat_paged_ = true;
+    saved_ = Saved::kPaged;
   } else {
-    x_hat_paged_ = false;
+    saved_ = Saved::kLocal;
   }
   return out;
 }
@@ -109,30 +134,15 @@ Tensor BatchNorm::replay_forward(const Tensor& input) const {
   const tensor::Shape& s = input.shape();
   const std::size_t n = s.n(), hw = s.h() * s.w();
   const std::size_t chw = channels_ * hw;
-  const double count = static_cast<double>(n * hw);
 
   Tensor out(s);
-  // Mirror of forward(train=true) computing only `out`: the same Welford
-  // sweep in the same element order, then the same per-element xhat — but
-  // no running-stat update, no x_hat stash, no inv_std_ write. Any change
-  // to the float op sequence in forward() must be mirrored here, or the
-  // recompute tier's byte-identity contract breaks.
+  // forward(train=true) computing only `out`: the same batch_stats, then the
+  // same per-element xhat — but no running-stat update, no x_hat stash, no
+  // inv_std_ write. The normalisation below must stay the float op sequence
+  // of forward(), or the recompute tier's byte-identity contract breaks.
   tensor::parallel_for(channels_, 4 * n * hw, [&](std::size_t c) {
-    double mean_w = 0.0, m2 = 0.0;
-    std::size_t k = 0;
-    for (std::size_t smp = 0; smp < n; ++smp) {
-      const float* src = input.data() + smp * chw + c * hw;
-      for (std::size_t i = 0; i < hw; ++i) {
-        const double x = src[i];
-        ++k;
-        const double d = x - mean_w;
-        mean_w += d / static_cast<double>(k);
-        m2 += d * (x - mean_w);
-      }
-    }
-    const double mean = mean_w;
-    double var = m2 / count;
-    if (var < 0.0) var = 0.0;
+    double mean, var;
+    batch_stats(input.data(), n, hw, c, mean, var);
     const double istd = 1.0 / std::sqrt(var + eps_);
     const float g = gamma_.value[c], b = beta_.value[c];
     for (std::size_t smp = 0; smp < n; ++smp) {
@@ -148,14 +158,13 @@ Tensor BatchNorm::replay_forward(const Tensor& input) const {
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_output) {
-  if (!x_hat_paged_ && !x_hat_.held())
-    throw std::logic_error(name_ + ": backward without forward");
+  if (saved_ == Saved::kNone) throw std::logic_error(name_ + ": backward without forward");
   const std::size_t n = in_shape_.n(), hw = in_shape_.h() * in_shape_.w();
   const std::size_t chw = channels_ * hw;
   const double count = static_cast<double>(n * hw);
   Tensor x_hat_t;
   const float* x_hat;
-  if (x_hat_paged_) {
+  if (saved_ == Saved::kPaged) {
     x_hat_t = store_->retrieve_exact(x_hat_handle_);
     x_hat = x_hat_t.data();
   } else {
@@ -164,16 +173,12 @@ Tensor BatchNorm::backward(const Tensor& grad_output) {
 
   Tensor grad_input(in_shape_);
   tensor::parallel_for(channels_, 6 * n * hw, [&](std::size_t c) {
-    // Accumulate dL/dgamma, dL/dbeta and the two reduction terms of dL/dx.
-    double dg = 0.0, db = 0.0;
-    for (std::size_t s = 0; s < n; ++s) {
-      const float* go = grad_output.data() + s * chw + c * hw;
-      const float* xh = x_hat + s * chw + c * hw;
-      for (std::size_t i = 0; i < hw; ++i) {
-        dg += static_cast<double>(go[i]) * xh[i];
-        db += go[i];
-      }
-    }
+    // dL/dgamma and dL/dbeta, which are also the two reduction terms of dL/dx.
+    const float* goc = grad_output.data() + c * hw;
+    const float* xhc = x_hat + c * hw;
+    const double dg = channel_sum(
+        n, chw, hw, [goc, xhc](std::size_t j) { return double(goc[j]) * xhc[j]; });
+    const double db = channel_sum(n, chw, hw, [goc](std::size_t j) { return double(goc[j]); });
     gamma_.grad[c] += static_cast<float>(dg);
     beta_.grad[c] += static_cast<float>(db);
     const double g = gamma_.value[c];
@@ -189,10 +194,7 @@ Tensor BatchNorm::backward(const Tensor& grad_output) {
       }
     }
   });
-  if (x_hat_paged_)
-    x_hat_paged_ = false;
-  else
-    x_hat_.release();
+  saved_ = Saved::kNone;
   return grad_input;
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "nn/layer.hpp"
-#include "tensor/alloc.hpp"
 
 namespace ebct::nn {
 
@@ -22,10 +21,11 @@ class BatchNorm : public Layer {
   std::string graph_op() const override { return "bn"; }
   tensor::Shape output_shape(const tensor::Shape& input) const override { return input; }
   bool replayable() const override { return true; }
-  /// Re-runs the train-mode batch-statistics path (same Welford sweep, same
-  /// float op order) but updates neither the running averages nor the saved
-  /// x_hat / inv_std state — the batch statistics are a pure function of
-  /// the input, so the output is byte-identical to the original forward.
+  /// Re-runs the train-mode batch-statistics path (the same batch_stats,
+  /// the same float op order) but updates neither the running averages nor
+  /// the saved x_hat / inv_std state — the batch statistics are a pure
+  /// function of the input, so the output is byte-identical to the original
+  /// forward.
   tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
   double replay_flops(const tensor::Shape& input) const override {
     return 10.0 * static_cast<double>(input.numel());
@@ -35,6 +35,11 @@ class BatchNorm : public Layer {
   std::span<const float> running_var() const { return {running_var_.data(), channels_}; }
 
  private:
+  /// Train-mode mean and (biased) variance of channel `c` of an [n, C, hw]
+  /// batch — the one statistics routine of forward() and replay_forward().
+  void batch_stats(const float* x, std::size_t n, std::size_t hw, std::size_t c,
+                   double& mean, double& var) const;
+
   std::size_t channels_;
   double momentum_;
   double eps_;
@@ -42,17 +47,18 @@ class BatchNorm : public Layer {
   Param beta_;
   std::vector<float> running_mean_;
   std::vector<float> running_var_;
-  // Saved forward state for backward. By default x_hat lives in the
-  // thread-local scratch arena, not a tracked Tensor: it is pure workspace
-  // between a forward and its backward, so routing it through the arena
-  // keeps steady-state training malloc-free without distorting the
-  // activation-memory accounting. When the installed store pages layer
-  // state (a budgeted ActivationPager), x_hat is stashed byte-exact through
-  // it instead, so the memory budget governs it too. Either way
-  // forward/backward run on one thread (the training loop).
-  tensor::ScratchHold x_hat_;
+  // Saved forward state for backward. By default x_hat lives in this
+  // layer's own buffer, allocated once and reused every step; it is not a
+  // tracked Tensor, being workspace between a forward and its backward, so
+  // it does not distort the activation-memory accounting. Forward and
+  // backward may run on different threads (the graph executor): the buffer
+  // belongs to the layer, not to a thread. When the installed store pages
+  // layer state (a budgeted ActivationPager), x_hat is stashed byte-exact
+  // through it instead, so the memory budget governs it too.
+  enum class Saved { kNone, kLocal, kPaged };
+  std::vector<float> x_hat_;
   StashHandle x_hat_handle_ = 0;
-  bool x_hat_paged_ = false;
+  Saved saved_ = Saved::kNone;
   std::vector<float> inv_std_;
   tensor::Shape in_shape_;
 };

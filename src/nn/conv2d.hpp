@@ -1,7 +1,9 @@
 #pragma once
 
 /// \file conv2d.hpp
-/// 2-D convolution implemented as im2col + GEMM, parallel over the batch.
+/// 2-D convolution implemented as im2col + GEMM. Samples are batched into
+/// groups whose columns fill at least one GEMM C-tile width, one GEMM per
+/// group, so small feature maps still run wide GEMMs.
 /// This is the layer whose input activation the paper compresses: forward()
 /// stashes the input through the ActivationStore and backward() retrieves
 /// the (possibly lossily reconstructed) copy to form the weight gradient —

@@ -91,16 +91,8 @@ class ScratchArena {
   /// Total bytes this thread's arena has ever allocated (diagnostics).
   std::size_t capacity_bytes() const { return capacity_bytes_; }
 
-  /// Process-unique id of this arena instance (see ScratchHold::release:
-  /// address equality alone cannot prove liveness because freed arena
-  /// memory can be reused for a new thread's arena).
-  std::uint64_t serial() const { return serial_; }
-
  private:
-  ScratchArena() {
-    static std::atomic<std::uint64_t> next_serial{1};
-    serial_ = next_serial.fetch_add(1, std::memory_order_relaxed);
-  }
+  ScratchArena() = default;
   struct Block {
     std::unique_ptr<float[]> mem;
     std::size_t cap = 0;
@@ -129,10 +121,8 @@ class ScratchArena {
 
   std::vector<Block> blocks_;
   std::size_t capacity_bytes_ = 0;
-  std::uint64_t serial_ = 0;
 
   friend class ScratchBuffer;
-  friend class ScratchHold;
 };
 
 /// RAII borrow of an arena block. Must be released on the thread that
@@ -159,64 +149,6 @@ class ScratchBuffer {
   ScratchArena* arena_;
   std::size_t index_;
   std::size_t count_;
-};
-
-/// Explicit (non-scoped) arena borrow for workspace that must outlive one
-/// call — e.g. a layer's saved forward state that the matching backward
-/// consumes (batchnorm's normalised activations). acquire() and release()
-/// must run on the same thread, which for layer state means forward and
-/// backward of a given layer execute on one thread (the training loop);
-/// the buffer's *contents* may be filled by parallel tasks on any thread.
-/// Re-acquiring releases the previous block first, so steady-state training
-/// reuses one block and never grows the arena.
-///
-/// If the holder is destroyed on a *different* thread (a layer built on a
-/// worker thread, joined, then torn down elsewhere), the acquiring thread's
-/// thread_local arena may already be gone, so release() must not touch it:
-/// the block is abandoned instead — a bounded leak of one free-list slot in
-/// an arena that is usually already destroyed, never a use-after-free.
-class ScratchHold {
- public:
-  ScratchHold() = default;
-  ~ScratchHold() { release(); }
-
-  ScratchHold(const ScratchHold&) = delete;
-  ScratchHold& operator=(const ScratchHold&) = delete;
-
-  float* acquire(std::size_t count) {
-    release();
-    arena_ = &ScratchArena::local();
-    serial_ = arena_->serial();
-    index_ = arena_->acquire(count);
-    count_ = count;
-    return data();
-  }
-
-  void release() {
-    if (arena_ != nullptr) {
-      // Safe only when the acquiring arena is provably this thread's live
-      // arena. Address + serial together are that proof: thread ids
-      // recycle, and a freed arena's memory can be reused for a new
-      // thread's arena (same address), but the construction serial is
-      // process-unique. Any mismatch means cross-thread or dead arena —
-      // abandon the block instead of touching it.
-      ScratchArena& mine = ScratchArena::local();
-      if (&mine == arena_ && mine.serial() == serial_) mine.release(index_);
-      arena_ = nullptr;
-      count_ = 0;
-    }
-  }
-
-  bool held() const { return arena_ != nullptr; }
-  float* data() { return arena_->blocks_[index_].mem.get(); }
-  const float* data() const { return arena_->blocks_[index_].mem.get(); }
-  std::size_t size() const { return count_; }
-
- private:
-  ScratchArena* arena_ = nullptr;
-  std::uint64_t serial_ = 0;
-  std::size_t index_ = 0;
-  std::size_t count_ = 0;
 };
 
 }  // namespace ebct::tensor

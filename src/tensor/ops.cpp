@@ -46,18 +46,31 @@ float max_abs(std::span<const float> x) {
 
 double nonzero_fraction(std::span<const float> x) {
   if (x.empty()) return 0.0;
-  const double nz =
-      parallel_sum(x.size(), [&](std::size_t i) { return x[i] != 0.0f ? 1.0 : 0.0; });
-  return nz / static_cast<double>(x.size());
+  // An integer count is exact under any partition, and the compiler
+  // vectorises the compare-and-add where a per-element double sum cannot.
+  const std::size_t nz = parallel_reduce(
+      x.size(), std::size_t{0},
+      [&x](std::size_t lo, std::size_t hi, std::size_t& acc) {
+        for (std::size_t i = lo; i < hi; ++i) acc += x[i] != 0.0f;
+      },
+      [](std::size_t& total, std::size_t p) { total += p; });
+  return static_cast<double>(nz) / static_cast<double>(x.size());
 }
 
 void im2col(const float* img, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kh, std::size_t kw, std::size_t stride,
-            std::size_t pad, float* cols, std::size_t pad_w) {
+            std::size_t pad, float* cols, std::size_t pad_w, std::size_t ld) {
   if (pad_w == kSamePad) pad_w = pad;
   const std::size_t out_h = conv_out_dim(height, kh, stride, pad);
   const std::size_t out_w = conv_out_dim(width, kw, stride, pad_w);
-  const std::size_t col_stride = out_h * out_w;
+  const std::size_t col_stride = ld != 0 ? ld : out_h * out_w;
+  if (kh == 1 && kw == 1 && stride == 1 && pad == 0 && pad_w == 0) {
+    // 1x1 unpadded stride-1: each channel plane is one row of the matrix.
+    for (std::size_t c = 0; c < channels; ++c)
+      std::memcpy(cols + c * col_stride, img + c * height * width,
+                  height * width * sizeof(float));
+    return;
+  }
   // Row r of the column matrix corresponds to (c, ki, kj).
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t ki = 0; ki < kh; ++ki) {
@@ -109,11 +122,22 @@ void im2col(const float* img, std::size_t channels, std::size_t height,
 
 void col2im(const float* cols, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kh, std::size_t kw, std::size_t stride,
-            std::size_t pad, float* img, std::size_t pad_w) {
+            std::size_t pad, float* img, std::size_t pad_w, std::size_t ld) {
   if (pad_w == kSamePad) pad_w = pad;
   const std::size_t out_h = conv_out_dim(height, kh, stride, pad);
   const std::size_t out_w = conv_out_dim(width, kw, stride, pad_w);
-  const std::size_t col_stride = out_h * out_w;
+  const std::size_t col_stride = ld != 0 ? ld : out_h * out_w;
+  if (kh == 1 && kw == 1 && stride == 1 && pad == 0 && pad_w == 0) {
+    // Mirror of the im2col 1x1 path. `0.0f +` keeps the bytes of the
+    // general path's zero-fill-then-add (it turns -0 into +0).
+    const std::size_t hw = height * width;
+    for (std::size_t c = 0; c < channels; ++c) {
+      const float* src = cols + c * col_stride;
+      float* dst = img + c * hw;
+      for (std::size_t i = 0; i < hw; ++i) dst[i] = 0.0f + src[i];
+    }
+    return;
+  }
   std::memset(img, 0, channels * height * width * sizeof(float));
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t ki = 0; ki < kh; ++ki) {

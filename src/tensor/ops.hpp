@@ -48,14 +48,20 @@ inline constexpr std::size_t kSamePad = static_cast<std::size_t>(-1);
 /// im2col: expand input [C,H,W] into columns [C*kh*kw, out_h*out_w] for
 /// convolution-as-GEMM. One image at a time (the batch loop lives above).
 /// `pad` pads vertically; `pad_w` horizontally (kSamePad = use `pad`).
+/// `ld` is the row stride of `cols` (0 = out_h*out_w, a dense matrix); a
+/// wider stride lets several images fill adjacent column blocks of one
+/// [C*kh*kw, G*out_h*out_w] matrix, image g starting at cols + g*out_h*out_w.
 void im2col(const float* img, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kh, std::size_t kw, std::size_t stride,
-            std::size_t pad, float* cols, std::size_t pad_w = kSamePad);
+            std::size_t pad, float* cols, std::size_t pad_w = kSamePad,
+            std::size_t ld = 0);
 
-/// col2im: scatter-add the column matrix back into the image gradient.
+/// col2im: scatter-add the column matrix back into the image gradient
+/// (which it overwrites). `ld` as for im2col.
 void col2im(const float* cols, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kh, std::size_t kw, std::size_t stride,
-            std::size_t pad, float* img, std::size_t pad_w = kSamePad);
+            std::size_t pad, float* img, std::size_t pad_w = kSamePad,
+            std::size_t ld = 0);
 
 /// Output spatial size of a convolution/pool dimension.
 inline std::size_t conv_out_dim(std::size_t in, std::size_t kernel, std::size_t stride,

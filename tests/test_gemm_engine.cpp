@@ -1,12 +1,14 @@
 // Property sweep for the blocked GEMM engine: random (m, k, n) shapes across
-// all three transposition variants, accumulate on/off, checked against a
-// double-precision naive reference AND for bitwise-identical output across
-// thread counts (the engine's determinism contract: tile decomposition and
-// accumulation order are pure functions of the shape).
+// all three transposition variants, accumulate on/off, at every SIMD level
+// the host runs, checked against a double-precision naive reference AND for
+// bitwise-identical output across thread counts (the engine's determinism
+// contract: within one level, tile decomposition and accumulation order are
+// pure functions of the shape).
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "tensor/alloc.hpp"
@@ -62,49 +64,103 @@ void naive_ref(const std::vector<float>& a, const std::vector<float>& b, float* 
     }
 }
 
+/// Every level this host supports, portable first.
+std::vector<GemmIsa> supported_levels() {
+  std::vector<GemmIsa> levels;
+  for (int l = 0; l < kNumGemmIsas; ++l)
+    if (gemm_isa_supported(static_cast<GemmIsa>(l))) levels.push_back(static_cast<GemmIsa>(l));
+  return levels;
+}
+
 TEST(GemmEngine, PropertySweepAllVariantsThreadCountsAccumulate) {
-  Rng shape_rng(2024);
   const int nthreads = default_threads();
-  // 24 random shapes spanning below/above the blocking constants (Mr=6,
-  // Nr=16, Mc=96, Nc=160, Kc=256) so every edge-padding path is hit.
-  for (int trial = 0; trial < 24; ++trial) {
-    const std::size_t m = 1 + shape_rng.uniform_index(200);
-    const std::size_t k = 1 + shape_rng.uniform_index(300);
-    const std::size_t n = 1 + shape_rng.uniform_index(350);
-    Rng rng(100 + static_cast<std::uint64_t>(trial));
-    std::vector<float> a(m * k), b(k * n);
-    rng.fill_uniform({a.data(), a.size()}, -1, 1);
-    rng.fill_uniform({b.data(), b.size()}, -1, 1);
-    std::vector<float> init(m * n);
-    rng.fill_uniform({init.data(), init.size()}, -1, 1);
+  for (GemmIsa isa : supported_levels()) {
+    ScopedGemmIsa pin(isa);
+    Rng shape_rng(2024);
+    // 24 random shapes spanning below/above the blocking constants (every
+    // level's Mr and Nr, Mc=96, Nc=160, Kc=256) so every edge-padding path
+    // is hit.
+    for (int trial = 0; trial < 24; ++trial) {
+      const std::size_t m = 1 + shape_rng.uniform_index(200);
+      const std::size_t k = 1 + shape_rng.uniform_index(300);
+      const std::size_t n = 1 + shape_rng.uniform_index(350);
+      Rng rng(100 + static_cast<std::uint64_t>(trial));
+      std::vector<float> a(m * k), b(k * n);
+      rng.fill_uniform({a.data(), a.size()}, -1, 1);
+      rng.fill_uniform({b.data(), b.size()}, -1, 1);
+      std::vector<float> init(m * n);
+      rng.fill_uniform({init.data(), init.size()}, -1, 1);
 
-    for (Variant v : {Variant::kPlain, Variant::kAt, Variant::kBt}) {
-      for (bool accumulate : {false, true}) {
-        // Reference in double precision.
-        std::vector<float> ref = init;
-        naive_ref(a, b, ref.data(), m, k, n, accumulate);
+      for (Variant v : {Variant::kPlain, Variant::kAt, Variant::kBt}) {
+        for (bool accumulate : {false, true}) {
+          // Reference in double precision.
+          std::vector<float> ref = init;
+          naive_ref(a, b, ref.data(), m, k, n, accumulate);
 
-        std::vector<float> base = init;
-        set_threads(1);
-        run_variant(v, a, b, base.data(), m, k, n, accumulate);
-        const float tol = 1e-4f * static_cast<float>(k);
-        for (std::size_t i = 0; i < base.size(); ++i)
-          ASSERT_NEAR(base[i], ref[i], tol)
-              << "variant " << int(v) << " acc " << accumulate << " shape " << m
-              << "x" << k << "x" << n << " at " << i;
+          std::vector<float> base = init;
+          set_threads(1);
+          run_variant(v, a, b, base.data(), m, k, n, accumulate);
+          const float tol = 1e-4f * static_cast<float>(k);
+          for (std::size_t i = 0; i < base.size(); ++i)
+            ASSERT_NEAR(base[i], ref[i], tol)
+                << gemm_isa_name(isa) << " variant " << int(v) << " acc " << accumulate
+                << " shape " << m << "x" << k << "x" << n << " at " << i;
 
-        for (int t : {2, nthreads > 2 ? nthreads : 4}) {
-          std::vector<float> got = init;
-          set_threads(t);
-          run_variant(v, a, b, got.data(), m, k, n, accumulate);
-          ASSERT_EQ(0, std::memcmp(base.data(), got.data(), base.size() * sizeof(float)))
-              << "bitwise mismatch: variant " << int(v) << " acc " << accumulate
-              << " threads " << t << " shape " << m << "x" << k << "x" << n;
+          for (int t : {2, nthreads > 2 ? nthreads : 4}) {
+            std::vector<float> got = init;
+            set_threads(t);
+            run_variant(v, a, b, got.data(), m, k, n, accumulate);
+            ASSERT_EQ(0, std::memcmp(base.data(), got.data(), base.size() * sizeof(float)))
+                << "bitwise mismatch: " << gemm_isa_name(isa) << " variant " << int(v)
+                << " acc " << accumulate << " threads " << t << " shape " << m << "x" << k
+                << "x" << n;
+          }
         }
       }
     }
   }
   set_threads(nthreads);
+}
+
+TEST(GemmEngine, DispatchesBestSupportedLevel) {
+  const std::vector<GemmIsa> levels = supported_levels();
+  ASSERT_FALSE(levels.empty());
+  EXPECT_EQ(levels.front(), GemmIsa::kPortable);
+  EXPECT_EQ(gemm_isa(), levels.back());
+  for (GemmIsa isa : levels) {
+    const GemmKernelShape shape = gemm_kernel_shape(isa);
+    EXPECT_EQ(GemmBlocking::kMc % shape.mr, 0u) << gemm_isa_name(isa);
+    EXPECT_EQ(GemmBlocking::kNc % shape.nr, 0u) << gemm_isa_name(isa);
+    {
+      ScopedGemmIsa pin(isa);
+      EXPECT_EQ(gemm_isa(), isa);
+    }
+    EXPECT_EQ(gemm_isa(), levels.back());  // restored on scope exit
+  }
+  EXPECT_THROW(ScopedGemmIsa(static_cast<GemmIsa>(kNumGemmIsas)), std::invalid_argument);
+}
+
+TEST(GemmEngine, ResultDoesNotDependOnProblemWidth) {
+  // A C element's value is a function of its A row, B column and k alone:
+  // widening the problem with more columns (the batched conv's G samples
+  // side by side) must not change the bytes of the columns already there.
+  for (GemmIsa isa : supported_levels()) {
+    ScopedGemmIsa pin(isa);
+    const std::size_t m = 37, k = 300, n1 = 45, n2 = 3 * 45 + 7;
+    Rng rng(55);
+    std::vector<float> a(m * k), b(k * n2);
+    rng.fill_uniform({a.data(), a.size()}, -1, 1);
+    rng.fill_uniform({b.data(), b.size()}, -1, 1);
+    std::vector<float> narrow_b(k * n1);
+    for (std::size_t kk = 0; kk < k; ++kk)
+      for (std::size_t j = 0; j < n1; ++j) narrow_b[kk * n1 + j] = b[kk * n2 + 50 + j];
+    std::vector<float> wide(m * n2), narrow(m * n1);
+    gemm(a.data(), b.data(), wide.data(), m, k, n2);
+    gemm(a.data(), narrow_b.data(), narrow.data(), m, k, n1);
+    for (std::size_t i = 0; i < m; ++i)
+      ASSERT_EQ(0, std::memcmp(&wide[i * n2 + 50], &narrow[i * n1], n1 * sizeof(float)))
+          << gemm_isa_name(isa) << " row " << i;
+  }
 }
 
 TEST(GemmEngine, ZeroDimensionedProblems) {

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -12,6 +19,8 @@
 #include "nn/residual.hpp"
 #include "nn/simple_layers.hpp"
 #include "nn/softmax_xent.hpp"
+#include "tensor/alloc.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/sched.hpp"
 #include "util/test_util.hpp"
 
@@ -65,6 +74,31 @@ TEST(ReLULayer, GradCheck) {
     return t;
   };
   EXPECT_LT(check_input_gradient(relu, make), 1e-2);
+}
+
+TEST(ReLULayer, WordParallelMatchesScalarAcrossPools) {
+  // numel % 64 != 0 puts a partial word at the end; numel > 64K elements
+  // makes the word loop fork. Output, mask and gradient must be the scalar
+  // definition at every pool size.
+  const Shape shape = Shape::nchw(3, 5, 71, 67);
+  ASSERT_NE(shape.numel() % 64, 0u);
+  Tensor x = random_tensor(shape, 31);
+  Tensor g = random_tensor(shape, 32);
+  const int pool = tensor::sched::num_threads();
+  for (int t : {1, 2, 4}) {
+    tensor::sched::set_num_threads(t);
+    ReLU relu("r");
+    Tensor y = relu.forward(x, true);
+    Tensor gi = relu.backward(g);
+    Tensor yr = relu.replay_forward(x);
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      const bool pos = x[i] > 0.0f;
+      ASSERT_EQ(y[i], pos ? x[i] : 0.0f) << "pool " << t << " at " << i;
+      ASSERT_EQ(yr[i], y[i]) << "pool " << t << " at " << i;
+      ASSERT_EQ(gi[i], pos ? g[i] : 0.0f) << "pool " << t << " at " << i;
+    }
+  }
+  tensor::sched::set_num_threads(pool);
 }
 
 // --- Flatten / Dropout -------------------------------------------------------
@@ -245,6 +279,117 @@ TEST(Conv2dLayer, WeightGradPartialsReuseScratchArena) {
   tensor::sched::set_num_threads(pool);
 }
 
+/// Per-sample reference for the batched conv: each sample through its own
+/// batch-1 forward/backward (one GEMM per sample), outputs and input
+/// gradients concatenated, weight/bias gradients summed in sample order.
+struct ConvRun {
+  std::vector<float> out, grad_in, dw, db;
+};
+
+ConvRun run_conv(const Conv2dSpec& spec, const Tensor& x, const Tensor& gy, bool per_sample) {
+  Rng rng(90);
+  Conv2d conv("c", spec, rng);
+  RawStore store;
+  conv.set_store(&store);
+  ConvRun r;
+  auto step = [&](const Tensor& xs, const Tensor& gs) {
+    Tensor y = conv.forward(xs, true);
+    Tensor gi = conv.backward(gs);
+    r.out.insert(r.out.end(), y.data(), y.data() + y.numel());
+    r.grad_in.insert(r.grad_in.end(), gi.data(), gi.data() + gi.numel());
+  };
+  if (per_sample) {
+    const Shape xs = Shape::nchw(1, x.shape().c(), x.shape().h(), x.shape().w());
+    const Shape gs = Shape::nchw(1, gy.shape().c(), gy.shape().h(), gy.shape().w());
+    for (std::size_t s = 0; s < x.shape().n(); ++s) {
+      Tensor xi(xs), gi(gs);
+      std::copy_n(x.data() + s * xs.numel(), xs.numel(), xi.data());
+      std::copy_n(gy.data() + s * gs.numel(), gs.numel(), gi.data());
+      step(xi, gi);
+    }
+  } else {
+    step(x, gy);
+  }
+  const Tensor& dw = conv.weight().grad;
+  const Tensor& db = conv.bias_param().grad;
+  r.dw.assign(dw.data(), dw.data() + dw.numel());
+  r.db.assign(db.data(), db.data() + db.numel());
+  return r;
+}
+
+double max_rel_diff(const std::vector<float>& a, const std::vector<float>& ref) {
+  double diff = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    diff = std::max(diff, std::fabs(double(a[i]) - ref[i]));
+    scale = std::max(scale, std::fabs(double(ref[i])));
+  }
+  return scale > 0.0 ? diff / scale : diff;
+}
+
+struct BatchedConvCase {
+  const char* what;
+  Conv2dSpec spec;
+  std::size_t n, h, w;
+};
+
+/// The batched conv against the per-sample reference at pools 1, 2 and N:
+/// forward and input gradient bitwise, dW/db within 1e-5 (only their
+/// summation order changes) and bitwise stable across pools.
+void check_batched_conv(const BatchedConvCase& c, const char* level) {
+  Rng shape_rng(1);
+  Conv2d probe("p", c.spec, shape_rng);
+  const Shape in = Shape::nchw(c.n, c.spec.in_channels, c.h, c.w);
+  Tensor x = random_tensor(in, 91);
+  Tensor gy = random_tensor(probe.output_shape(in), 92);
+  const ConvRun ref = run_conv(c.spec, x, gy, /*per_sample=*/true);
+  const int pool = tensor::sched::num_threads();
+  ConvRun first;
+  for (int t : {1, 2, pool > 2 ? pool : 4}) {
+    tensor::sched::set_num_threads(t);
+    const ConvRun got = run_conv(c.spec, x, gy, /*per_sample=*/false);
+    tensor::sched::set_num_threads(pool);
+    SCOPED_TRACE(std::string(level) + ", " + c.what + ", pool " + std::to_string(t));
+    ASSERT_EQ(got.out.size(), ref.out.size());
+    EXPECT_EQ(0, std::memcmp(got.out.data(), ref.out.data(), ref.out.size() * sizeof(float)))
+        << "forward differs from the per-sample path";
+    EXPECT_EQ(0, std::memcmp(got.grad_in.data(), ref.grad_in.data(),
+                             ref.grad_in.size() * sizeof(float)))
+        << "input gradient differs from the per-sample path";
+    EXPECT_LT(max_rel_diff(got.dw, ref.dw), 1e-5);
+    EXPECT_LT(max_rel_diff(got.db, ref.db), 1e-5);
+    if (t == 1) {
+      first = got;
+    } else {  // the group partition is pool-size free
+      EXPECT_EQ(0, std::memcmp(got.dw.data(), first.dw.data(), first.dw.size() * sizeof(float)));
+      EXPECT_EQ(0, std::memcmp(got.db.data(), first.db.data(), first.db.size() * sizeof(float)));
+    }
+  }
+}
+
+TEST(Conv2dLayer, BatchedGemmMatchesPerSampleReference) {
+  Conv2dSpec rect_1x7{6, 5, 1, 1, 0};
+  rect_1x7.kernel_w = 7;
+  rect_1x7.pad_w = 3;
+  Conv2dSpec rect_7x1{6, 5, 7, 1, 3};
+  rect_7x1.kernel_w = 1;
+  rect_7x1.pad_w = 0;
+  const BatchedConvCase cases[] = {
+      {"ohow >= kNc (one sample per group)", {3, 8, 3, 1, 1}, 3, 16, 16},
+      {"more groups than weight-grad parts", {2, 4, 3, 1, 1}, 18, 13, 13},
+      {"ragged last group", {4, 8, 3, 1, 1}, 11, 6, 6},
+      {"n = 1", {4, 8, 3, 1, 1}, 1, 4, 4},
+      {"stride 2", {4, 8, 3, 2, 1}, 12, 8, 8},
+      {"1x7 with pad_w", rect_1x7, 9, 5, 5},
+      {"7x1 with pad_w", rect_7x1, 9, 5, 5},
+  };
+  for (int level = 0; level < tensor::kNumGemmIsas; ++level) {
+    const auto isa = static_cast<tensor::GemmIsa>(level);
+    if (!tensor::gemm_isa_supported(isa)) continue;
+    tensor::ScopedGemmIsa pin(isa);
+    for (const BatchedConvCase& c : cases) check_batched_conv(c, tensor::gemm_isa_name(isa));
+  }
+}
+
 // --- Pooling -------------------------------------------------------------------
 
 TEST(MaxPoolLayer, ForwardPicksMax) {
@@ -403,24 +548,45 @@ TEST(BatchNormLayer, GammaBetaGradCheck) {
   EXPECT_LT(check_param_gradient(bn, *params[1], make), 2e-2);
 }
 
-TEST(BatchNormLayer, SavedStateReusesScratchArena) {
-  // x_hat lives in the scratch arena between forward and backward; repeated
-  // train iterations (and eval forwards, which re-acquire in place) must
-  // reuse the same block rather than grow the arena.
+TEST(BatchNormLayer, SavedStateStaysFlatAcrossThreads) {
+  // Under the graph executor a layer's forward and backward can run on
+  // different threads. x_hat belongs to the layer, so the forward thread's
+  // scratch arena must not grow however often that happens.
   BatchNorm bn("bn", 4);
   Tensor x = random_tensor(Shape::nchw(2, 4, 6, 6), 79);
+  std::size_t cap = 0;
+  for (int i = 0; i <= 50; ++i) {
+    Tensor y = bn.forward(x, true);  // thread A: this one
+    std::thread backward([&] { bn.backward(Tensor(y.shape(), 0.1f)); });  // thread B
+    backward.join();
+    if (i == 0)  // the first round sizes whatever the arena needs
+      cap = tensor::ScratchArena::local().capacity_bytes();
+    else
+      ASSERT_EQ(tensor::ScratchArena::local().capacity_bytes(), cap) << "iteration " << i;
+  }
+}
+
+TEST(BatchNormLayer, ReplayForwardIsBitwiseForward) {
+  // The recompute tier replays forward(train=true) through replay_forward;
+  // both call the same statistics helper, so the bytes match — and the
+  // fixed-lane sums make them the same at every pool size. hw = 37 leaves
+  // a partial lane block per row.
+  const Shape shape = Shape::nchw(5, 6, 37, 1);
+  Tensor x = random_tensor(shape, 80, -2.0f, 7.0f);
   const int pool = tensor::sched::num_threads();
-  tensor::sched::set_num_threads(1);  // see WeightGradPartialsReuseScratchArena
-  auto step = [&] {
+  std::vector<float> first;
+  for (int t : {1, 2, 4}) {
+    tensor::sched::set_num_threads(t);
+    BatchNorm bn("bn", 6);
     Tensor y = bn.forward(x, true);
-    bn.backward(Tensor(y.shape(), 0.1f));
-  };
-  step();
-  const std::size_t cap = tensor::ScratchArena::local().capacity_bytes();
-  for (int i = 0; i < 3; ++i) step();
-  bn.forward(x, false);  // eval forward leaves a live hold...
-  bn.forward(x, false);  // ...which the next acquire recycles
-  EXPECT_EQ(tensor::ScratchArena::local().capacity_bytes(), cap);
+    Tensor yr = bn.replay_forward(x);
+    ASSERT_EQ(0, std::memcmp(y.data(), yr.data(), y.numel() * sizeof(float))) << "pool " << t;
+    if (first.empty())
+      first.assign(y.data(), y.data() + y.numel());
+    else
+      ASSERT_EQ(0, std::memcmp(first.data(), y.data(), y.numel() * sizeof(float)))
+          << "pool " << t;
+  }
   tensor::sched::set_num_threads(pool);
 }
 

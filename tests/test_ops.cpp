@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include <vector>
 
 #include "tensor/ops.hpp"
@@ -187,6 +190,48 @@ TEST(Im2colCol2im, AdjointIdentity) {
   for (std::size_t i = 0; i < cols_size; ++i) lhs += double(cx[i]) * y[i];
   for (std::size_t i = 0; i < x.size(); ++i) rhs += double(x[i]) * iy[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+TEST(Im2colCol2im, LeadingDimensionPlacesImagesSideBySide) {
+  // With ld = G*oh*ow, image g's columns are the g-th block of each row of
+  // one wide matrix, byte for byte the dense per-image matrix; col2im reads
+  // them back the same way. Covers a 3x3 stride-2 conv and the 1x1 plane
+  // copy (whose col2im turns -0 into +0 like the zero-fill-then-add path).
+  struct Geo {
+    std::size_t k, s, p;
+  };
+  for (const Geo g : {Geo{3, 2, 1}, Geo{1, 1, 0}}) {
+    Rng rng(18);
+    const std::size_t C = 3, H = 5, W = 4, G = 3;
+    const std::size_t oh = conv_out_dim(H, g.k, g.s, g.p), ow = conv_out_dim(W, g.k, g.s, g.p);
+    const std::size_t ohow = oh * ow, rows = C * g.k * g.k, ld = G * ohow;
+    std::vector<float> imgs(G * C * H * W), wide(rows * ld), dense(rows * ohow);
+    rng.fill_uniform({imgs.data(), imgs.size()}, -1, 1);
+    imgs[0] = -0.0f;
+    for (std::size_t i = 0; i < G; ++i)
+      im2col(imgs.data() + i * C * H * W, C, H, W, g.k, g.k, g.s, g.p, wide.data() + i * ohow,
+             kSamePad, ld);
+    for (std::size_t i = 0; i < G; ++i) {
+      im2col(imgs.data() + i * C * H * W, C, H, W, g.k, g.k, g.s, g.p, dense.data());
+      for (std::size_t r = 0; r < rows; ++r)
+        ASSERT_EQ(0, std::memcmp(&wide[r * ld + i * ohow], &dense[r * ohow],
+                                 ohow * sizeof(float)))
+            << "k " << g.k << " image " << i << " row " << r;
+      std::vector<float> back_wide(C * H * W), back_dense(C * H * W);
+      col2im(wide.data() + i * ohow, C, H, W, g.k, g.k, g.s, g.p, back_wide.data(), kSamePad,
+             ld);
+      col2im(dense.data(), C, H, W, g.k, g.k, g.s, g.p, back_dense.data());
+      ASSERT_EQ(0, std::memcmp(back_wide.data(), back_dense.data(),
+                               back_dense.size() * sizeof(float)))
+          << "k " << g.k << " image " << i;
+    }
+    if (g.k == 1) {  // 1x1: col2im is a copy, with -0 normalised to +0
+      std::vector<float> back(C * H * W);
+      col2im(wide.data(), C, H, W, 1, 1, 1, 0, back.data(), kSamePad, ld);
+      EXPECT_FALSE(std::signbit(back[0]));
+      for (std::size_t i = 1; i < back.size(); ++i) ASSERT_EQ(back[i], imgs[i]);
+    }
+  }
 }
 
 }  // namespace
