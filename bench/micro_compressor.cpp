@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the compression stack: SZ compress /
-// decompress across error bounds and sparsities, the lossless and JPEG-ACT
-// comparators, and the Huffman coder. Throughput (bytes/s) is the figure of
-// merit — it bounds the framework's per-iteration overhead (§5.4).
+// decompress across error bounds and sparsities, single-window SZ calls, the
+// lossless and JPEG-ACT comparators, and the Huffman coder and table build.
+// Throughput (bytes/s) is the figure of merit — it bounds the framework's
+// per-iteration overhead (§5.4).
 
 #include <benchmark/benchmark.h>
 
@@ -130,6 +131,54 @@ void BM_HuffmanEncode(benchmark::State& state) {
                           static_cast<std::int64_t>(symbols.size()));
 }
 BENCHMARK(BM_HuffmanEncode)->Unit(benchmark::kMillisecond);
+
+void BM_HuffmanBuild(benchmark::State& state) {
+  // The SZ alphabet (radius 32768) coded sparsely, as compress() builds it:
+  // the quantization codes of a 16 Ki-float activation window, a few
+  // thousand distinct symbols (reported as coded_symbols).
+  const auto data = activation_data(16384, 0.0);
+  std::vector<std::uint32_t> symbols;
+  std::vector<float> outliers;
+  sz::detail::quantize_block_1d({data.data(), data.size()}, 1e-3, 32768, symbols, outliers);
+  sz::detail::SymbolHistogram hist;
+  std::vector<std::uint32_t> coded;
+  std::vector<std::uint64_t> counts;
+  hist.add(symbols);
+  hist.drain(coded, counts);
+  sz::HuffmanCodec codec;
+  for (auto _ : state) {
+    codec.build_sparse(coded, counts, 65536);
+    auto table = codec.serialize_table();
+    benchmark::DoNotOptimize(table);
+  }
+  state.counters["coded_symbols"] = static_cast<double>(coded.size());
+}
+BENCHMARK(BM_HuffmanBuild)->Unit(benchmark::kMicrosecond);
+
+void BM_SzWindow(benchmark::State& state) {
+  // One serve/stash-sized window per call: the per-call fixed cost is a
+  // large share of it. range(0) = floats, range(1) = 0 encode / 1 decode.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto data = activation_data(n, 0.5);
+  sz::Compressor comp;
+  const auto buf = comp.compress({data.data(), data.size()});
+  std::vector<float> out(n);
+  for (auto _ : state) {
+    if (state.range(1) == 0) {
+      auto enc = comp.compress({data.data(), data.size()});
+      benchmark::DoNotOptimize(enc);
+    } else {
+      comp.decompress(buf, {out.data(), out.size()});
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sizeof(float)));
+}
+BENCHMARK(BM_SzWindow)
+    ->ArgsProduct({{4096, 16384}, {0, 1}})
+    ->ArgNames({"floats", "decode"})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -9,11 +9,12 @@
 //   4. a conv forward+backward pair is bitwise identical across pool sizes
 //      (fixed-fanout gradient reduction riding the work-stealing pool).
 // It also times the reduced shapes (at the dispatched level, and GFLOP/s at
-// every supported level) and emits BENCH_perf_smoke.json for trend
-// tracking. Dedicated perf runners can opt into a wall-clock gate:
-// point EBCT_PERF_BASELINE at a previous BENCH_perf_smoke.json and any
-// timed row slower than EBCT_PERF_MAX_SLOWDOWN x its baseline (default
-// 1.25) fails the run. Shared CI leaves the env unset. Exit code 0 = pass.
+// every supported level) and the stages of one SZ window, and emits
+// BENCH_perf_smoke.json for trend tracking. Dedicated perf runners can opt
+// into a wall-clock gate: point EBCT_PERF_BASELINE at a previous
+// BENCH_perf_smoke.json and any timed row slower than
+// EBCT_PERF_MAX_SLOWDOWN x its baseline (default 1.25) fails the run.
+// Shared CI leaves the env unset. Exit code 0 = pass.
 
 #include <chrono>
 #include <cmath>
@@ -21,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -32,6 +34,8 @@
 #include "models/model_zoo.hpp"
 #include "nn/conv2d.hpp"
 #include "obs/metrics.hpp"
+#include "sz/compressor.hpp"
+#include "sz/huffman.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -294,6 +298,70 @@ void measure_phase_variance(bench::JsonReporter& report, int machine_threads) {
   report.add("session_metrics", session.metrics());
 }
 
+/// Per-call cost of each SZ stage on one 16 Ki-float activation window, the
+/// serve/stash unit where a call's fixed cost shows most. Informational
+/// only: the row has no "seconds" key, so the wall-clock gate ignores it.
+void time_sz_window(bench::JsonReporter& report) {
+  constexpr std::size_t kWindow = 16384;
+  std::vector<float> data(kWindow);
+  tensor::Rng rng(12);
+  rng.fill_relu_like({data.data(), kWindow}, 0.5, 1.0f);
+  const sz::Config cfg;  // default: eb 1e-3, radius 32768, one block
+  const std::size_t alphabet = 2 * std::size_t{cfg.radius};
+  auto per_call_us = [](const std::function<void()>& fn) {
+    constexpr int kReps = 50;
+    return bench::time_median([&] { for (int r = 0; r < kReps; ++r) fn(); }, 5) / kReps * 1e6;
+  };
+
+  std::vector<std::uint32_t> symbols;
+  std::vector<float> outliers;
+  const double quantize_us = per_call_us([&] {
+    outliers.clear();
+    sz::detail::quantize_block_1d({data.data(), kWindow}, cfg.error_bound, cfg.radius, symbols,
+                                  outliers);
+  });
+  sz::detail::SymbolHistogram hist;
+  std::vector<std::uint32_t> coded;
+  std::vector<std::uint64_t> counts;
+  const double histogram_us = per_call_us([&] {
+    coded.clear();
+    counts.clear();
+    hist.add(symbols);
+    hist.drain(coded, counts);
+  });
+  sz::HuffmanCodec codec;
+  std::vector<std::uint8_t> table;
+  const double build_us = per_call_us([&] {
+    codec.build_sparse(coded, counts, alphabet);
+    table = codec.serialize_table();
+  });
+  std::vector<std::uint8_t> body;
+  const double encode_us = per_call_us([&] { body = codec.encode(symbols); });
+  sz::HuffmanCodec parsed;
+  const double parse_us = per_call_us([&] { parsed.deserialize_table(table, alphabet); });
+  const sz::Compressor comp(cfg);
+  sz::CompressedBuffer buf;
+  const double compress_us = per_call_us([&] { buf = comp.compress({data.data(), kWindow}); });
+  std::vector<float> out(kWindow);
+  const double decompress_us =
+      per_call_us([&] { comp.decompress(buf, {out.data(), out.size()}); });
+
+  std::printf("%-24s %zu coded symbols; us/call: quantize %.1f  histogram %.1f  "
+              "table build %.1f  encode %.1f  table parse %.1f  compress %.1f  "
+              "decompress %.1f\n",
+              "sz_window", coded.size(), quantize_us, histogram_us, build_us, encode_us,
+              parse_us, compress_us, decompress_us);
+  report.add("sz_window", {{"elements", static_cast<double>(kWindow)},
+                           {"coded_symbols", static_cast<double>(coded.size())},
+                           {"quantize_us", quantize_us},
+                           {"histogram_us", histogram_us},
+                           {"table_build_us", build_us},
+                           {"encode_us", encode_us},
+                           {"table_parse_us", parse_us},
+                           {"compress_us", compress_us},
+                           {"decompress_us", decompress_us}});
+}
+
 /// Rows of a previous BENCH_perf_smoke.json: name -> seconds. The format is
 /// our own JsonReporter's (one row object per line), so a line scan is a
 /// complete parser for it.
@@ -354,6 +422,7 @@ int main() {
   check_conv_determinism();
   time_reduced_shapes(report, timings, machine_threads);
   measure_phase_variance(report, machine_threads);
+  time_sz_window(report);
   check_wallclock_gate(timings);
   if (g_failures == 0) std::printf("perf_smoke: all structural checks passed\n");
   return g_failures == 0 ? 0 : 1;

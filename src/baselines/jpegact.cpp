@@ -183,7 +183,7 @@ Tensor JpegActCodec::decode(const EncodedActivation& enc) {
   const float inv_scale = fwd_scale > 0.0f ? 1.0f / fwd_scale : 1.0f;
 
   sz::HuffmanCodec codec;
-  codec.deserialize_table({p, static_cast<std::size_t>(table_size)});
+  codec.deserialize_table({p, static_cast<std::size_t>(table_size)}, kAlphabet);
   p += table_size;
   const auto symbols =
       codec.decode({p, static_cast<std::size_t>(body_size)},

@@ -13,6 +13,10 @@ namespace ebct::baselines {
 using nn::EncodedActivation;
 using tensor::Tensor;
 
+namespace {
+constexpr std::size_t kPlaneAlphabet = 256;  // one byte plane of a float
+}  // namespace
+
 void LosslessCodec::encode_span(std::span<const float> data, std::vector<std::uint8_t>& out) {
   // Stream 1: alternating zero-run / nonzero-run lengths.
   sz::BitWriter rle;
@@ -41,7 +45,7 @@ void LosslessCodec::encode_span(std::span<const float> data, std::vector<std::ui
       std::memcpy(&bits, &packed[k], 4);
       symbols[k] = (bits >> (8 * plane)) & 0xff;
     }
-    std::vector<std::uint64_t> freqs(256, 0);
+    std::vector<std::uint64_t> freqs(kPlaneAlphabet, 0);
     for (auto s : symbols) ++freqs[s];
     sz::HuffmanCodec codec;
     codec.build(freqs);
@@ -113,7 +117,7 @@ void LosslessCodec::decode_span(const std::uint8_t* payload, std::size_t payload
     const std::uint64_t table_size = plane_sizes[2 * plane];
     const std::uint64_t body_size = plane_sizes[2 * plane + 1];
     sz::HuffmanCodec codec;
-    codec.deserialize_table({p, static_cast<std::size_t>(table_size)});
+    codec.deserialize_table({p, static_cast<std::size_t>(table_size)}, kPlaneAlphabet);
     p += table_size;
     planes[plane] = codec.decode({p, static_cast<std::size_t>(body_size)},
                                  static_cast<std::size_t>(packed_count));

@@ -1,8 +1,11 @@
 #include "sz/compressor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "sz/bitstream.hpp"
@@ -38,8 +41,10 @@ struct BlockResult {
   std::vector<std::uint8_t> encoded;
 };
 
-/// Quantize one block with a 1-D Lorenzo predictor (previous reconstructed
-/// value). Emits symbol 0 for outliers; otherwise symbol = code + radius.
+}  // namespace
+
+namespace detail {
+
 void quantize_block_1d(std::span<const float> block, double eb, std::uint32_t radius,
                        std::vector<std::uint32_t>& symbols, std::vector<float>& outliers) {
   symbols.resize(block.size());
@@ -49,7 +54,8 @@ void quantize_block_1d(std::span<const float> block, double eb, std::uint32_t ra
     const float x = block[i];
     const double diff = static_cast<double>(x) - static_cast<double>(prev_recon);
     const double code_d = std::nearbyint(diff * inv_step);
-    bool outlier = std::fabs(code_d) >= static_cast<double>(radius);
+    // Negated so a NaN code (non-finite input or neighbour) escapes too.
+    bool outlier = !(std::fabs(code_d) < static_cast<double>(radius));
     float recon = 0.0f;
     if (!outlier) {
       recon = static_cast<float>(static_cast<double>(prev_recon) +
@@ -71,6 +77,74 @@ void quantize_block_1d(std::span<const float> block, double eb, std::uint32_t ra
   }
 }
 
+void SymbolHistogram::add(std::span<const std::uint32_t> symbols) {
+  for (const std::uint32_t s : symbols) {
+    ++counts_[s];
+    seen_[s >> 6] |= std::uint64_t{1} << (s & 63);
+  }
+}
+
+void SymbolHistogram::add(std::span<const std::uint32_t> symbols,
+                          std::span<const std::uint64_t> counts) {
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    counts_[symbols[i]] += counts[i];
+    seen_[symbols[i] >> 6] |= std::uint64_t{1} << (symbols[i] & 63);
+  }
+}
+
+void SymbolHistogram::drain(std::vector<std::uint32_t>& symbols,
+                            std::vector<std::uint64_t>& counts) {
+  for (std::size_t w = 0; w < seen_.size(); ++w) {
+    for (std::uint64_t bits = seen_[w]; bits != 0; bits &= bits - 1) {
+      const auto s = static_cast<std::uint32_t>(64 * w + std::countr_zero(bits));
+      symbols.push_back(s);
+      counts.push_back(counts_[s]);
+      counts_[s] = 0;
+    }
+    seen_[w] = 0;
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
+/// Histograms shared by every thread: a chunk borrows one and returns it
+/// drained. Reuse keeps the alphabet-sized set-up out of the per-call cost,
+/// also on short-lived threads (serve's per-connection handlers), which a
+/// thread_local table would charge on every request. The pool holds at
+/// most one histogram per chunk that ever ran concurrently.
+class HistogramPool {
+ public:
+  static HistogramPool& instance() {
+    static HistogramPool* pool = new HistogramPool;  // leaked: process lifetime
+    return *pool;
+  }
+
+  /// Run `fill` on a borrowed histogram, then drain it into the output.
+  template <typename Fill>
+  void count(Fill&& fill, std::vector<std::uint32_t>& symbols,
+             std::vector<std::uint64_t>& counts) {
+    std::unique_ptr<detail::SymbolHistogram> h;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        h = std::move(free_.back());
+        free_.pop_back();
+      }
+    }
+    if (!h) h = std::make_unique<detail::SymbolHistogram>();
+    fill(*h);
+    h->drain(symbols, counts);
+    const std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(h));
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<detail::SymbolHistogram>> free_;
+};
+
 /// 2-D Lorenzo over a plane of width w: pred = left + top - topleft, using
 /// reconstructed values. Single block (serial) by design.
 void quantize_2d(std::span<const float> data, std::size_t w, double eb,
@@ -90,7 +164,7 @@ void quantize_2d(std::span<const float> data, std::size_t w, double eb,
       const double pred = left + top - tl;
       const float x = data[i];
       const double code_d = std::nearbyint((static_cast<double>(x) - pred) * inv_step);
-      bool outlier = std::fabs(code_d) >= static_cast<double>(radius);
+      bool outlier = !(std::fabs(code_d) < static_cast<double>(radius));  // NaN escapes
       float rec = 0.0f;
       if (!outlier) {
         rec = static_cast<float>(pred + code_d * 2.0 * eb);
@@ -123,7 +197,8 @@ T read_pod(const std::uint8_t*& p) {
 
 Compressor::Compressor(Config cfg) : cfg_(cfg) {
   if (cfg_.error_bound <= 0.0) throw std::invalid_argument("Compressor: error_bound must be > 0");
-  if (cfg_.radius < 2) throw std::invalid_argument("Compressor: radius must be >= 2");
+  if (cfg_.radius < 2 || cfg_.radius > kMaxRadius)
+    throw std::invalid_argument("Compressor: radius must be in [2, kMaxRadius]");
   if (cfg_.block_size == 0) throw std::invalid_argument("Compressor: block_size must be > 0");
   if (cfg_.predictor == Predictor::kLorenzo2D && cfg_.plane_width == 0)
     throw std::invalid_argument("Compressor: kLorenzo2D requires plane_width");
@@ -189,35 +264,47 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
     tensor::parallel_for_tasks(num_blocks, cfg_.num_threads, [&](std::size_t b) {
       const std::size_t begin = b * bs;
       const std::size_t end = std::min(n, begin + bs);
-      quantize_block_1d(payload.subspan(begin, end - begin), eb, cfg_.radius,
-                        blocks[b].symbols, blocks[b].outliers);
+      detail::quantize_block_1d(payload.subspan(begin, end - begin), eb, cfg_.radius,
+                                blocks[b].symbols, blocks[b].outliers);
     });
   }
 
-  // Stage 2 — global Huffman table. Histograms accumulate into per-chunk
-  // buffers and merge in chunk order, so the frequency vector (and hence the
-  // table and the output bytes) is independent of the thread count.
-  const std::size_t alphabet = 2ull * cfg_.radius;
+  // Stage 2 — global Huffman table. Each chunk of blocks counts into a
+  // reused histogram and drains a sparse (symbol, count) list; the lists
+  // merge in chunk order. Integer counts make the merged histogram (and
+  // hence the table and the output bytes) independent of the thread count,
+  // and no step touches the whole alphabet.
   const std::size_t hw = static_cast<std::size_t>(tensor::hardware_threads());
   const std::size_t workers =
       cfg_.num_threads == 0 ? hw : std::min<std::size_t>(cfg_.num_threads, hw);
   const std::size_t nchunks = std::min(num_blocks, std::max<std::size_t>(workers, 1));
-  std::vector<std::vector<std::uint64_t>> chunk_freqs(nchunks);
+  struct SparseCounts {
+    std::vector<std::uint32_t> symbols;
+    std::vector<std::uint64_t> counts;
+  };
+  auto& histograms = HistogramPool::instance();
+  std::vector<SparseCounts> chunk_counts(nchunks);
   tensor::parallel_for_tasks(nchunks, cfg_.num_threads, [&](std::size_t c) {
-    auto& f = chunk_freqs[c];
-    f.assign(alphabet, 0);
     const std::size_t lo = c * num_blocks / nchunks;
     const std::size_t hi = (c + 1) * num_blocks / nchunks;
-    for (std::size_t b = lo; b < hi; ++b) {
-      for (std::uint32_t s : blocks[b].symbols) ++f[s];
-    }
+    histograms.count(
+        [&](detail::SymbolHistogram& h) {
+          for (std::size_t b = lo; b < hi; ++b) h.add(blocks[b].symbols);
+        },
+        chunk_counts[c].symbols, chunk_counts[c].counts);
   });
-  std::vector<std::uint64_t> freqs(alphabet, 0);
-  for (const auto& f : chunk_freqs) {
-    for (std::size_t s = 0; s < alphabet; ++s) freqs[s] += f[s];
+  SparseCounts merged;
+  if (nchunks == 1) {
+    merged = std::move(chunk_counts[0]);
+  } else {
+    histograms.count(
+        [&](detail::SymbolHistogram& h) {
+          for (const auto& cc : chunk_counts) h.add(cc.symbols, cc.counts);
+        },
+        merged.symbols, merged.counts);
   }
   HuffmanCodec codec;
-  codec.build(freqs);
+  codec.build_sparse(merged.symbols, merged.counts, 2 * std::size_t{cfg_.radius});
   const std::vector<std::uint8_t> table = codec.serialize_table();
 
   // Stage 3 — block-parallel entropy coding against the shared table.
@@ -286,6 +373,8 @@ void Compressor::decompress(const CompressedBuffer& buf, std::span<float> out) c
           ? h.num_quantized > h.num_elements
           : h.num_quantized != h.num_elements)
     throw std::runtime_error("Compressor::decompress: corrupt header (count)");
+  if (h.radius < 2 || h.radius > kMaxRadius)
+    throw std::runtime_error("Compressor::decompress: corrupt header (radius)");
   if (static_cast<Predictor>(h.predictor) == Predictor::kLorenzo2D && cfg_.plane_width == 0)
     throw std::runtime_error(
         "Compressor::decompress: 2-D stream needs a compressor with plane_width set");
@@ -293,7 +382,8 @@ void Compressor::decompress(const CompressedBuffer& buf, std::span<float> out) c
     throw std::invalid_argument("Compressor::decompress: output size mismatch");
 
   HuffmanCodec codec;
-  codec.deserialize_table({p, static_cast<std::size_t>(h.table_bytes)});
+  codec.deserialize_table({p, static_cast<std::size_t>(h.table_bytes)},
+                          2 * std::size_t{h.radius});
   p += h.table_bytes;
   std::span<const std::uint8_t> rle{p, static_cast<std::size_t>(h.rle_bytes)};
   p += h.rle_bytes;

@@ -19,12 +19,26 @@
 ///  - kExactRle    : our extension — exact zeros are run-length encoded in a
 ///                   side stream and restored verbatim, preserving the
 ///                   strict eb bound for all elements.
+///
+/// Non-finite inputs (NaN, +-Inf) cannot be predicted; they escape to the
+/// outlier stream and round-trip bit-exactly.
+///
+/// Cost: each compress/decompress call does work proportional to its
+/// elements plus the k distinct quantization codes it entropy-codes (a few
+/// thousand for activation windows), not to the 2*radius-symbol Huffman
+/// alphabet — the histogram is sparse and the Huffman table is built,
+/// serialized and parsed over the coded symbols only. The table bytes are
+/// those of the full per-symbol length array, so the format is unchanged.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace ebct::sz {
+
+/// Largest quantization radius a Compressor accepts and a stream may
+/// declare; it bounds the Huffman alphabet (2 * radius) a decoder sizes.
+inline constexpr std::uint32_t kMaxRadius = 32768;
 
 enum class Predictor : std::uint8_t {
   kLorenzo1D = 0,  ///< previous reconstructed value
@@ -47,7 +61,7 @@ struct Config {
   BoundMode bound_mode = BoundMode::kAbsolute;
   Predictor predictor = Predictor::kLorenzo1D;
   ZeroMode zero_mode = ZeroMode::kRezero;
-  std::uint32_t radius = 32768;      ///< quantization codes in (-radius, radius)
+  std::uint32_t radius = 32768;      ///< codes in (-radius, radius); 2 <= radius <= kMaxRadius
   std::uint32_t block_size = 65536;  ///< independent prediction blocks (parallelism)
   std::uint32_t plane_width = 0;     ///< required for kLorenzo2D
 
@@ -94,6 +108,36 @@ class Compressor {
  private:
   Config cfg_;
 };
+
+namespace detail {
+
+// Stages of Compressor::compress, exposed for stage-level timing
+// (perf_smoke, micro_compressor).
+
+/// 1-D Lorenzo prediction + linear quantization of one block: one symbol per
+/// element into `symbols` (0 = escaped, value appended to `outliers`; else
+/// code + radius).
+void quantize_block_1d(std::span<const float> block, double eb, std::uint32_t radius,
+                       std::vector<std::uint32_t>& symbols, std::vector<float>& outliers);
+
+/// Symbol counts over an alphabet of at most 2 * kMaxRadius (every symbol
+/// added must be below it), read back sparse. The count table and a one-bit-per-symbol "seen" map live as long
+/// as the object and return to zero on drain(), so a reused histogram costs
+/// O(symbols added + distinct symbols + alphabet / 64) per round.
+class SymbolHistogram {
+ public:
+  void add(std::span<const std::uint32_t> symbols);
+  /// Add counts[i] occurrences of symbols[i].
+  void add(std::span<const std::uint32_t> symbols, std::span<const std::uint64_t> counts);
+  /// Append the seen symbols (ascending) and their counts, then reset.
+  void drain(std::vector<std::uint32_t>& symbols, std::vector<std::uint64_t>& counts);
+
+ private:
+  std::vector<std::uint64_t> counts_ = std::vector<std::uint64_t>(2 * std::size_t{kMaxRadius});
+  std::vector<std::uint64_t> seen_ = std::vector<std::uint64_t>(2 * std::size_t{kMaxRadius} / 64);
+};
+
+}  // namespace detail
 
 /// Largest |original - reconstructed| over the span pair.
 double max_abs_error(std::span<const float> original, std::span<const float> reconstructed);

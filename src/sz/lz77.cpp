@@ -141,7 +141,7 @@ std::vector<std::uint8_t> lz77_decompress(std::span<const std::uint8_t> input) {
     throw std::runtime_error("lz77: truncated body");
 
   HuffmanCodec codec;
-  codec.deserialize_table({p, static_cast<std::size_t>(table_size)});
+  codec.deserialize_table({p, static_cast<std::size_t>(table_size)}, kAlphabet);
   p += table_size;
   const auto symbols = codec.decode({p, static_cast<std::size_t>(sym_size)},
                                     static_cast<std::size_t>(token_count));

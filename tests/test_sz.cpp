@@ -5,9 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <limits>
+#include <queue>
+#include <string>
 #include <vector>
 
+#include "core/codec_registry.hpp"
+#include "nn/streaming.hpp"
 #include "sz/bitstream.hpp"
 #include "sz/compressor.hpp"
 #include "sz/huffman.hpp"
@@ -143,7 +151,7 @@ TEST(Huffman, DeserializeRejectsOversizedCodeLengths) {
   w.put_varint(2);   // run
   const auto bytes = w.finish();
   HuffmanCodec codec;
-  EXPECT_THROW(codec.deserialize_table({bytes.data(), bytes.size()}), std::runtime_error);
+  EXPECT_THROW(codec.deserialize_table({bytes.data(), bytes.size()}, 2), std::runtime_error);
 }
 
 TEST(Huffman, DeserializeRejectsKraftViolatingTable) {
@@ -155,7 +163,7 @@ TEST(Huffman, DeserializeRejectsKraftViolatingTable) {
   w.put_varint(4);  // ... for all four symbols
   const auto bytes = w.finish();
   HuffmanCodec codec;
-  EXPECT_THROW(codec.deserialize_table({bytes.data(), bytes.size()}), std::runtime_error);
+  EXPECT_THROW(codec.deserialize_table({bytes.data(), bytes.size()}, 4), std::runtime_error);
 }
 
 TEST(Huffman, RoundtripRandomSymbols) {
@@ -206,7 +214,7 @@ TEST(Huffman, TableSerializationRoundtrip) {
   a.build(freqs);
   const auto table = a.serialize_table();
   HuffmanCodec b;
-  b.deserialize_table({table.data(), table.size()});
+  b.deserialize_table({table.data(), table.size()}, 300);
   for (std::uint32_t s = 0; s < 300; ++s) EXPECT_EQ(a.code_length(s), b.code_length(s));
 
   std::vector<std::uint32_t> symbols;
@@ -225,6 +233,11 @@ TEST(Huffman, EncodingUnknownSymbolThrows) {
   codec.build(freqs);
   std::vector<std::uint32_t> bad{4};
   EXPECT_THROW(codec.encode(bad), std::logic_error);
+  // One past the alphabet: rejected, not read out of bounds.
+  std::vector<std::uint32_t> outside{8};
+  EXPECT_THROW(codec.encode(outside), std::logic_error);
+  EXPECT_EQ(codec.code_length(8), 0u);
+  EXPECT_EQ(codec.code_length(~0u), 0u);
 }
 
 TEST(Huffman, EmptySymbolStream) {
@@ -244,11 +257,240 @@ TEST(Huffman, TwoSymbolTableSerializationRoundtrip) {
   a.build(freqs);
   const auto table = a.serialize_table();
   HuffmanCodec b;
-  b.deserialize_table({table.data(), table.size()});
+  b.deserialize_table({table.data(), table.size()}, 2);
   const std::vector<std::uint32_t> symbols{0, 1, 1, 0, 1};
   const auto enc = a.encode(symbols);
   EXPECT_EQ(enc.size(), 1u);  // 5 one-bit codes pad to a single byte
   EXPECT_EQ(b.decode({enc.data(), enc.size()}, symbols.size()), symbols);
+}
+
+// --- Huffman table equivalence against the heap-built reference -------------
+//
+// The reference is the original builder: a min-heap of (freq, node index)
+// pairs merged until one root, depths by DFS, and a dense run-length table.
+// The codec's two-queue build over coded symbols must produce the same
+// serialized bytes on every distribution.
+
+unsigned reference_depths(const std::vector<std::uint64_t>& freqs,
+                          std::vector<unsigned>& lengths) {
+  struct Node {
+    std::uint64_t freq;
+    std::int32_t symbol;  // -1 for internal
+    std::int32_t left = -1, right = -1;
+  };
+  std::vector<Node> nodes;
+  using Item = std::pair<std::uint64_t, std::int32_t>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  for (std::uint32_t s = 0; s < freqs.size(); ++s) {
+    if (freqs[s] > 0) {
+      nodes.push_back({freqs[s], static_cast<std::int32_t>(s)});
+      heap.emplace(freqs[s], static_cast<std::int32_t>(nodes.size() - 1));
+    }
+  }
+  lengths.assign(freqs.size(), 0);
+  if (nodes.empty()) return 0;
+  if (nodes.size() == 1) {
+    lengths[static_cast<std::size_t>(nodes[0].symbol)] = 1;
+    return 1;
+  }
+  while (heap.size() > 1) {
+    auto [fa, ia] = heap.top();
+    heap.pop();
+    auto [fb, ib] = heap.top();
+    heap.pop();
+    nodes.push_back({fa + fb, -1, ia, ib});
+    heap.emplace(fa + fb, static_cast<std::int32_t>(nodes.size() - 1));
+  }
+  unsigned max_depth = 0;
+  std::vector<std::pair<std::int32_t, unsigned>> stack{{heap.top().second, 0}};
+  while (!stack.empty()) {
+    auto [idx, depth] = stack.back();
+    stack.pop_back();
+    const Node& n = nodes[static_cast<std::size_t>(idx)];
+    if (n.symbol >= 0) {
+      lengths[static_cast<std::size_t>(n.symbol)] = depth;
+      max_depth = std::max(max_depth, depth);
+    } else {
+      stack.emplace_back(n.left, depth + 1);
+      stack.emplace_back(n.right, depth + 1);
+    }
+  }
+  return max_depth;
+}
+
+/// The reference table bytes; `flattened` is set when the length cap forced
+/// at least one frequency-halving round.
+std::vector<std::uint8_t> reference_table(std::vector<std::uint64_t> freqs, bool& flattened,
+                                          std::vector<unsigned>& lengths) {
+  unsigned depth = reference_depths(freqs, lengths);
+  flattened = depth > HuffmanCodec::kMaxCodeLen;
+  while (depth > HuffmanCodec::kMaxCodeLen) {
+    for (auto& v : freqs)
+      if (v > 0) v = (v + 1) / 2;
+    depth = reference_depths(freqs, lengths);
+  }
+  BitWriter w;
+  w.put_varint(lengths.size());
+  std::size_t i = 0;
+  while (i < lengths.size()) {
+    std::size_t j = i;
+    while (j < lengths.size() && lengths[j] == lengths[i]) ++j;
+    w.put_varint(lengths[i]);
+    w.put_varint(j - i);
+    i = j;
+  }
+  return w.finish();
+}
+
+TEST(Huffman, TablesMatchHeapBuiltReference) {
+  tensor::Rng rng(1701);
+  int flattened_cases = 0, full_alphabet_cases = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    // Alphabet 2..65,536, log-uniform; every 100th trial is the full SZ one.
+    const std::size_t alphabet =
+        trial % 100 == 0
+            ? 65536
+            : 2 + static_cast<std::size_t>(std::pow(2.0, 16.0 * rng.uniform())) % 65535;
+    full_alphabet_cases += alphabet == 65536;
+    std::vector<std::uint64_t> freqs(alphabet, 0);
+    const int shape = trial % 5;
+    // Coded fraction: dense (every symbol), or a sparse random subset.
+    const bool dense = shape == 0 || (shape == 4 && alphabet < 64);
+    const std::size_t k =
+        dense ? alphabet : 1 + rng.uniform_index(std::min<std::size_t>(alphabet, 4000));
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t s = dense ? i : rng.uniform_index(alphabet);
+      switch (shape) {
+        case 0:  // dense, geometric-ish quantization-code counts
+        case 1:
+          freqs[s] = 1 + rng.uniform_index(1 + (1u << rng.uniform_index(16)));
+          break;
+        case 2:  // all-equal frequencies: every merge is a tie
+          freqs[s] = 7;
+          break;
+        case 3:  // magnitudes up to 2^40: deep trees, the flattening loop
+          freqs[s] = 1 + (rng.next_u64() >> (24 + rng.uniform_index(40)));
+          break;
+        default:  // exponential ladder: depth ~ k, always flattened when k > 32
+          freqs[s] = std::uint64_t{1} << (i % 41);
+          break;
+      }
+    }
+    bool flattened = false;
+    std::vector<unsigned> ref_lengths;
+    const auto expected = reference_table(freqs, flattened, ref_lengths);
+    flattened_cases += flattened;
+
+    HuffmanCodec dense_built;
+    dense_built.build(freqs);
+    ASSERT_EQ(dense_built.serialize_table(), expected) << "trial " << trial;
+
+    std::vector<std::uint32_t> symbols;
+    std::vector<std::uint64_t> counts;
+    for (std::uint32_t s = 0; s < alphabet; ++s) {
+      if (freqs[s] > 0) {
+        symbols.push_back(s);
+        counts.push_back(freqs[s]);
+      }
+    }
+    HuffmanCodec sparse_built;
+    sparse_built.build_sparse(symbols, counts, alphabet);
+    ASSERT_EQ(sparse_built.serialize_table(), expected) << "trial " << trial;
+
+    HuffmanCodec parsed;
+    parsed.deserialize_table({expected.data(), expected.size()}, alphabet);
+    ASSERT_EQ(parsed.serialize_table(), expected) << "trial " << trial;
+    for (const std::uint32_t s : symbols)
+      ASSERT_EQ(parsed.code_length(s), ref_lengths[s]) << "trial " << trial;
+    if (trial % 10 == 0) {
+      const auto enc = sparse_built.encode(symbols);
+      ASSERT_EQ(parsed.decode({enc.data(), enc.size()}, symbols.size()), symbols);
+    }
+  }
+  EXPECT_GE(flattened_cases, 100);  // the >32-bit path really ran
+  EXPECT_GE(full_alphabet_cases, 10);
+}
+
+TEST(Huffman, BuildSparseRejectsMalformedHistograms) {
+  HuffmanCodec codec;
+  const std::vector<std::uint64_t> two{1, 1};
+  const std::vector<std::uint32_t> descending{3, 1}, repeated{1, 1}, outside{1, 8};
+  EXPECT_THROW(codec.build_sparse(descending, two, 8), std::invalid_argument);
+  EXPECT_THROW(codec.build_sparse(repeated, two, 8), std::invalid_argument);
+  EXPECT_THROW(codec.build_sparse(outside, two, 8), std::invalid_argument);
+  const std::vector<std::uint32_t> ok{1, 5};
+  const std::vector<std::uint64_t> zero{1, 0};
+  EXPECT_THROW(codec.build_sparse(ok, zero, 8), std::invalid_argument);
+  EXPECT_THROW(codec.build_sparse(ok, std::vector<std::uint64_t>{1}, 8),
+               std::invalid_argument);
+}
+
+TEST(Huffman, DeserializeRejectsUnexpectedAlphabet) {
+  std::vector<std::uint64_t> freqs{3, 5, 0, 9};
+  HuffmanCodec a;
+  a.build(freqs);
+  const auto table = a.serialize_table();
+  HuffmanCodec b;
+  EXPECT_THROW(b.deserialize_table({table.data(), table.size()}, 5), std::runtime_error);
+  EXPECT_THROW(b.deserialize_table({table.data(), table.size()}, 3), std::runtime_error);
+  EXPECT_NO_THROW(b.deserialize_table({table.data(), table.size()}, 4));
+}
+
+TEST(Huffman, DeserializeRejectsTruncatedTable) {
+  // An alphabet with no runs after it: the exhausted reader yields empty
+  // runs forever, which must throw rather than spin.
+  BitWriter w;
+  w.put_varint(5);
+  const auto bytes = w.finish();
+  HuffmanCodec codec;
+  EXPECT_THROW(codec.deserialize_table({bytes.data(), bytes.size()}, 5), std::runtime_error);
+}
+
+/// Peak resident set of this process in kB (VmHWM), or 0 where /proc is absent.
+std::size_t peak_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0) return std::strtoull(line.c_str() + 6, nullptr, 10);
+  return 0;
+}
+
+TEST(Huffman, TinyTableCannotForceHugeAllocation) {
+  // Twelve bytes declaring a 2^28-symbol alphabet, otherwise a valid table.
+  // Sizing the per-symbol tables from it would commit over 1 GB.
+  constexpr std::size_t kForged = std::size_t{1} << 28;
+  BitWriter w;
+  w.put_varint(kForged);
+  w.put_varint(0);  // zeros ...
+  w.put_varint(kForged - 2);
+  w.put_varint(1);  // ... then two 1-bit codes
+  w.put_varint(2);
+  const auto bytes = w.finish();
+  ASSERT_EQ(bytes.size(), 12u);
+  const std::size_t before = peak_rss_kb();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+  HuffmanCodec codec;
+  EXPECT_THROW(codec.deserialize_table({bytes.data(), bytes.size()}, 65536),
+               std::runtime_error);
+  EXPECT_LT(peak_rss_kb() - before, 8u * 1024u);
+}
+
+TEST(SymbolHistogram, DrainsAscendingAndResets) {
+  detail::SymbolHistogram h;
+  const std::vector<std::uint32_t> symbols{65535, 3, 64, 3, 0, 65535, 3, 63};
+  h.add(symbols);
+  std::vector<std::uint32_t> syms;
+  std::vector<std::uint64_t> counts;
+  h.drain(syms, counts);
+  EXPECT_EQ(syms, (std::vector<std::uint32_t>{0, 3, 63, 64, 65535}));
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{1, 3, 1, 1, 2}));
+  // Drained means empty: a merge round sees only what is added after it.
+  h.add(std::vector<std::uint32_t>{64, 7}, std::vector<std::uint64_t>{10, 4});
+  syms.clear();
+  counts.clear();
+  h.drain(syms, counts);
+  EXPECT_EQ(syms, (std::vector<std::uint32_t>{7, 64}));
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{4, 10}));
 }
 
 TEST(Lz77, EmptyInputRoundtrip) {
@@ -765,6 +1007,137 @@ TEST(Compressor, ErrorDistributionIsUniform) {
   const auto d = stats::diagnose({errors.data(), errors.size()});
   EXPECT_TRUE(stats::looks_uniform(d, eb, 0.2))
       << "kurtosis=" << d.excess_kurtosis << " sd=" << d.stddev;
+}
+
+// --- Output byte identity -----------------------------------------------------
+//
+// FNV-1a over the compressed bytes and the reconstruction of a seeded config
+// sweep, and over sz / lossless / jpeg-act streaming containers. The
+// expected values were computed before the coded-symbols-only Huffman
+// build, so they pin that change (and any later one) to identical output.
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+std::uint64_t compress_sweep_hash() {
+  tensor::Rng rng(2024);
+  std::uint64_t h = kFnvBasis;
+  const std::uint32_t radii[] = {2, 16, 512, 32768};
+  const std::uint32_t block_sizes[] = {64, 1000, 4096, 65536};
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(20000);
+    std::vector<float> data(n);
+    rng.fill_relu_like({data.data(), n}, rng.uniform(),
+                       static_cast<float>(std::pow(10.0, 2.0 * rng.uniform() - 1.0)));
+    if (trial % 3 == 0) {  // huge-magnitude escapes of both signs
+      for (int k = 0; k < 5; ++k)
+        data[rng.uniform_index(n)] = (k % 2 ? -1e30f : 1e30f);
+    }
+    Config cfg;
+    cfg.error_bound = std::pow(10.0, -1.0 - 4.0 * rng.uniform());
+    cfg.bound_mode = trial % 7 == 0 ? BoundMode::kRelative : BoundMode::kAbsolute;
+    cfg.zero_mode = static_cast<ZeroMode>(trial % 3);
+    cfg.radius = radii[rng.uniform_index(4)];
+    cfg.block_size = block_sizes[rng.uniform_index(4)];
+    cfg.num_threads = static_cast<std::uint32_t>(rng.uniform_index(4));
+    if (trial % 4 == 1) {
+      cfg.predictor = Predictor::kLorenzo2D;
+      cfg.plane_width = static_cast<std::uint32_t>(1 + rng.uniform_index(200));
+    }
+    const Compressor comp(cfg);
+    const auto buf = comp.compress({data.data(), n});
+    h = fnv1a(h, buf.bytes.data(), buf.bytes.size());
+    const auto recon = comp.decompress(buf);
+    h = fnv1a(h, recon.data(), recon.size() * sizeof(float));
+  }
+  return h;
+}
+
+std::uint64_t container_hash(const std::string& spec) {
+  tensor::Rng rng(2025);
+  std::vector<float> payload(3 * 4096 + 123);
+  rng.fill_relu_like({payload.data(), payload.size()}, 0.35, 1.0f);
+  const auto bytes =
+      nn::streaming_encode_all(core::CodecRegistry::instance().create(spec), spec,
+                               payload.data(), payload.size(), 4096);
+  return fnv1a(kFnvBasis, bytes.data(), bytes.size());
+}
+
+TEST(Compressor, OutputBytesMatchGoldenHashes) {
+#if defined(__FMA__) || !defined(__x86_64__)
+  // Contracted multiply-adds change the quantizer's rounding; the hashes pin
+  // the portable x86-64 build's bytes.
+  GTEST_SKIP() << "golden bytes are those of the portable x86-64 build";
+#endif
+  EXPECT_EQ(compress_sweep_hash(), 0x7ca8cfdeac809cc7ULL);
+  EXPECT_EQ(container_hash("sz:eb=1e-3"), 0xae3dbbb49c8b740dULL);
+  EXPECT_EQ(container_hash("lossless"), 0x9f5c4c5fd485e6fcULL);
+  EXPECT_EQ(container_hash("jpeg-act:quality=50"), 0x3458281a4d31c710ULL);
+}
+
+TEST(Compressor, NonFiniteValuesRoundTripBitExactly) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::vector<float>> inputs = {
+      {0.5f, nan, 0.25f, 1.0f},
+      {0.5f, inf, 0.25f, -inf, -inf, 1.0f, 0.0f},
+      {nan, nan, 0.75f, 0.0f, 0.125f, inf, 0.3f}};
+  const double eb = 1e-3;
+  for (const auto& data : inputs) {
+    for (const auto mode : {ZeroMode::kNone, ZeroMode::kRezero, ZeroMode::kExactRle}) {
+      for (const auto predictor : {Predictor::kLorenzo1D, Predictor::kLorenzo2D}) {
+        Config cfg;
+        cfg.error_bound = eb;
+        cfg.zero_mode = mode;
+        cfg.predictor = predictor;
+        cfg.plane_width = 3;
+        const Compressor comp(cfg);
+        const auto recon = comp.decompress(comp.compress({data.data(), data.size()}));
+        ASSERT_EQ(recon.size(), data.size());
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          if (std::isfinite(data[i])) {
+            EXPECT_LE(std::fabs(static_cast<double>(recon[i]) - data[i]), eb)
+                << "element " << i << " mode " << static_cast<int>(mode);
+          } else {
+            EXPECT_EQ(std::memcmp(&recon[i], &data[i], sizeof(float)), 0)
+                << "element " << i << " mode " << static_cast<int>(mode);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Compressor, RadiusOutsideLimitsRejected) {
+  Config too_big;
+  too_big.radius = kMaxRadius + 1;
+  EXPECT_THROW(Compressor{too_big}, std::invalid_argument);
+  Config too_small;
+  too_small.radius = 1;
+  EXPECT_THROW(Compressor{too_small}, std::invalid_argument);
+
+  // A stream whose header radius disagrees with its table, or exceeds the
+  // cap, is rejected before the table sizes anything from it.
+  std::vector<float> data(1000, 0.5f);
+  Config cfg;
+  cfg.radius = 512;
+  const Compressor comp(cfg);
+  const auto buf = comp.compress({data.data(), data.size()});
+  std::vector<float> out(data.size());
+  for (const std::uint32_t forged : {1024u, kMaxRadius + 1, 1u << 27}) {
+    CompressedBuffer bad = buf;
+    std::memcpy(bad.bytes.data() + 22, &forged, sizeof(forged));  // Header::radius
+    EXPECT_THROW(comp.decompress(bad, {out.data(), out.size()}), std::runtime_error)
+        << forged;
+  }
 }
 
 TEST(Metrics, PsnrPerfectReconstruction) {
