@@ -51,7 +51,6 @@ struct SweepPoint {
   std::vector<double> losses;
   double seconds = 0.0;
   memory::PagerCounters pager;
-  memory::CostModelSnapshot cost;  ///< recompute cost model (inception runs)
   memory::TierUsage tiers;         ///< per-tier peaks over this run only
   double ratio = 0.0;              ///< measured mean conv compression ratio
   /// Consolidated TrainingSession::metrics() snapshot (JsonReporter-shaped).
@@ -103,8 +102,7 @@ SweepPoint train(std::size_t budget, std::size_t iterations, bool async_encode,
 /// produced tensor per block, so the exact-liveness pager (graph attached,
 /// shared-stash dedup live) should spill fewer bytes at a constrained
 /// budget than put-order paging of the very same run.
-SweepPoint train_inception(std::size_t budget, std::size_t iterations, bool liveness,
-                           bool recompute = false, const std::string& rates = {}) {
+SweepPoint train_inception(std::size_t budget, std::size_t iterations, bool liveness) {
   models::ModelConfig mcfg;
   mcfg.input_hw = 16;
   mcfg.num_classes = 4;
@@ -124,8 +122,6 @@ SweepPoint train_inception(std::size_t budget, std::size_t iterations, bool live
   cfg.framework.active_factor_w = 10;
   cfg.framework.memory_budget_bytes = budget;
   cfg.framework.graph_liveness = liveness;
-  cfg.framework.recompute = recompute;
-  cfg.framework.recompute_rates = rates;
   cfg.base_lr = 0.05;
   core::TrainingSession session(*net, loader, cfg);
 
@@ -136,7 +132,6 @@ SweepPoint train_inception(std::size_t budget, std::size_t iterations, bool live
     });
   });
   p.pager = session.paged_store()->pager().counters();
-  p.cost = session.paged_store()->pager().cost_snapshot();
   return p;
 }
 
@@ -404,87 +399,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Recompute-tier ladder on the same Inception reference: pinned rates
-    // that price replay below the disk roundtrip, so the cost model's
-    // choice is deterministic and the gates below can demand actual
-    // recompute drops. The decision moves bytes, never values — every row
-    // must stay bitwise identical to inc_ref and inside its budget.
-    // EBCT_RECOMPUTE / EBCT_RECOMPUTE_RATES override the config; when the
-    // environment pins the tier off (or re-prices it) the drop gate
-    // collapses and must not fire.
-    const bool rc_env_pinned = std::getenv("EBCT_RECOMPUTE") != nullptr ||
-                               std::getenv("EBCT_RECOMPUTE_RATES") != nullptr;
-    const char* kReplayWins = "encode=1,decode=1,write=1000,read=1000,flop=0.0001";
-    for (const double frac : {0.5, 0.25}) {
-      const std::size_t budget =
-          static_cast<std::size_t>(static_cast<double>(inc_peak) * frac);
-      const SweepPoint p =
-          train_inception(budget, inc_iters, /*liveness=*/true,
-                          /*recompute=*/true, kReplayWins);
-      const bool respected = p.pager.peak_resident_bytes <= budget;
-      const bool identical = p.losses == inc_ref.losses;
-      char name[48];
-      std::snprintf(name, sizeof(name), "recompute_%d%%",
-                    static_cast<int>(frac * 100));
-      std::printf(
-          "%-24s peak %-12s spilled %-12s drops %zu replays %zu  %s %s\n", name,
-          memory::human_bytes(p.pager.peak_resident_bytes).c_str(),
-          memory::human_bytes(p.pager.spill_write_bytes).c_str(),
-          p.pager.recompute_drops, p.pager.recompute_replays,
-          respected ? "budget-ok" : "BUDGET-VIOLATED",
-          identical ? "bitwise-ok" : "TRAJECTORY-DIVERGED");
-      report.add(name,
-                 {{"budget_bytes", static_cast<double>(budget)},
-                  {"iters_per_sec", static_cast<double>(inc_iters) / p.seconds},
-                  {"peak_resident_bytes",
-                   static_cast<double>(p.pager.peak_resident_bytes)},
-                  {"spill_write_bytes", static_cast<double>(p.pager.spill_write_bytes)},
-                  {"recompute_drops", static_cast<double>(p.pager.recompute_drops)},
-                  {"recompute_replays", static_cast<double>(p.pager.recompute_replays)},
-                  {"budget_respected", respected ? 1.0 : 0.0},
-                  {"bitwise_identical", identical ? 1.0 : 0.0}});
-      check(respected, "recompute run respects the budget");
-      check(identical, "recompute trajectory byte-identical under budget");
-      if (!rc_env_pinned) {
-        check(p.pager.recompute_drops >= 1,
-              "cost model picks recompute for at least one page at <=50% budget");
-        check(p.pager.recompute_replays >= 1,
-              "a recompute-dropped page was actually replayed");
-      }
-    }
-
-    // Measured-mode calibration: no pinned rates — the model freezes
-    // encode/write/read ns-per-byte from the first pages of the run and
-    // the frozen rates land in the JSON as a micro row. Whether any drop
-    // happens now depends on the machine, so only the identity and budget
-    // gates apply.
-    if (!rc_env_pinned) {
-      const std::size_t budget =
-          static_cast<std::size_t>(static_cast<double>(inc_peak) * 0.25);
-      const SweepPoint p = train_inception(budget, inc_iters, /*liveness=*/true,
-                                           /*recompute=*/true);
-      check(p.losses == inc_ref.losses,
-            "measured-mode recompute trajectory byte-identical");
-      check(p.pager.peak_resident_bytes <= budget,
-            "measured-mode recompute run respects the budget");
-      report.add("cost_model_measured",
-                 {{"calibrated", p.cost.calibrated ? 1.0 : 0.0},
-                  {"encode_ns_per_byte", p.cost.rates.encode_ns_per_byte},
-                  {"decode_ns_per_byte", p.cost.rates.decode_ns_per_byte},
-                  {"write_ns_per_byte", p.cost.rates.write_ns_per_byte},
-                  {"read_ns_per_byte", p.cost.rates.read_ns_per_byte},
-                  {"flop_ns", p.cost.rates.flop_ns},
-                  {"encode_samples", static_cast<double>(p.cost.encode_samples)},
-                  {"write_samples", static_cast<double>(p.cost.write_samples)},
-                  {"read_samples", static_cast<double>(p.cost.read_samples)},
-                  {"recompute_drops", static_cast<double>(p.pager.recompute_drops)}});
-      std::printf(
-          "cost_model_measured: calibrated=%d encode=%.3f write=%.3f read=%.3f "
-          "ns/byte, drops %zu\n",
-          p.cost.calibrated ? 1 : 0, p.cost.rates.encode_ns_per_byte,
-          p.cost.rates.write_ns_per_byte, p.cost.rates.read_ns_per_byte,
-          p.pager.recompute_drops);
-    }
   }
 
   // Spill-dir teardown: every pager above is destroyed; no descriptor and

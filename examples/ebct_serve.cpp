@@ -17,6 +17,7 @@
 // serve_* metrics snapshot (--metrics / EBCT_SERVE_METRICS), verifies no
 // spill files leaked, and prints "ebct_serve: clean shutdown".
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -24,8 +25,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <thread>
 
+#include "core/config.hpp"
 #include "memory/spill_file.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
@@ -61,6 +64,7 @@ void write_metrics_json(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using ebct::core::parse_size;
   using ebct::serve::Server;
   using ebct::serve::ServerConfig;
 
@@ -77,15 +81,17 @@ int main(int argc, char** argv) {
       if (std::strncmp(a, "--socket=", 9) == 0) {
         cfg.socket_path = a + 9;
       } else if (std::strncmp(a, "--window=", 9) == 0) {
-        cfg.window_elems = std::strtoull(a + 9, nullptr, 10);
+        cfg.window_elems = parse_size("--window", a + 9);
       } else if (std::strncmp(a, "--budget=", 9) == 0) {
-        cfg.tenant_budget_bytes = std::strtoull(a + 9, nullptr, 10);
+        cfg.tenant_budget_bytes = parse_size("--budget", a + 9);
       } else if (std::strncmp(a, "--max-frame=", 12) == 0) {
-        cfg.max_frame = std::strtoull(a + 12, nullptr, 10);
+        cfg.max_frame = parse_size("--max-frame", a + 12);
       } else if (std::strncmp(a, "--metrics=", 10) == 0) {
         metrics_path = a + 10;
       } else if (std::strncmp(a, "--threads=", 10) == 0) {
-        threads = std::atoi(a + 10);
+        // The scheduler caps the pool size itself; clamp only to fit an int.
+        threads = static_cast<int>(std::min<std::size_t>(
+            parse_size("--threads", a + 10), std::numeric_limits<int>::max()));
       } else {
         std::fprintf(stderr,
                      "usage: %s --socket=<path> [--window=<elems>] [--budget=<bytes>]\n"

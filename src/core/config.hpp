@@ -4,12 +4,35 @@
 /// Framework-wide constants and tunables of the adaptive compression scheme,
 /// named after the symbols in the paper.
 
+#include <cerrno>
 #include <cstddef>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "sz/compressor.hpp"
 
 namespace ebct::core {
+
+/// Strict parse of a size or count option (an env var or a CLI flag value):
+/// decimal digits only, fully consumed, no overflow. A malformed value must
+/// fail loudly, not silently parse to something else: strtoull alone would
+/// wrap "-1" to 2^64-1 (for a budget, *unlimited*) and accept "+5" or " 5".
+/// Throws std::invalid_argument naming `name`.
+inline std::size_t parse_size(const char* name, const char* value) {
+  bool digits_only = value[0] != '\0';
+  for (const char* c = value; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') digits_only = false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(value, &end, 10);
+  if (!digits_only || *end != '\0' || errno != 0) {
+    throw std::invalid_argument(std::string(name) + ": expected a non-negative integer, got '" +
+                                value + "'");
+  }
+  return static_cast<std::size_t>(v);
+}
 
 struct FrameworkConfig {
   /// Activation codec spec, resolved through the CodecRegistry
@@ -100,10 +123,8 @@ struct FrameworkConfig {
   /// encodes and spill I/O. Losses, gradients and pager counters are
   /// bitwise identical to the sequential path at any pool size or budget;
   /// the session silently falls back to sequential execution when the
-  /// model's graph has a structure the executor does not support, or when
-  /// graph_rewrites is on (a rewritten analysis graph no longer mirrors
-  /// the executed network). Env override: EBCT_GRAPH_EXEC (strictly "0"
-  /// or "1").
+  /// model's graph has a structure the executor does not support. Env
+  /// override: EBCT_GRAPH_EXEC (strictly "0" or "1").
   bool graph_exec = true;
 
   /// Write-behind spill queue: when the pager must evict under a RAM
@@ -117,31 +138,6 @@ struct FrameworkConfig {
   /// and leak-free); the env stays as the opt-out. Env override:
   /// EBCT_WRITE_BEHIND (strictly "0" or "1").
   bool write_behind = true;
-
-  /// Run the registered graph rewrite patterns (dead-branch elimination,
-  /// conv+bias folding — graph/rewrite.hpp) over the IR before liveness is
-  /// derived. The rewrites only change the *analysis* graph, never the
-  /// executed network, and default off. Env override: EBCT_GRAPH_REWRITES
-  /// (strictly "0" or "1").
-  bool graph_rewrites = false;
-
-  /// Recompute tier: let the pager's cost model drop an eligible page's
-  /// compressed payload at eviction and re-derive it during backward by
-  /// replaying its producing subgraph (graph/replay.hpp) from the
-  /// iteration's input batch, when that is priced cheaper than the disk
-  /// spill roundtrip. Requires the graph IR (built on demand) and stands
-  /// down under graph_rewrites, like the executor. Reconstructed bytes,
-  /// losses and stash sequence numbers are identical either way — only
-  /// where the bytes come from changes. Default off. Env override:
-  /// EBCT_RECOMPUTE (strictly "0" or "1").
-  bool recompute = false;
-
-  /// Pinned cost-model rates for the recompute tier, strictly parsed as
-  /// "encode=F,decode=F,write=F,read=F,flop=F" (ns per byte / per flop).
-  /// Empty = calibrate from timings measured on the first few pages of the
-  /// run. Pinning makes the spill-vs-replay decision reproducible for
-  /// tests and benches. Env override: EBCT_RECOMPUTE_RATES.
-  std::string recompute_rates;
 };
 
 }  // namespace ebct::core

@@ -1,6 +1,5 @@
 #include "core/session.hpp"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -9,7 +8,6 @@
 #include <string>
 
 #include "core/codec_registry.hpp"
-#include "graph/rewrite.hpp"
 #include "memory/accounting.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -20,25 +18,6 @@ namespace ebct::core {
 using tensor::Tensor;
 
 namespace {
-
-/// Strict unsigned parse for env overrides: a malformed value must fail
-/// loudly, not silently parse to 0 — for the budget, 0 means *unlimited*,
-/// the exact opposite of what a typo'd operator asked for. Digits only:
-/// strtoull would happily wrap "-1" to 2^64-1 (again: unlimited).
-std::size_t env_bytes(const char* name, const char* value) {
-  bool digits_only = value[0] != '\0';
-  for (const char* c = value; *c != '\0'; ++c) {
-    if (*c < '0' || *c > '9') digits_only = false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (!digits_only || *end != '\0' || errno != 0) {
-    throw std::invalid_argument(std::string(name) + ": expected a plain byte count, got '" +
-                                value + "'");
-  }
-  return static_cast<std::size_t>(v);
-}
 
 bool env_flag(const char* name, bool fallback);
 
@@ -54,25 +33,20 @@ memory::PagerConfig pager_config_from(const FrameworkConfig& fw) {
   pc.encode_window = fw.async_queue_depth;
   pc.write_behind = env_flag("EBCT_WRITE_BEHIND", fw.write_behind);
   if (const char* env = std::getenv("EBCT_MEMORY_BUDGET_BYTES")) {
-    pc.budget_bytes = env_bytes("EBCT_MEMORY_BUDGET_BYTES", env);
+    pc.budget_bytes = parse_size("EBCT_MEMORY_BUDGET_BYTES", env);
   }
   if (const char* env = std::getenv("EBCT_SPILL_DIR")) {
     if (env[0] != '\0') pc.spill_dir = env;
   }
   if (const char* env = std::getenv("EBCT_PREFETCH_DEPTH")) {
-    pc.prefetch_depth = env_bytes("EBCT_PREFETCH_DEPTH", env);
-  }
-  pc.recompute = env_flag("EBCT_RECOMPUTE", fw.recompute);
-  pc.recompute_rates = fw.recompute_rates;
-  if (const char* env = std::getenv("EBCT_RECOMPUTE_RATES")) {
-    if (env[0] != '\0') pc.recompute_rates = env;
+    pc.prefetch_depth = parse_size("EBCT_PREFETCH_DEPTH", env);
   }
   return pc;
 }
 
 /// Strict boolean env override: only "0" and "1" are accepted — "true",
 /// "yes" or a typo silently meaning "off" would be the same failure mode
-/// env_bytes guards against.
+/// parse_size guards against.
 bool env_flag(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || v[0] == '\0') return fallback;
@@ -114,9 +88,7 @@ TrainingSession::TrainingSession(nn::Network& net, data::DataLoader& loader,
       codec_spec_(resolve_codec_spec(cfg)),
       sgd_(cfg.sgd) {
   graph_liveness_ = env_flag("EBCT_GRAPH_LIVENESS", cfg_.framework.graph_liveness);
-  graph_rewrites_ = env_flag("EBCT_GRAPH_REWRITES", cfg_.framework.graph_rewrites);
   graph_exec_ = env_flag("EBCT_GRAPH_EXEC", cfg_.framework.graph_exec);
-  recompute_ = env_flag("EBCT_RECOMPUTE", cfg_.framework.recompute);
   if (cfg_.lr_step > 0) {
     schedule_ = std::make_unique<nn::StepLr>(cfg_.base_lr, cfg_.lr_gamma, cfg_.lr_step);
   } else {
@@ -144,12 +116,6 @@ TrainingSession::TrainingSession(nn::Network& net, data::DataLoader& loader,
   scheme_ = std::make_unique<AdaptiveScheme>(cfg_.framework, codec_.get());
 }
 
-TrainingSession::~TrainingSession() {
-  // The pager (inside framework_store_) is declared before replay_ and so
-  // outlives it; make sure no page can reach the engine while it dies.
-  if (framework_store_) framework_store_->set_recompute_source(nullptr);
-}
-
 void TrainingSession::set_custom_store(nn::ActivationStore* store) {
   codec_spec_ = "custom";
   net_.set_store(store);
@@ -158,8 +124,6 @@ void TrainingSession::set_custom_store(nn::ActivationStore* store) {
   // an adaptive run that is not happening.
   scheme_.reset();
   executor_.reset();  // before the store it stashes through
-  if (framework_store_) framework_store_->set_recompute_source(nullptr);
-  replay_.reset();
   framework_store_.reset();
   raw_store_.reset();
   codec_.reset();
@@ -177,17 +141,13 @@ void TrainingSession::run(std::size_t iterations,
     // provides — so the build happens here, once, not in the constructor.
     // Liveness flows to the pager before the first forward so eviction is
     // furthest-next-use from the very first stash.
-    if (framework_store_ && !graph_ &&
-        (graph_liveness_ || graph_rewrites_ || graph_exec_ || recompute_)) {
+    if (framework_store_ && !graph_ && (graph_liveness_ || graph_exec_)) {
       graph_ = std::make_unique<graph::Graph>(
           graph::Graph::from_network(net_, images.shape()));
-      if (graph_rewrites_) graph::PatternRegistry::instance().apply_all(*graph_);
       if (graph_liveness_) framework_store_->set_liveness(graph_->liveness());
-      // Graph-scheduled execution needs the IR to mirror the executed
-      // network exactly, which rewrites break by design (they transform
-      // the *analysis* graph only). The executor validates the structure
-      // itself and an unsupported model simply keeps the sequential path.
-      if (graph_exec_ && !graph_rewrites_) {
+      // The executor validates the graph's structure itself; an unsupported
+      // model simply keeps the sequential path.
+      if (graph_exec_) {
         executor_ = std::make_unique<graph::GraphExecutor>(*graph_, net_,
                                                            *framework_store_);
         if (executor_->supported()) {
@@ -196,19 +156,7 @@ void TrainingSession::run(std::size_t iterations,
           executor_.reset();
         }
       }
-      // The recompute tier replays producing subgraphs, so like the
-      // executor it needs the IR to mirror the executed network — it
-      // stands down under rewrites.
-      if (recompute_ && !graph_rewrites_) {
-        replay_ = std::make_unique<graph::ReplayEngine>(*graph_);
-        framework_store_->set_recompute_source(replay_.get());
-      }
     }
-
-    // The engine replays from this iteration's input batch; the pointer is
-    // cleared after backward so a stale batch can never leak into a later
-    // evaluate() or an external store user.
-    if (replay_) replay_->set_input(&images);
 
     const bool use_exec = executor_ && executor_->handles(images.shape());
     Tensor logits;
@@ -234,9 +182,6 @@ void TrainingSession::run(std::size_t iterations,
         net_.backward(lr.grad_logits);
       }
     }
-    // All stashes are consumed by now; anything stashed after this point
-    // (e.g. an eval batch) must not be replayed against this input.
-    if (replay_) replay_->set_input(nullptr);
 
     const double rate = schedule_->lr(iteration_);
     auto params = net_.params();
@@ -309,9 +254,6 @@ std::vector<std::pair<std::string, double>> TrainingSession::metrics() const {
         {"pager.over_budget_events", c.over_budget_events},
         {"pager.dedup_pages", c.dedup_pages},
         {"pager.dedup_saved_bytes", c.dedup_saved_bytes},
-        {"pager.recompute_bytes", c.recompute_bytes},
-        {"pager.recompute_drops", c.recompute_drops},
-        {"pager.recompute_replays", c.recompute_replays},
     };
     for (const auto& [name, v] : rows)
       m.emplace_back(name, static_cast<double>(v));
@@ -320,8 +262,7 @@ std::vector<std::pair<std::string, double>> TrainingSession::metrics() const {
   // Process-wide tier accounting (live + peak per tier).
   {
     const memory::TierUsage tu = memory::TierAccounting::instance().usage();
-    static const char* kTierNames[memory::kNumTiers] = {"raw", "compressed",
-                                                        "spilled", "recompute"};
+    static const char* kTierNames[memory::kNumTiers] = {"raw", "compressed", "spilled"};
     for (int t = 0; t < memory::kNumTiers; ++t) {
       const std::string base = std::string("tiers.") + kTierNames[t];
       m.emplace_back(base + ".live_bytes", static_cast<double>(tu.live[t]));

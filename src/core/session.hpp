@@ -27,7 +27,6 @@
 #include "data/synthetic.hpp"
 #include "graph/executor.hpp"
 #include "graph/graph.hpp"
-#include "graph/replay.hpp"
 #include "memory/pager.hpp"
 #include "nn/network.hpp"
 #include "nn/sgd.hpp"
@@ -62,9 +61,6 @@ struct IterationRecord {
 class TrainingSession {
  public:
   TrainingSession(nn::Network& net, data::DataLoader& loader, SessionConfig cfg);
-  /// Detaches the replay engine from the pager before it is destroyed (the
-  /// pager member outlives the engine by declaration order).
-  ~TrainingSession();
 
   /// Install a caller-owned store (the codec-"custom" path; also usable to
   /// replace the store a previous spec built).
@@ -90,17 +86,13 @@ class TrainingSession {
   memory::PagedStore* paged_store() { return framework_store_.get(); }
   /// The graph IR built at the first run() iteration (null before that,
   /// and always null for "none"/"custom" sessions or when both graph
-  /// features are disabled). Rewrites, when enabled, have been applied.
+  /// features are disabled).
   const graph::Graph* graph() const { return graph_.get(); }
   /// The graph-scheduled executor, when active (null before the first run()
   /// iteration, when EBCT_GRAPH_EXEC=0 / graph_exec=false, for
-  /// "none"/"custom" sessions, under graph_rewrites, or when the model's
-  /// graph is structurally unsupported and the session fell back).
+  /// "none"/"custom" sessions, or when the model's graph is structurally
+  /// unsupported and the session fell back).
   graph::GraphExecutor* executor() { return executor_.get(); }
-  /// The recompute tier's replay engine, when active (null before the
-  /// first run() iteration, when EBCT_RECOMPUTE=0 / recompute=false, for
-  /// "none"/"custom" sessions, or under graph_rewrites).
-  graph::ReplayEngine* replay_engine() { return replay_.get(); }
   std::size_t iteration() const { return iteration_; }
 
   /// One consolidated name → value snapshot of every runtime counter
@@ -126,17 +118,12 @@ class TrainingSession {
   std::unique_ptr<nn::RawStore> raw_store_;
   std::unique_ptr<AdaptiveScheme> scheme_;
   std::unique_ptr<graph::Graph> graph_;
-  /// Borrows graph_; the session detaches it from the pager (in run() and
-  /// ~TrainingSession) before either can go away.
-  std::unique_ptr<graph::ReplayEngine> replay_;
   /// Declared after framework_store_ and graph_ so it is destroyed first:
   /// ~GraphExecutor detaches itself from the store, and the plan borrows
   /// the graph.
   std::unique_ptr<graph::GraphExecutor> executor_;
-  bool graph_liveness_ = true;   ///< resolved framework.graph_liveness + env
-  bool graph_rewrites_ = false;  ///< resolved framework.graph_rewrites + env
-  bool graph_exec_ = true;       ///< resolved framework.graph_exec + env
-  bool recompute_ = false;       ///< resolved framework.recompute + env
+  bool graph_liveness_ = true;  ///< resolved framework.graph_liveness + env
+  bool graph_exec_ = true;      ///< resolved framework.graph_exec + env
 
   std::vector<IterationRecord> history_;
   std::size_t iteration_ = 0;

@@ -86,7 +86,6 @@ void GraphExecutor::build_plan(nn::Network& net) {
     const Node& node = nodes[n];
     NodePlan& p = plan_[n];
     p.backward_pos = node.backward_pos;
-    if (node.dead) return fail("graph has rewritten (dead) nodes");
     if (node.outputs.size() != 1) return fail("node '" + node.name + "': multi-output");
     if (node.op == "add") {
       p.kind = Kind::kAdd;

@@ -82,23 +82,15 @@ Graph Graph::from_network(const nn::Network& net, const Shape& input_shape) {
   return g;
 }
 
-std::size_t Graph::num_nodes() const {
-  std::size_t n = 0;
-  for (const Node& node : nodes_)
-    if (!node.dead) ++n;
-  return n;
-}
-
 std::vector<NodeId> Graph::topological_order() const {
   std::vector<NodeId> order;
   order.reserve(nodes_.size());
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].dead) continue;
     for (TensorId in : nodes_[id].inputs) {
       const NodeId prod = tensors_[in].producer;
-      if (prod != kNoNode && (prod >= id || nodes_[prod].dead))
+      if (prod != kNoNode && prod >= id)
         throw std::logic_error("Graph: node '" + nodes_[id].name +
-                               "' consumes a tensor produced later or by a dead node");
+                               "' consumes a tensor produced later");
     }
     order.push_back(id);
   }
@@ -107,14 +99,14 @@ std::vector<NodeId> Graph::topological_order() const {
 
 const Node* Graph::find_node(const std::string& name) const {
   for (const Node& n : nodes_)
-    if (!n.dead && n.name == name) return &n;
+    if (n.name == name) return &n;
   return nullptr;
 }
 
 Liveness Graph::liveness() const {
   Liveness lv;
   for (const Node& n : nodes_) {
-    if (n.dead || n.layer == nullptr || n.backward_pos < 0) continue;
+    if (n.layer == nullptr || n.backward_pos < 0) continue;
     lv.rank[n.name] = static_cast<std::uint64_t>(n.backward_pos);
   }
   // Shared-producer groups: tensors stashed (lossily) by two or more
@@ -125,8 +117,7 @@ Liveness Graph::liveness() const {
     std::vector<const Node*> stashers;
     for (NodeId c : t.consumers) {
       const Node& n = nodes_[c];
-      if (!n.dead && n.stashes_input && !n.inputs.empty() &&
-          &tensors_[n.inputs.front()] == &t) {
+      if (n.stashes_input && !n.inputs.empty() && &tensors_[n.inputs.front()] == &t) {
         stashers.push_back(&n);
       }
     }
@@ -135,31 +126,6 @@ Liveness Graph::liveness() const {
     ++next_group;
   }
   return lv;
-}
-
-void Graph::remove_node(NodeId id) {
-  Node& n = nodes_.at(id);
-  if (n.dead) return;
-  n.dead = true;
-  for (TensorId in : n.inputs) {
-    auto& cons = tensors_[in].consumers;
-    for (auto it = cons.begin(); it != cons.end();) {
-      it = (*it == id) ? cons.erase(it) : it + 1;
-    }
-  }
-}
-
-void Graph::replace_tensor(TensorId from, TensorId to) {
-  if (from == to) return;
-  TensorInfo& src = tensors_.at(from);
-  TensorInfo& dst = tensors_.at(to);
-  for (NodeId c : src.consumers) {
-    for (TensorId& in : nodes_[c].inputs)
-      if (in == from) in = to;
-    dst.consumers.push_back(c);
-  }
-  src.consumers.clear();
-  if (output_ == from) output_ = to;
 }
 
 }  // namespace ebct::graph

@@ -12,8 +12,8 @@
 ///    dynamic_cast recursion the containers used to need),
 ///  - when each stashed activation is truly dead (liveness(), fed to the
 ///    ActivationPager as its eviction key),
-///  - a substrate for pattern rewrites (graph/rewrite.hpp) and, per
-///    ROADMAP, the future recompute and partitioning passes.
+///  - the node schedule and edges the graph executor (graph/executor.hpp)
+///    dispatches by.
 ///
 /// Construction: Graph::from_network() asks every layer to append its
 /// node(s) via the virtual Layer::build_graph hook; containers contribute
@@ -63,7 +63,6 @@ struct Node {
   std::vector<TensorId> outputs;
   bool stashes_input = false;         ///< routes its input through the lossy store
   std::int64_t backward_pos = -1;     ///< position in backward execution order
-  bool dead = false;                  ///< removed by a rewrite
 };
 
 class Graph {
@@ -91,13 +90,13 @@ class Graph {
   const std::vector<TensorInfo>& tensors() const { return tensors_; }
   const Node& node(NodeId id) const { return nodes_.at(id); }
   const TensorInfo& tensor(TensorId id) const { return tensors_.at(id); }
-  std::size_t num_nodes() const;    ///< live (non-dead) nodes
+  std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_tensors() const { return tensors_.size(); }
 
-  /// Live node ids in execution order. Nodes are appended in forward
-  /// order, so insertion order *is* a topological order; this validates
-  /// the edge invariant (every input produced earlier) and throws
-  /// std::logic_error if a rewrite broke it.
+  /// Node ids in execution order. Nodes are appended in forward order, so
+  /// insertion order *is* a topological order; this validates the edge
+  /// invariant (every input produced earlier) and throws std::logic_error
+  /// if it does not hold.
   std::vector<NodeId> topological_order() const;
 
   /// The node mirroring layer name `name`, or null.
@@ -106,17 +105,6 @@ class Graph {
   /// Exact per-activation liveness for the pager: backward ranks from the
   /// captured schedule plus shared-producer groups from the edges.
   Liveness liveness() const;
-
-  // --- mutation surface for rewrites (graph/rewrite.hpp) ---
-
-  /// Mark `id` dead and detach it from its input tensors' consumer lists.
-  /// Its produced tensors stay (unconsumed) so ids remain stable.
-  void remove_node(NodeId id);
-
-  /// Rewire every consumer of `from` to consume `to` instead (the fold
-  /// rewrites' splice primitive). `from` keeps its producer but ends up
-  /// consumer-less.
-  void replace_tensor(TensorId from, TensorId to);
 
  private:
   std::vector<Node> nodes_;

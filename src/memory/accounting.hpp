@@ -17,17 +17,14 @@
 
 namespace ebct::memory {
 
-/// Storage tier of a paged activation (see pager.hpp). kRecompute pages
-/// hold no payload at all — their bytes count the *raw size the tier
-/// avoided keeping*, so the tier columns still sum to the footprint the
-/// pager is managing.
-enum class Tier : int { kRaw = 0, kCompressed = 1, kSpilled = 2, kRecompute = 3 };
-constexpr int kNumTiers = 4;
+/// Storage tier of a paged activation (see pager.hpp).
+enum class Tier : int { kRaw = 0, kCompressed = 1, kSpilled = 2 };
+constexpr int kNumTiers = 3;
 
 /// Snapshot of the process-wide per-tier byte counters.
 struct TierUsage {
-  std::size_t live[kNumTiers] = {0, 0, 0, 0};
-  std::size_t peak[kNumTiers] = {0, 0, 0, 0};
+  std::size_t live[kNumTiers] = {0, 0, 0};
+  std::size_t peak[kNumTiers] = {0, 0, 0};
   std::size_t spill_write_bytes = 0;   ///< cumulative bytes written to disk
   std::size_t spill_read_bytes = 0;    ///< cumulative bytes read back
   std::size_t evictions = 0;           ///< pages pushed down a tier by budget

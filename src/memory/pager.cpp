@@ -31,7 +31,7 @@ std::uint64_t fnv1a(const void* data, std::size_t n) {
   return h;
 }
 
-/// Wall time in ns for cost-model calibration samples.
+/// Wall time in ns for the per-phase metrics.
 double now_ns() {
   return std::chrono::duration<double, std::nano>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -39,7 +39,7 @@ double now_ns() {
 }
 
 /// Feed one already-measured operation interval into the per-phase metrics
-/// registry (the same bracket the cost model calibrates from).
+/// registry.
 void note_phase(obs::Phase phase, double t0_ns, double t1_ns) {
   const double el = t1_ns - t0_ns;
   obs::MetricsRegistry::instance().add(
@@ -52,8 +52,6 @@ ActivationPager::ActivationPager(PagerConfig cfg, std::shared_ptr<nn::Activation
     : cfg_(std::move(cfg)), codec_(std::move(codec)) {
   if (cfg_.encode_window == 0) cfg_.encode_window = 1;
   if (cfg_.write_window == 0) cfg_.write_window = 1;
-  // A malformed pinned-rates spec throws here, before any page exists.
-  if (cfg_.recompute) cost_model_ = std::make_unique<CostModel>(cfg_.recompute_rates);
 }
 
 ActivationPager::~ActivationPager() {
@@ -73,7 +71,6 @@ ActivationPager::~ActivationPager() {
     if (p->raw.numel() > 0) account_sub(Tier::kRaw, p->raw.bytes());
     if (p->encoded) account_sub(Tier::kCompressed, p->enc.bytes.size());
     if (p->spilled) account_sub(Tier::kSpilled, p->extent.size);
-    if (p->recompute_dropped) account_sub(Tier::kRecompute, p->original_bytes);
   }
   pages_.clear();
 }
@@ -93,9 +90,6 @@ void ActivationPager::account_add(Tier t, std::size_t bytes) {
     case Tier::kSpilled:
       spilled_bytes_ += bytes;
       break;
-    case Tier::kRecompute:
-      recompute_bytes_ += bytes;
-      break;
   }
   peak_resident_ = std::max(peak_resident_, raw_bytes_ + compressed_bytes_);
   TierAccounting::instance().add(t, bytes);
@@ -111,9 +105,6 @@ void ActivationPager::account_sub(Tier t, std::size_t bytes) {
       break;
     case Tier::kSpilled:
       spilled_bytes_ -= bytes;
-      break;
-    case Tier::kRecompute:
-      recompute_bytes_ -= bytes;
       break;
   }
   TierAccounting::instance().sub(t, bytes);
@@ -163,7 +154,6 @@ void ActivationPager::erase_page_locked(PageId id) {
   }
   if (p->raw.numel() > 0) account_sub(Tier::kRaw, p->raw.bytes());
   if (p->encoded) account_sub(Tier::kCompressed, p->enc.bytes.size());
-  if (p->recompute_dropped) account_sub(Tier::kRecompute, p->original_bytes);
   order_.erase(p->key);
   pages_.erase(id);
 }
@@ -253,7 +243,6 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
       enc = codec_->encode(layer, t);
     }
     const double t1 = now_ns();
-    if (cost_model_) cost_model_->observe_encode(original, t1 - t0);
     note_phase(obs::Phase::kEncode, t0, t1);
     enc.shape = t.shape();
     enc.layer = layer;
@@ -344,7 +333,6 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
         enc = codec_->encode(p->layer, p->raw);
       }
       const double t1 = now_ns();
-      if (cost_model_) cost_model_->observe_encode(p->original_bytes, t1 - t0);
       note_phase(obs::Phase::kEncode, t0, t1);
       enc.shape = p->shape;
       enc.layer = p->layer;
@@ -426,24 +414,6 @@ void ActivationPager::wait_io(Page* p, std::unique_lock<std::mutex>& lock) {
 }
 
 Tensor ActivationPager::load_payload(Page* p) {
-  if (p->recompute_dropped) {
-    // Tier 3: re-derive the bytes by replaying the producing subgraph. The
-    // value stashed at put() was the codec roundtrip of the raw forward
-    // value; replay reproduces that raw value byte-identically, so pushing
-    // it through encode+decode applies the exact same transform once more
-    // and yields the same bytes the spill path would have returned.
-    RecomputeSource* src = recompute_src_.load(std::memory_order_acquire);
-    if (src == nullptr)
-      throw std::logic_error(
-          "ActivationPager: recompute page of layer '" + p->layer +
-          "' has no RecomputeSource installed");
-    obs::trace::Span span("pager.replay", obs::trace::Cat::kPager);
-    Tensor raw = src->replay(p->layer);
-    nn::EncodedActivation enc = codec_->encode(p->layer, raw);
-    enc.shape = p->shape;
-    enc.layer = p->layer;
-    return codec_->decode(enc);
-  }
   if (p->spilled && !p->encoded) {
     std::vector<std::uint8_t> buf(p->extent.size);
     const double t0 = now_ns();
@@ -452,7 +422,6 @@ Tensor ActivationPager::load_payload(Page* p) {
       spill_->read(p->extent, buf.data());
     }
     const double t1 = now_ns();
-    if (cost_model_) cost_model_->observe_spill_read(buf.size(), t1 - t0);
     note_phase(obs::Phase::kSpillRead, t0, t1);
     if (fnv1a(buf.data(), buf.size()) != p->checksum)
       throw std::runtime_error(
@@ -475,7 +444,6 @@ Tensor ActivationPager::load_payload(Page* p) {
       out = codec_->decode(enc);
     }
     const double d1 = now_ns();
-    if (cost_model_) cost_model_->observe_decode(out.bytes(), d1 - d0);
     note_phase(obs::Phase::kDecode, d0, d1);
     return out;
   }
@@ -487,7 +455,6 @@ Tensor ActivationPager::load_payload(Page* p) {
       out = codec_->decode(p->enc);
     }
     const double d1 = now_ns();
-    if (cost_model_) cost_model_->observe_decode(out.bytes(), d1 - d0);
     note_phase(obs::Phase::kDecode, d0, d1);
     return out;
   }
@@ -523,7 +490,6 @@ void ActivationPager::materialize(Page* p, std::unique_lock<std::mutex>& lock) {
 
   lock.lock();
   if (from_disk) totals_.spill_read_bytes += p->extent.size;
-  if (!err && p->recompute_dropped) totals_.recompute_replays += 1;
   p->io_busy.store(false, std::memory_order_release);
   if (err) std::rethrow_exception(err);
   account_add(Tier::kRaw, out.bytes());
@@ -609,7 +575,6 @@ Tensor ActivationPager::drop(PageId id) {
       spill_->free_extent(p->extent);
       account_sub(Tier::kSpilled, p->extent.size);
     }
-    if (p->recompute_dropped) account_sub(Tier::kRecompute, p->original_bytes);
     order_.erase(p->key);
     pages_.erase(prim_id);
     alias_of_.erase(id);
@@ -658,7 +623,7 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
     Page* p = find_locked(it->second);
     if (p == nullptr) continue;
     if (p->pin_count > 0 || p->io_busy.load(std::memory_order_relaxed)) continue;
-    if (p->raw.numel() > 0 && (p->encoded || p->spilled || p->recompute_dropped)) {
+    if (p->raw.numel() > 0 && (p->encoded || p->spilled)) {
       account_sub(Tier::kRaw, p->raw.bytes());
       p->raw = Tensor();
       p->prefetched = false;
@@ -692,9 +657,7 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
         TierAccounting::instance().on_over_budget();
         return;
       }
-      // Cheapest escape first: drop-and-replay when the cost model prices
-      // it below the spill roundtrip, else push the payload to disk.
-      if (!try_recompute_drop_locked(victim)) spill_payload(victim, lock);
+      spill_payload(victim, lock);
       totals_.evictions += 1;
       TierAccounting::instance().on_eviction();
     }
@@ -716,14 +679,6 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
     if (resident() > target_bytes + pending_spill_bytes_ &&
         pending_spill_count_ < cfg_.write_window) {
       if (Page* victim = pick_victim()) {
-        // Cheapest escape first (see the synchronous loop). A recompute
-        // drop is pure bookkeeping, so it needs none of the write-behind
-        // machinery — the blob is simply gone.
-        if (try_recompute_drop_locked(victim)) {
-          totals_.evictions += 1;
-          TierAccounting::instance().on_eviction();
-          continue;
-        }
         // The eviction/write counters are charged inside spill_payload_async
         // (and rolled back there if the write fails): the charge must land
         // before the task body, which can run inline during submission.
@@ -753,31 +708,6 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
   }
 }
 
-bool ActivationPager::try_recompute_drop_locked(Page* p) {
-  if (!cfg_.recompute || !cost_model_) return false;
-  // Eligibility: a lossy blob still in RAM, unshared (dedup aliases would
-  // all replay the primary layer's plan — excluded for simplicity), and
-  // not already escaped another way. Exact pages never qualify: replay
-  // reconstructs codec-roundtripped values, and the exact contract promises
-  // the page's very own bytes back.
-  if (p->exact || !p->encoded || p->spilled || p->recompute_dropped) return false;
-  if (p->members.size() != 1) return false;
-  RecomputeSource* src = recompute_src_.load(std::memory_order_acquire);
-  if (src == nullptr || !src->can_replay(p->layer)) return false;
-  if (!cost_model_->calibrated()) return false;  // early run: spill fallback
-  if (!cost_model_->prefer_recompute(p->original_bytes, p->enc.bytes.size(),
-                                     src->replay_flops(p->layer)))
-    return false;
-
-  account_sub(Tier::kCompressed, p->enc.bytes.size());
-  p->enc = nn::EncodedActivation{};
-  p->encoded = false;
-  p->recompute_dropped = true;
-  account_add(Tier::kRecompute, p->original_bytes);
-  totals_.recompute_drops += 1;
-  return true;
-}
-
 bool ActivationPager::spill_payload(Page* p, std::unique_lock<std::mutex>& lock) {
   if (p->spilled || (!p->encoded && p->raw.numel() == 0)) return false;
 
@@ -800,7 +730,6 @@ bool ActivationPager::spill_payload(Page* p, std::unique_lock<std::mutex>& lock)
       ext = file.write(data, size);
     }
     const double t1 = now_ns();
-    if (cost_model_) cost_model_->observe_spill_write(size, t1 - t0);
     note_phase(obs::Phase::kSpillWrite, t0, t1);
   } catch (...) {
     err = std::current_exception();
@@ -861,7 +790,6 @@ void ActivationPager::spill_payload_async(Page* p, std::unique_lock<std::mutex>&
         ext = file.write(data, size);
       }
       const double t1 = now_ns();
-      if (cost_model_) cost_model_->observe_spill_write(size, t1 - t0);
       note_phase(obs::Phase::kSpillWrite, t0, t1);
     } catch (...) {
       err = std::current_exception();
@@ -951,8 +879,7 @@ void ActivationPager::prefetch_ahead(const OrderKey* after,
       ++window;  // already materialized or being fetched: occupies the window
       continue;
     }
-    if (!p->encoded && !p->spilled && !p->recompute_dropped)
-      continue;  // nothing to fetch (or replay) from
+    if (!p->encoded && !p->spilled) continue;  // nothing to fetch from
     const std::size_t need = p->shape.numel() * sizeof(float);
     if (cfg_.budget_bytes != 0 &&
         raw_bytes_ + compressed_bytes_ + pending_fetch_bytes_ + need + reserve >
@@ -982,7 +909,6 @@ void ActivationPager::submit_fetch(Page* p) {
       Tensor out = load_payload(p);
       std::lock_guard<std::mutex> lock(mu_);
       if (from_disk) totals_.spill_read_bytes += p->extent.size;
-      if (p->recompute_dropped) totals_.recompute_replays += 1;
       pending_fetch_bytes_ -= need;
       account_add(Tier::kRaw, out.bytes());
       p->raw = std::move(out);
@@ -1051,7 +977,6 @@ Tier ActivationPager::tier(PageId id) const {
   if (p == nullptr) throw std::logic_error("ActivationPager::tier: unknown handle");
   if (p->raw.numel() > 0) return Tier::kRaw;
   if (p->encoded) return Tier::kCompressed;
-  if (p->recompute_dropped) return Tier::kRecompute;
   return Tier::kSpilled;
 }
 
@@ -1078,12 +1003,7 @@ PagerCounters ActivationPager::counters() const {
   c.raw_bytes = raw_bytes_;
   c.compressed_bytes = compressed_bytes_;
   c.spilled_bytes = spilled_bytes_;
-  c.recompute_bytes = recompute_bytes_;
   return c;
-}
-
-CostModelSnapshot ActivationPager::cost_snapshot() const {
-  return cost_model_ ? cost_model_->snapshot() : CostModelSnapshot{};
 }
 
 std::map<std::string, nn::StoreStats> ActivationPager::stats() const {

@@ -59,8 +59,6 @@
 
 #include "graph/liveness.hpp"
 #include "memory/accounting.hpp"
-#include "memory/cost_model.hpp"
-#include "memory/recompute.hpp"
 #include "memory/spill_file.hpp"
 #include "nn/activation_store.hpp"
 #include "tensor/sched.hpp"
@@ -106,23 +104,6 @@ struct PagerConfig {
 
   /// Max in-flight write-behind spills before eviction waits for one.
   std::size_t write_window = 4;
-
-  /// Enable the recompute tier (tier 3): at eviction time, when the
-  /// installed CostModel prices drop-and-replay below spill, an eligible
-  /// lossy page frees its codec blob entirely and re-derives its bytes at
-  /// backward by replaying its producing subgraph through the installed
-  /// RecomputeSource. Byte-identity holds regardless of which escape wins:
-  /// the replayed raw value is re-encoded + decoded through the codec, so
-  /// the reconstructed bytes equal the spill path's exactly. Without a
-  /// source installed (or before the model calibrates) eviction falls back
-  /// to spilling — identical to recompute-off behaviour.
-  bool recompute = false;
-
-  /// Pinned cost rates ("encode=F,decode=F,write=F,read=F,flop=F"), parsed
-  /// strictly at construction; empty = calibrate from measured timings.
-  /// Pinning makes the spill-vs-replay *decision* deterministic for tests
-  /// and benches (the reconstructed bytes never depend on the decision).
-  std::string recompute_rates;
 };
 
 /// Per-pager counters (process-wide totals live in TierAccounting).
@@ -140,9 +121,6 @@ struct PagerCounters {
   std::size_t over_budget_events = 0;
   std::size_t dedup_pages = 0;        ///< puts served by aliasing a group page
   std::size_t dedup_saved_bytes = 0;  ///< blob bytes those aliases did not add
-  std::size_t recompute_bytes = 0;    ///< tier 3 now (raw bytes avoided)
-  std::size_t recompute_drops = 0;    ///< payloads dropped in favour of replay
-  std::size_t recompute_replays = 0;  ///< on-demand subgraph replays executed
 };
 
 using PageId = std::uint64_t;
@@ -186,22 +164,6 @@ class ActivationPager {
   /// before training; pages already stored keep their put-order keys.
   void set_liveness(graph::Liveness lv);
   bool has_liveness() const;
-
-  /// Install (or clear, with nullptr) the replay provider for the
-  /// recompute tier. The source must outlive every page dropped against it
-  /// (or the pager itself); clearing it only disables *future* recompute
-  /// drops — already-dropped pages still replay through the old pointer if
-  /// it is alive, or fail loudly at materialization if replay is refused.
-  void set_recompute_source(RecomputeSource* src) {
-    recompute_src_.store(src, std::memory_order_release);
-  }
-  RecomputeSource* recompute_source() const {
-    return recompute_src_.load(std::memory_order_acquire);
-  }
-
-  /// Escape-cost model snapshot (rates + calibration state) for bench
-  /// reporting; default-constructed when recompute is off.
-  CostModelSnapshot cost_snapshot() const;
 
   /// Force a page down to the disk tier (explicit offload, used by the
   /// hybrid store's migration route). No-op if already spilled.
@@ -252,10 +214,6 @@ class ActivationPager {
     std::uint64_t checksum = 0;     ///< FNV-1a of the spilled payload
     bool spilled = false;
     bool prefetched = false;        ///< raw was installed ahead of need
-    /// Tier 3: the payload was dropped in favour of replay. Materialization
-    /// re-runs the producing subgraph (+ codec roundtrip); the flag stays
-    /// set so a re-evicted decode cache is simply freed again (pass 1).
-    bool recompute_dropped = false;
 
     /// A pool task (encode or fetch) owns the payload right now: eviction
     /// skips the page, drop/pin wait (sched::help_while on this flag). The
@@ -296,11 +254,6 @@ class ActivationPager {
   /// Expects `lock` held and the page idle/unpinned; releases it around
   /// the checksum+write. False when nothing was spillable.
   bool spill_payload(Page* p, std::unique_lock<std::mutex>& lock);
-  /// Tier-3 escape: when the page is eligible and the cost model prices
-  /// drop-and-replay below spill, free the codec blob and mark the page
-  /// recompute_dropped. Pure bookkeeping (no I/O, mu_ stays held); false
-  /// when ineligible or the model prefers spilling.
-  bool try_recompute_drop_locked(Page* p);
   /// Write-behind variant: queue the checksum+write as a pool task and
   /// return immediately. The payload stays in RAM accounting (and in
   /// pending_spill_bytes_) until the write lands; the page is io_busy for
@@ -334,10 +287,6 @@ class ActivationPager {
 
   PagerConfig cfg_;
   std::shared_ptr<nn::ActivationCodec> codec_;
-  /// Created in the constructor when cfg_.recompute (throws there on a
-  /// malformed pinned spec, before any page exists).
-  std::unique_ptr<CostModel> cost_model_;
-  std::atomic<RecomputeSource*> recompute_src_{nullptr};
 
   mutable std::mutex mu_;
   std::map<PageId, std::unique_ptr<Page>> pages_;  ///< ordered by seq
@@ -358,7 +307,6 @@ class ActivationPager {
   std::size_t raw_bytes_ = 0;
   std::size_t compressed_bytes_ = 0;
   std::size_t spilled_bytes_ = 0;
-  std::size_t recompute_bytes_ = 0;  ///< tier 3: raw bytes avoided by drops
   std::size_t pending_fetch_bytes_ = 0;  ///< raw bytes of in-flight prefetches
   /// Payload bytes queued to disk by write-behind but not yet written; still
   /// part of raw_/compressed_ (the budget counts not-yet-written blobs).
@@ -472,9 +420,6 @@ class PagedStore : public nn::ActivationStore {
 
   /// Forward exact graph-derived liveness to the pager.
   void set_liveness(graph::Liveness lv) { pager_.set_liveness(std::move(lv)); }
-
-  /// Forward the replay provider for the recompute tier to the pager.
-  void set_recompute_source(RecomputeSource* src) { pager_.set_recompute_source(src); }
 
   /// Block until pending async encodes/prefetches land (tests, shutdown).
   void drain() { pager_.drain(); }

@@ -128,35 +128,6 @@ Tensor BatchNorm::forward(const Tensor& input, bool train) {
   return out;
 }
 
-Tensor BatchNorm::replay_forward(const Tensor& input) const {
-  if (input.shape().rank() != 4 || input.shape().c() != channels_)
-    throw std::invalid_argument(name_ + ": expected NCHW with C=" + std::to_string(channels_));
-  const tensor::Shape& s = input.shape();
-  const std::size_t n = s.n(), hw = s.h() * s.w();
-  const std::size_t chw = channels_ * hw;
-
-  Tensor out(s);
-  // forward(train=true) computing only `out`: the same batch_stats, then the
-  // same per-element xhat — but no running-stat update, no x_hat stash, no
-  // inv_std_ write. The normalisation below must stay the float op sequence
-  // of forward(), or the recompute tier's byte-identity contract breaks.
-  tensor::parallel_for(channels_, 4 * n * hw, [&](std::size_t c) {
-    double mean, var;
-    batch_stats(input.data(), n, hw, c, mean, var);
-    const double istd = 1.0 / std::sqrt(var + eps_);
-    const float g = gamma_.value[c], b = beta_.value[c];
-    for (std::size_t smp = 0; smp < n; ++smp) {
-      const float* src = input.data() + smp * chw + c * hw;
-      float* dst = out.data() + smp * chw + c * hw;
-      for (std::size_t i = 0; i < hw; ++i) {
-        const float xhat = static_cast<float>((src[i] - mean) * istd);
-        dst[i] = g * xhat + b;
-      }
-    }
-  });
-  return out;
-}
-
 Tensor BatchNorm::backward(const Tensor& grad_output) {
   if (saved_ == Saved::kNone) throw std::logic_error(name_ + ": backward without forward");
   const std::size_t n = in_shape_.n(), hw = in_shape_.h() * in_shape_.w();

@@ -20,23 +20,13 @@ class BatchNorm : public Layer {
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::string graph_op() const override { return "bn"; }
   tensor::Shape output_shape(const tensor::Shape& input) const override { return input; }
-  bool replayable() const override { return true; }
-  /// Re-runs the train-mode batch-statistics path (the same batch_stats,
-  /// the same float op order) but updates neither the running averages nor
-  /// the saved x_hat / inv_std state — the batch statistics are a pure
-  /// function of the input, so the output is byte-identical to the original
-  /// forward.
-  tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
-  double replay_flops(const tensor::Shape& input) const override {
-    return 10.0 * static_cast<double>(input.numel());
-  }
 
   std::span<const float> running_mean() const { return {running_mean_.data(), channels_}; }
   std::span<const float> running_var() const { return {running_var_.data(), channels_}; }
 
  private:
   /// Train-mode mean and (biased) variance of channel `c` of an [n, C, hw]
-  /// batch — the one statistics routine of forward() and replay_forward().
+  /// batch.
   void batch_stats(const float* x, std::size_t n, std::size_t hw, std::size_t c,
                    double& mean, double& var) const;
 

@@ -109,15 +109,6 @@ Tensor Conv2d::compute(const Tensor& input) const {
   return out;
 }
 
-Tensor Conv2d::replay_forward(const Tensor& input) const { return compute(input); }
-
-double Conv2d::replay_flops(const Shape& input) const {
-  const Shape out = output_shape(input);
-  const double k =
-      static_cast<double>(spec_.in_channels) * spec_.kh() * spec_.kw();
-  return 2.0 * k * static_cast<double>(out.numel());
-}
-
 Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
   input_shape_ = input.shape();
   Tensor out = compute(input);

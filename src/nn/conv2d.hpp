@@ -45,10 +45,6 @@ class Conv2d : public Layer {
   std::size_t activation_bytes(const tensor::Shape& input) const override {
     return input.numel() * sizeof(float);
   }
-  bool replayable() const override { return true; }
-  tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
-  /// 2 * K * out_elements (im2col GEMM), the dominant term of forward.
-  double replay_flops(const tensor::Shape& input) const override;
 
   const Conv2dSpec& spec() const { return spec_; }
   Param& weight() { return weight_; }
@@ -62,9 +58,7 @@ class Conv2d : public Layer {
   double last_input_density() const { return last_input_density_; }
 
  private:
-  /// The im2col+GEMM+bias compute of forward(), with no member writes —
-  /// shared by forward() and replay_forward() so both produce the same
-  /// bytes by construction.
+  /// The im2col+GEMM+bias compute of forward(), with no member writes.
   tensor::Tensor compute(const tensor::Tensor& input) const;
 
   Conv2dSpec spec_;

@@ -1,17 +1,11 @@
 #include "nn/layer.hpp"
 
-#include <stdexcept>
-
 #include "graph/graph.hpp"
 
 namespace ebct::nn {
 
 graph::TensorId Layer::build_graph(graph::Graph& g, graph::TensorId input) const {
   return g.add_layer_node(*this, graph_op(), {input});
-}
-
-tensor::Tensor Layer::replay_forward(const tensor::Tensor& /*input*/) const {
-  throw std::logic_error(name_ + ": replay_forward on a non-replayable layer");
 }
 
 }  // namespace ebct::nn

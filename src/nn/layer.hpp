@@ -78,8 +78,8 @@ class Layer {
   /// unlike the old dynamic_cast recursion that silently skipped them.
   virtual void visit(const std::function<void(Layer&)>& fn) { fn(*this); }
 
-  /// Short op tag for the graph IR ("conv", "relu", ...). Drives the
-  /// pattern matchers in graph/rewrite.hpp; the default is a generic tag.
+  /// Short op tag for the graph IR ("conv", "relu", ...); the default is a
+  /// generic tag.
   virtual std::string graph_op() const { return "op"; }
 
   /// Append this layer's node(s) to the graph IR, consuming tensor
@@ -93,30 +93,6 @@ class Layer {
   /// themselves; containers override to mirror their backward() bodies.
   virtual void backward_schedule(std::vector<const Layer*>& order) const {
     order.push_back(this);
-  }
-
-  /// Whether replay_forward() can reproduce this layer's forward output.
-  /// True only for layers whose forward is a pure function of (input,
-  /// parameters) — Dropout (stateful RNG) and any layer with
-  /// non-reproducible forward state must stay false, which excludes every
-  /// replay plan containing them from the pager's recompute tier.
-  virtual bool replayable() const { return false; }
-
-  /// Side-effect-free re-execution of forward(train=true): byte-identical
-  /// output for byte-identical input and unchanged parameters, without
-  /// touching any member (no stash, no statistics, no running averages) —
-  /// callable concurrently with this layer's own backward(). Used by the
-  /// recompute tier (graph/replay.hpp) to rebuild a dropped activation
-  /// during the backward pass. The default throws std::logic_error;
-  /// replayable() gates every call.
-  virtual tensor::Tensor replay_forward(const tensor::Tensor& input) const;
-
-  /// Static cost estimate of replay_forward() at the given input shape, in
-  /// floating-point operations. Feeds the pager's CostModel; precision only
-  /// matters relative to the other layers (the model compares replay FLOPs
-  /// against measured spill I/O rates). Default: one op per output element.
-  virtual double replay_flops(const tensor::Shape& input) const {
-    return static_cast<double>(output_shape(input).numel());
   }
 
  protected:

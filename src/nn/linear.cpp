@@ -48,20 +48,6 @@ Tensor Linear::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor Linear::replay_forward(const Tensor& input) const {
-  if (input.shape().rank() != 2 || input.shape()[1] != in_features_)
-    throw std::invalid_argument(name_ + ": expected [N, " + std::to_string(in_features_) + "]");
-  const std::size_t n = input.shape().n();
-  Tensor out(Shape{n, out_features_});
-  tensor::gemm_bt(input.data(), weight_.value.data(), out.data(), n, in_features_,
-                  out_features_);
-  tensor::parallel_for(n, out_features_, [&](std::size_t s) {
-    float* row = out.data() + s * out_features_;
-    for (std::size_t j = 0; j < out_features_; ++j) row[j] += bias_.value[j];
-  });
-  return out;
-}
-
 Tensor Linear::backward(const Tensor& grad_output) {
   if (saved_paged_) {
     saved_input_ = store_->retrieve_exact(saved_handle_);

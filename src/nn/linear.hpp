@@ -19,13 +19,6 @@ class Linear : public Layer {
   tensor::Shape output_shape(const tensor::Shape& input) const override {
     return tensor::Shape{input.n(), out_features_};
   }
-  bool replayable() const override { return true; }
-  /// GEMM + bias only, skipping the saved-input stash.
-  tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
-  double replay_flops(const tensor::Shape& input) const override {
-    return 2.0 * static_cast<double>(input.n()) * static_cast<double>(in_features_) *
-           static_cast<double>(out_features_);
-  }
 
   Param& weight() { return weight_; }
   Param& bias_param() { return bias_; }

@@ -47,32 +47,6 @@ Tensor Lrn::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor Lrn::replay_forward(const Tensor& input) const {
-  const Shape& s = input.shape();
-  Tensor out(s);
-  const std::size_t C = s.c(), hw = s.h() * s.w();
-  const std::size_t half = spec_.size / 2;
-  const double a = spec_.alpha / static_cast<double>(spec_.size);
-  // Same window scan as forward, minus the scale_ save — `sc` is computed
-  // with the identical float op sequence so the bytes match.
-  tensor::parallel_for(s.n() * hw, [&](std::size_t p) {
-    const std::size_t n = p / hw, i = p % hw;
-    for (std::size_t c = 0; c < C; ++c) {
-      const std::size_t lo = c >= half ? c - half : 0;
-      const std::size_t hi = std::min(C - 1, c + half);
-      double acc = 0.0;
-      for (std::size_t cc = lo; cc <= hi; ++cc) {
-        const double v = input.data()[(n * C + cc) * hw + i];
-        acc += v * v;
-      }
-      const std::size_t idx = (n * C + c) * hw + i;
-      const double sc = spec_.k + a * acc;
-      out[idx] = static_cast<float>(input[idx] * std::pow(sc, -spec_.beta));
-    }
-  });
-  return out;
-}
-
 Tensor Lrn::backward(const Tensor& grad_output) {
   if (saved_paged_) {
     scale_ = store_->retrieve_exact(scale_handle_);

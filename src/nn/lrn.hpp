@@ -23,12 +23,6 @@ class Lrn : public Layer {
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   tensor::Shape output_shape(const tensor::Shape& input) const override { return input; }
-  bool replayable() const override { return true; }
-  /// Window sum-of-squares + pow, writing only the output (no saved state).
-  tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
-  double replay_flops(const tensor::Shape& input) const override {
-    return 3.0 * static_cast<double>(spec_.size) * static_cast<double>(input.numel());
-  }
 
  private:
   LrnSpec spec_;

@@ -67,37 +67,6 @@ Tensor MaxPool::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor MaxPool::replay_forward(const Tensor& input) const {
-  const Shape& is = input.shape();
-  const Shape os = output_shape(is);
-  Tensor out(os);
-  const std::size_t planes = os.n() * os.c();
-  tensor::parallel_for(planes, [&](std::size_t p) {
-    const std::size_t n = p / os.c();
-    const std::size_t c = p % os.c();
-    for (std::size_t oy = 0; oy < os.h(); ++oy) {
-      for (std::size_t ox = 0; ox < os.w(); ++ox) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (std::size_t ky = 0; ky < spec_.kernel; ++ky) {
-          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * spec_.stride + ky) -
-                                    static_cast<std::ptrdiff_t>(spec_.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(is.h())) continue;
-          for (std::size_t kx = 0; kx < spec_.kernel; ++kx) {
-            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * spec_.stride + kx) -
-                                      static_cast<std::ptrdiff_t>(spec_.pad);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(is.w())) continue;
-            const std::size_t idx = is.offset(n, c, static_cast<std::size_t>(iy),
-                                              static_cast<std::size_t>(ix));
-            if (input[idx] > best) best = input[idx];
-          }
-        }
-        out.at(n, c, oy, ox) = best;
-      }
-    }
-  });
-  return out;
-}
-
 Tensor MaxPool::backward(const Tensor& grad_output) {
   if (argmax_paged_) {
     Tensor idx = store_->retrieve_exact(argmax_handle_);
@@ -149,36 +118,6 @@ Tensor AvgPool::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor AvgPool::replay_forward(const Tensor& input) const {
-  const Shape& is = input.shape();
-  const Shape os = output_shape(is);
-  Tensor out(os);
-  const float inv = 1.0f / static_cast<float>(spec_.kernel * spec_.kernel);
-  const std::size_t planes = os.n() * os.c();
-  tensor::parallel_for(planes, [&](std::size_t p) {
-    const std::size_t n = p / os.c();
-    const std::size_t c = p % os.c();
-    for (std::size_t oy = 0; oy < os.h(); ++oy) {
-      for (std::size_t ox = 0; ox < os.w(); ++ox) {
-        float acc = 0.0f;
-        for (std::size_t ky = 0; ky < spec_.kernel; ++ky) {
-          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * spec_.stride + ky) -
-                                    static_cast<std::ptrdiff_t>(spec_.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(is.h())) continue;
-          for (std::size_t kx = 0; kx < spec_.kernel; ++kx) {
-            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * spec_.stride + kx) -
-                                      static_cast<std::ptrdiff_t>(spec_.pad);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(is.w())) continue;
-            acc += input.at(n, c, static_cast<std::size_t>(iy), static_cast<std::size_t>(ix));
-          }
-        }
-        out.at(n, c, oy, ox) = acc * inv;
-      }
-    }
-  });
-  return out;
-}
-
 Tensor AvgPool::backward(const Tensor& grad_output) {
   Tensor grad(in_shape_, 0.0f);
   const Shape os = grad_output.shape();
@@ -211,20 +150,6 @@ Tensor GlobalAvgPool::forward(const Tensor& input, bool /*train*/) {
   Tensor out(output_shape(in_shape_));
   const std::size_t hw = in_shape_.h() * in_shape_.w();
   const std::size_t planes = in_shape_.n() * in_shape_.c();
-  tensor::parallel_for(planes, [&](std::size_t p) {
-    const float* src = input.data() + p * hw;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < hw; ++i) acc += src[i];
-    out[p] = static_cast<float>(acc / static_cast<double>(hw));
-  });
-  return out;
-}
-
-Tensor GlobalAvgPool::replay_forward(const Tensor& input) const {
-  const Shape& is = input.shape();
-  Tensor out(output_shape(is));
-  const std::size_t hw = is.h() * is.w();
-  const std::size_t planes = is.n() * is.c();
   tensor::parallel_for(planes, [&](std::size_t p) {
     const float* src = input.data() + p * hw;
     double acc = 0.0;

@@ -26,13 +26,6 @@ class MaxPool : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   std::string graph_op() const override { return "maxpool"; }
   tensor::Shape output_shape(const tensor::Shape& input) const override;
-  bool replayable() const override { return true; }
-  /// Same window scan as forward, discarding the argmax indices.
-  tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
-  double replay_flops(const tensor::Shape& input) const override {
-    return static_cast<double>(spec_.kernel * spec_.kernel) *
-           static_cast<double>(output_shape(input).numel());
-  }
 
  private:
   PoolSpec spec_;
@@ -53,12 +46,6 @@ class AvgPool : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   std::string graph_op() const override { return "avgpool"; }
   tensor::Shape output_shape(const tensor::Shape& input) const override;
-  bool replayable() const override { return true; }
-  tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
-  double replay_flops(const tensor::Shape& input) const override {
-    return static_cast<double>(spec_.kernel * spec_.kernel) *
-           static_cast<double>(output_shape(input).numel());
-  }
 
  private:
   PoolSpec spec_;
@@ -74,11 +61,6 @@ class GlobalAvgPool : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   tensor::Shape output_shape(const tensor::Shape& input) const override {
     return tensor::Shape::nchw(input.n(), input.c(), 1, 1);
-  }
-  bool replayable() const override { return true; }
-  tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
-  double replay_flops(const tensor::Shape& input) const override {
-    return static_cast<double>(input.numel());
   }
 
  private:

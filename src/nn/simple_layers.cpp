@@ -85,16 +85,6 @@ Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor ReLU::replay_forward(const Tensor& input) const {
-  Tensor out(input.shape());
-  const float* in = input.data();
-  float* dst = out.data();
-  tensor::parallel_for(input.numel(), [&](std::size_t i) {
-    dst[i] = in[i] > 0.0f ? in[i] : 0.0f;
-  });
-  return out;
-}
-
 Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor grad(shape_);
   const std::size_t numel = grad.numel();
@@ -111,12 +101,6 @@ Tensor Flatten::forward(const Tensor& input, bool /*train*/) {
   shape_ = input.shape();
   Tensor out = input.clone();
   out.reshape(output_shape(shape_));
-  return out;
-}
-
-Tensor Flatten::replay_forward(const Tensor& input) const {
-  Tensor out = input.clone();
-  out.reshape(output_shape(input.shape()));
   return out;
 }
 

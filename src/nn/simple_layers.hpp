@@ -22,9 +22,6 @@ class ReLU : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   std::string graph_op() const override { return "relu"; }
   tensor::Shape output_shape(const tensor::Shape& input) const override { return input; }
-  bool replayable() const override { return true; }
-  /// max(x, 0) without rebuilding the sign mask.
-  tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
 
  private:
   std::vector<std::uint64_t> mask_;
@@ -41,8 +38,6 @@ class Flatten : public Layer {
   tensor::Shape output_shape(const tensor::Shape& input) const override {
     return tensor::Shape{input.n(), input.numel() / input.n()};
   }
-  bool replayable() const override { return true; }
-  tensor::Tensor replay_forward(const tensor::Tensor& input) const override;
 
  private:
   tensor::Shape shape_;

@@ -7,8 +7,8 @@
 // BENCH_*.json rows (schema in docs/BENCH_SCHEMA.md).
 //
 // The hot-path cost of a phase sample is two relaxed fetch_adds; phase
-// accumulation is always on (it piggybacks on clock reads the pager's
-// cost-model calibration already performs). `drain()` supports
+// accumulation is always on (it reads the clock around the pager's codec
+// and spill operations). `drain()` supports
 // per-iteration sampling: perf_smoke uses it to measure per-phase variance
 // across iterations. Like every obs:: facility, metrics are
 // observation-only — they never feed back into scheduling or eviction, so
@@ -28,7 +28,7 @@ enum class Phase : int {
   kForward = 0,   // session forward pass (executor or sequential)
   kBackward,      // session prepare_backward + backward pass
   kEncode,        // codec encode (sync put + async encode tasks)
-  kDecode,        // codec decode (fetch, prefetch, replay re-decode)
+  kDecode,        // codec decode (fetch, prefetch)
   kSpillWrite,    // spill-file write (sync and write-behind)
   kSpillRead,     // spill-file read
   kSpillWait,     // blocked waiting on spill/encode I/O (budget enforce, drain)

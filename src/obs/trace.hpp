@@ -44,7 +44,7 @@ namespace trace {
 enum class Cat : std::uint8_t {
   kSched = 0,   // scheduler: task bodies, steals
   kExec = 1,    // graph executor: node tasks, joins, driver commit/staging
-  kPager = 2,   // pager tier transitions: spill I/O, prefetch, replay, waits
+  kPager = 2,   // pager tier transitions: spill I/O, prefetch, waits
   kCodec = 3,   // codec encode/decode (sync and async paths)
   kSession = 4, // training loop phases: forward/backward brackets
   kServe = 5,   // serving: per-request spans, window encode/decode tasks

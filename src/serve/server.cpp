@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
@@ -20,22 +21,19 @@ namespace ebct::serve {
 
 namespace {
 
-/// Strict env parses, same contract as the framework envs (core/session.cpp):
-/// a set-but-malformed value throws instead of silently defaulting.
+/// Strict env parses, same contract as the framework envs
+/// (core::parse_size): a set-but-malformed value throws instead of
+/// silently defaulting.
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0')
-    throw std::invalid_argument(std::string(name) + " must be a non-negative integer, got '" +
-                                v + "'");
-  return static_cast<std::size_t>(parsed);
+  return core::parse_size(name, v);
 }
 
 int env_int(const char* name, int fallback) {
   const std::size_t v = env_size(name, static_cast<std::size_t>(fallback));
+  if (v > static_cast<std::size_t>(std::numeric_limits<int>::max()))
+    throw std::invalid_argument(std::string(name) + ": out of range, got " + std::to_string(v));
   return static_cast<int>(v);
 }
 

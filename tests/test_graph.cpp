@@ -1,8 +1,8 @@
 // Graph IR tests: construction from real networks (edges, shapes,
 // topological order), backward-schedule liveness ranks on linear / residual
-// / branchy models, shared-stash groups, the rewrite patterns, and the
-// end-to-end acceptance criterion — training is byte-identical with
-// exact-liveness paging on or off, at every budget and pool size.
+// / branchy models, shared-stash groups, and the end-to-end acceptance
+// criterion — training is byte-identical with exact-liveness paging on or
+// off, at every budget and pool size.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "core/session.hpp"
 #include "graph/graph.hpp"
-#include "graph/rewrite.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/concat.hpp"
 #include "nn/conv2d.hpp"
@@ -190,7 +189,7 @@ TEST(GraphIr, InceptionEveryConvRankedAndGroupsFound) {
   std::size_t convs = 0;
   std::set<std::uint32_t> groups;
   for (const graph::Node& n : g.nodes()) {
-    if (n.dead || !n.stashes_input) continue;
+    if (!n.stashes_input) continue;
     ++convs;
     EXPECT_TRUE(lv.rank.count(n.name)) << n.name;
   }
@@ -200,68 +199,6 @@ TEST(GraphIr, InceptionEveryConvRankedAndGroupsFound) {
   EXPECT_GT(groups.size(), 5u);
   for (const auto& [name, gid] : lv.share_group)
     EXPECT_TRUE(lv.rank.count(name)) << name;
-}
-
-// --- Rewrite patterns ---------------------------------------------------------
-
-TEST(GraphRewrite, DeadBranchEliminationRemovesUnconsumedChains) {
-  graph::Graph g;
-  const graph::TensorId in = g.add_input("input", Shape{4});
-  const graph::TensorId live = g.add_node("live", "relu", nullptr, {in}, Shape{4});
-  // A two-node chain hanging off the input that nothing consumes.
-  const graph::TensorId d1 = g.add_node("dead1", "relu", nullptr, {in}, Shape{4});
-  g.add_node("dead2", "relu", nullptr, {d1}, Shape{4});
-  g.set_output(live);
-
-  graph::DeadBranchElimination dbe;
-  EXPECT_TRUE(dbe.apply(g));
-  while (dbe.apply(g)) {
-  }
-  EXPECT_EQ(g.num_nodes(), 1u);
-  EXPECT_NE(g.find_node("live"), nullptr);
-  EXPECT_EQ(g.find_node("dead1"), nullptr);
-  EXPECT_EQ(g.find_node("dead2"), nullptr);
-  EXPECT_NO_THROW(g.topological_order());
-}
-
-TEST(GraphRewrite, ConvBiasFoldSplicesSingleConsumerBias) {
-  graph::Graph g;
-  const graph::TensorId in = g.add_input("input", Shape::nchw(1, 2, 4, 4));
-  const graph::TensorId conv =
-      g.add_node("c", "conv", nullptr, {in}, Shape::nchw(1, 4, 4, 4));
-  const graph::TensorId bias =
-      g.add_node("c.bias", "bias", nullptr, {conv}, Shape::nchw(1, 4, 4, 4));
-  const graph::TensorId out =
-      g.add_node("relu", "relu", nullptr, {bias}, Shape::nchw(1, 4, 4, 4));
-  g.set_output(out);
-
-  graph::ConvBiasFold fold;
-  EXPECT_TRUE(fold.apply(g));
-  EXPECT_FALSE(fold.apply(g));  // fixpoint after one application
-
-  // The bias node is gone and the relu now consumes the conv's tensor.
-  EXPECT_EQ(g.find_node("c.bias"), nullptr);
-  const graph::Node* relu = g.find_node("relu");
-  ASSERT_NE(relu, nullptr);
-  ASSERT_EQ(relu->inputs.size(), 1u);
-  EXPECT_EQ(relu->inputs[0], conv);
-  EXPECT_NO_THROW(g.topological_order());
-}
-
-TEST(GraphRewrite, RegistryHasBuiltinsAndReachesFixpoint) {
-  const auto names = graph::PatternRegistry::instance().names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "dead-branch-elimination"),
-            names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "conv-bias-fold"), names.end());
-
-  graph::Graph g;
-  const graph::TensorId in = g.add_input("input", Shape{4});
-  const graph::TensorId live = g.add_node("live", "relu", nullptr, {in}, Shape{4});
-  g.add_node("dead", "relu", nullptr, {in}, Shape{4});
-  g.set_output(live);
-  EXPECT_GT(graph::PatternRegistry::instance().apply_all(g), 0u);
-  EXPECT_EQ(g.num_nodes(), 1u);
-  EXPECT_EQ(graph::PatternRegistry::instance().apply_all(g), 0u);
 }
 
 // --- Visit regression (the traversal bugfix) ----------------------------------
@@ -376,9 +313,8 @@ TEST(GraphLiveness, DedupAliasesSharedBranchStashes) {
 }
 
 TEST(GraphLiveness, SessionExposesGraphAfterFirstIteration) {
-  if (std::getenv("EBCT_GRAPH_LIVENESS") != nullptr ||
-      std::getenv("EBCT_GRAPH_REWRITES") != nullptr)
-    GTEST_SKIP() << "graph env override active";
+  if (std::getenv("EBCT_GRAPH_LIVENESS") != nullptr)
+    GTEST_SKIP() << "EBCT_GRAPH_LIVENESS override active";
   Rng rng(24);
   models::ModelConfig mcfg;
   mcfg.input_hw = 16;

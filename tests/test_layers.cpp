@@ -90,11 +90,9 @@ TEST(ReLULayer, WordParallelMatchesScalarAcrossPools) {
     ReLU relu("r");
     Tensor y = relu.forward(x, true);
     Tensor gi = relu.backward(g);
-    Tensor yr = relu.replay_forward(x);
     for (std::size_t i = 0; i < x.numel(); ++i) {
       const bool pos = x[i] > 0.0f;
       ASSERT_EQ(y[i], pos ? x[i] : 0.0f) << "pool " << t << " at " << i;
-      ASSERT_EQ(yr[i], y[i]) << "pool " << t << " at " << i;
       ASSERT_EQ(gi[i], pos ? g[i] : 0.0f) << "pool " << t << " at " << i;
     }
   }
@@ -566,11 +564,9 @@ TEST(BatchNormLayer, SavedStateStaysFlatAcrossThreads) {
   }
 }
 
-TEST(BatchNormLayer, ReplayForwardIsBitwiseForward) {
-  // The recompute tier replays forward(train=true) through replay_forward;
-  // both call the same statistics helper, so the bytes match — and the
-  // fixed-lane sums make them the same at every pool size. hw = 37 leaves
-  // a partial lane block per row.
+TEST(BatchNormLayer, TrainForwardIsBitwiseAcrossPools) {
+  // The fixed-lane statistics sums make forward(train=true) the same bytes
+  // at every pool size. hw = 37 leaves a partial lane block per row.
   const Shape shape = Shape::nchw(5, 6, 37, 1);
   Tensor x = random_tensor(shape, 80, -2.0f, 7.0f);
   const int pool = tensor::sched::num_threads();
@@ -579,8 +575,6 @@ TEST(BatchNormLayer, ReplayForwardIsBitwiseForward) {
     tensor::sched::set_num_threads(t);
     BatchNorm bn("bn", 6);
     Tensor y = bn.forward(x, true);
-    Tensor yr = bn.replay_forward(x);
-    ASSERT_EQ(0, std::memcmp(y.data(), yr.data(), y.numel() * sizeof(float))) << "pool " << t;
     if (first.empty())
       first.assign(y.data(), y.data() + y.numel());
     else

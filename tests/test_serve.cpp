@@ -17,7 +17,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,6 +246,54 @@ TEST(StreamingCodecTest, MalformedContainersFailLoudly) {
         },
         std::runtime_error);
   }
+}
+
+// --- ServerConfig::from_env: size envs parse digits only. --------------------
+
+/// Sets one env var for a scope and puts the previous value back after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_.c_str(), old_->c_str(), 1);
+    } else {
+      unsetenv(name_.c_str());
+    }
+  }
+
+ private:
+  std::string name_;
+  std::optional<std::string> old_;
+};
+
+TEST(ServerConfigTest, FromEnvRejectsAnythingButDigits) {
+  // "-1" must not wrap to 2^64-1, an unlimited budget.
+  for (const char* bad : {"-1", "+5", " 5", "5x", "5 ", "0x10", "18446744073709551616"}) {
+    ScopedEnv env("EBCT_SERVE_TENANT_BUDGET", bad);
+    EXPECT_THROW(ServerConfig::from_env(), std::invalid_argument) << "accepted '" << bad << "'";
+  }
+  for (const char* name : {"EBCT_SERVE_WINDOW", "EBCT_SERVE_MAX_FRAME", "EBCT_SERVE_DRAIN_MS"}) {
+    ScopedEnv env(name, "-1");
+    EXPECT_THROW(ServerConfig::from_env(), std::invalid_argument) << name;
+  }
+  ScopedEnv drain("EBCT_SERVE_DRAIN_MS", "4294967296");  // past int
+  EXPECT_THROW(ServerConfig::from_env(), std::invalid_argument);
+}
+
+TEST(ServerConfigTest, FromEnvParsesPlainIntegers) {
+  {
+    ScopedEnv env("EBCT_SERVE_TENANT_BUDGET", "0");
+    EXPECT_EQ(ServerConfig::from_env().tenant_budget_bytes, 0u);
+  }
+  ScopedEnv budget("EBCT_SERVE_TENANT_BUDGET", "123");
+  ScopedEnv drain("EBCT_SERVE_DRAIN_MS", "250");
+  const ServerConfig cfg = ServerConfig::from_env();
+  EXPECT_EQ(cfg.tenant_budget_bytes, 123u);
+  EXPECT_EQ(cfg.drain_grace_ms, 250);
 }
 
 // --- Served requests: spec x chunk matrix over a live server. ----------------

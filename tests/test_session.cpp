@@ -6,6 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/error_injection.hpp"
 #include "core/session.hpp"
@@ -232,6 +238,52 @@ TEST(TrainingSessionTest, NonErrorBoundedCodecTrainsWithAdaptiveDisabled) {
   }
   EXPECT_GT(session.history().back().mean_compression_ratio, 1.0);
   EXPECT_TRUE(session.scheme()->last_bounds().empty());
+}
+
+
+/// Boolean env overrides accept only "0" and "1": "yes" or "true" silently
+/// meaning "off" would be the failure mode parse_size guards against for
+/// sizes. The fixture clears the variables it sets and puts them back
+/// afterwards.
+class StrictEnvFlags : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const char* name : kVars) {
+      const char* v = std::getenv(name);
+      saved_.emplace_back(name, v ? std::optional<std::string>(v) : std::nullopt);
+      unsetenv(name);
+    }
+  }
+  void TearDown() override {
+    for (const auto& [name, value] : saved_) {
+      if (value) {
+        setenv(name.c_str(), value->c_str(), 1);
+      } else {
+        unsetenv(name.c_str());
+      }
+    }
+  }
+
+ private:
+  static constexpr const char* kVars[] = {"EBCT_GRAPH_EXEC", "EBCT_WRITE_BEHIND"};
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
+};
+
+TEST_F(StrictEnvFlags, NonBinaryValuesThrow) {
+  auto net = models::make_resnet18(tiny_model());
+  data::SyntheticImageDataset ds(tiny_data());
+  data::DataLoader loader(ds, 8, true, true);
+
+  setenv("EBCT_GRAPH_EXEC", "yes", 1);
+  EXPECT_THROW(TrainingSession(*net, loader, fast_framework()), std::invalid_argument);
+  unsetenv("EBCT_GRAPH_EXEC");
+
+  setenv("EBCT_WRITE_BEHIND", "true", 1);
+  EXPECT_THROW(TrainingSession(*net, loader, fast_framework()), std::invalid_argument);
+
+  setenv("EBCT_GRAPH_EXEC", "0", 1);
+  setenv("EBCT_WRITE_BEHIND", "1", 1);
+  EXPECT_NO_THROW(TrainingSession(*net, loader, fast_framework()));
 }
 
 }  // namespace

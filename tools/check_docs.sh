@@ -4,7 +4,7 @@
 #
 #   tools/check_docs.sh
 #
-# Two gates, both stdlib-only (bash + python3, no packages):
+# Three gates, all stdlib-only (bash + python3, no packages):
 #
 #  1. Link check — every relative markdown link in README.md and docs/*.md
 #     must resolve to an existing file or directory. External links
@@ -14,6 +14,12 @@
 #  2. Env-var drift guard — every EBCT_[A-Z_]* name that appears anywhere
 #     in src/ or bench/ must be documented in docs/CONFIG.md. A new env
 #     var without a CONFIG.md row fails CI until it is written up.
+#
+#  3. Stale env-var guard — the reverse direction: every EBCT_[A-Z_]* name
+#     in docs/CONFIG.md or in README's env table must still appear in code,
+#     CI or tooling (src/, bench/, benchmark/, tests/, examples/, tools/,
+#     CMakeLists.txt, .github/). A row left behind by a deleted option
+#     fails CI until it is removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,13 +55,30 @@ echo "== EBCT_* env-var drift guard =="
 # mentioned in a doc comment but missing from CONFIG.md is still drift.
 vars=$(grep -rhoE "EBCT_[A-Z_]+" src bench | sort -u)
 for v in $vars; do
-  # \b so EBCT_RECOMPUTE is not satisfied by EBCT_RECOMPUTE_RATES alone.
+  # \b so EBCT_TRACE is not satisfied by EBCT_TRACE_RING_EVENTS alone.
   if ! grep -qE "${v}\b" docs/CONFIG.md; then
     echo "UNDOCUMENTED  $v (found in src/ or bench/, missing from docs/CONFIG.md)"
     fail=1
   fi
 done
 echo "checked $(echo "$vars" | wc -l) env vars"
+
+echo "== stale EBCT_* doc-row guard =="
+# Family prefixes such as EBCT_SERVE_* end in "_" and name no variable.
+# This script is excluded from the search: its own comments name
+# variables only as examples.
+documented=$( {
+  grep -hoE "EBCT_[A-Z_]+" docs/CONFIG.md
+  grep -oE '^\| `EBCT_[A-Z_]+' README.md | grep -oE "EBCT_[A-Z_]+"
+} | grep -v '_$' | sort -u)
+for v in $documented; do
+  if ! grep -rqE --exclude=check_docs.sh "${v}\b" \
+      src bench benchmark tests examples tools CMakeLists.txt .github; then
+    echo "STALE  $v (documented, but no code, CI or tool reads it)"
+    fail=1
+  fi
+done
+echo "checked $(echo "$documented" | wc -l) documented env vars"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
