@@ -16,8 +16,6 @@
 //            spill-file leak) — run as a CTest target under ASan in CI.
 //   The spill directory honours EBCT_SPILL_DIR.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,7 +29,6 @@
 #include "memory/accounting.hpp"
 #include "memory/pager.hpp"
 #include "memory/spill_file.hpp"
-#include "memory/timeline.hpp"
 #include "models/model_zoo.hpp"
 
 using namespace ebct;
@@ -51,8 +48,6 @@ struct SweepPoint {
   std::vector<double> losses;
   double seconds = 0.0;
   memory::PagerCounters pager;
-  memory::TierUsage tiers;         ///< per-tier peaks over this run only
-  double ratio = 0.0;              ///< measured mean conv compression ratio
   /// Consolidated TrainingSession::metrics() snapshot (JsonReporter-shaped).
   std::vector<std::pair<std::string, double>> metrics;
 };
@@ -92,8 +87,6 @@ SweepPoint train(std::size_t budget, std::size_t iterations, bool async_encode,
     });
   });
   p.pager = session.paged_store()->pager().counters();
-  p.tiers = memory::TierAccounting::instance().usage();
-  p.ratio = session.history().back().mean_compression_ratio;
   p.metrics = session.metrics();
   return p;
 }
@@ -156,100 +149,6 @@ int main(int argc, char** argv) {
   // The unbudgeted run's consolidated runtime snapshot (per-phase timings,
   // pager/tier/scheduler/trace counters) as one machine-readable row.
   report.add("unlimited_session_metrics", ref.metrics);
-
-  // Timeline-prediction bridge: replay memory::simulate_iteration at the
-  // run's measured mean conv compression ratio, extract the pager-visible
-  // events (stash lifetimes plus the raw transients the pager counts while
-  // a page encodes or decodes), and compare the predicted high-water marks
-  // against what the pager actually measured in the unbudgeted reference
-  // run — resident (raw + compressed) and per tier. Divergence > 10% is
-  // flagged (a WARN + a 0 row, not a failure) and quantified in the JSON:
-  // the timeline applies one uniform ratio to every stash, while the real
-  // codec policy compresses conv inputs far better than the rest, so the
-  // recorded divergence is the measured error of that modelling choice.
-  {
-    models::ModelConfig mcfg;
-    mcfg.input_hw = 16;
-    mcfg.num_classes = 4;
-    mcfg.width_multiplier = 0.25;
-    mcfg.seed = 11;
-    auto net = models::make_resnet18(mcfg);
-    const auto input = tensor::Shape::nchw(16, 3, 16, 16);
-    const double ratio = std::max(1.0, ref.ratio);
-    const auto tl = memory::simulate_iteration(*net, input, ratio);
-
-    const auto ends_with = [](const std::string& s, const char* suf) {
-      return s.ends_with(suf);
-    };
-    std::ptrdiff_t live = 0;            // predicted pager-resident bytes
-    std::ptrdiff_t live_compressed = 0; // predicted compressed-tier bytes
-    std::ptrdiff_t pred_resident_peak = 0, pred_compressed_peak = 0,
-                   pred_raw_peak = 0;
-    for (const auto& ev : tl.events) {
-      if (ends_with(ev.label, ".stash")) {
-        // Raw payload arrives first (kRaw tier), then encodes in place.
-        const auto raw = static_cast<std::ptrdiff_t>(
-            static_cast<double>(ev.delta_bytes) * ratio);
-        pred_resident_peak = std::max(pred_resident_peak, live + raw);
-        pred_raw_peak = std::max(pred_raw_peak, raw);
-        live += ev.delta_bytes;
-        live_compressed += ev.delta_bytes;
-      } else if (ends_with(ev.label, ".decompress")) {
-        live += ev.delta_bytes;  // decode materialises into the raw tier
-        pred_raw_peak = std::max(pred_raw_peak, ev.delta_bytes);
-      } else if (ends_with(ev.label, ".free_stash")) {
-        live += ev.delta_bytes;
-        live_compressed += ev.delta_bytes;
-      } else if (ends_with(ev.label, ".free_decompressed")) {
-        live += ev.delta_bytes;
-      } else {
-        continue;  // feature maps / weights: not pager-resident
-      }
-      pred_resident_peak = std::max(pred_resident_peak, live);
-      pred_compressed_peak = std::max(pred_compressed_peak, live_compressed);
-    }
-
-    const auto measured_resident = static_cast<double>(peak);
-    const auto measured_compressed = static_cast<double>(
-        ref.tiers.peak[static_cast<int>(memory::Tier::kCompressed)]);
-    const auto measured_raw = static_cast<double>(
-        ref.tiers.peak[static_cast<int>(memory::Tier::kRaw)]);
-    const double divergence =
-        measured_resident > 0
-            ? std::abs(static_cast<double>(pred_resident_peak) - measured_resident) /
-                  measured_resident
-            : 0.0;
-    const bool within = divergence <= 0.10;
-    std::printf(
-        "timeline bridge: predicted resident peak %s vs measured %s "
-        "(divergence %.1f%%%s); compressed %s vs %s, raw-transient %s vs %s\n",
-        memory::human_bytes(static_cast<std::size_t>(pred_resident_peak)).c_str(),
-        memory::human_bytes(peak).c_str(), 100.0 * divergence,
-        within ? "" : " — FLAG: > 10%",
-        memory::human_bytes(static_cast<std::size_t>(pred_compressed_peak)).c_str(),
-        memory::human_bytes(static_cast<std::size_t>(measured_compressed)).c_str(),
-        memory::human_bytes(static_cast<std::size_t>(pred_raw_peak)).c_str(),
-        memory::human_bytes(static_cast<std::size_t>(measured_raw)).c_str());
-    if (!within) {
-      std::fprintf(stderr,
-                   "fig_budget_sweep WARN: timeline peak prediction diverges "
-                   "%.1f%% from the pager-measured peak (> 10%%)\n",
-                   100.0 * divergence);
-    }
-    report.add("timeline_bridge",
-               {{"predicted_resident_peak_bytes",
-                 static_cast<double>(pred_resident_peak)},
-                {"measured_resident_peak_bytes", measured_resident},
-                {"predicted_compressed_peak_bytes",
-                 static_cast<double>(pred_compressed_peak)},
-                {"measured_compressed_peak_bytes", measured_compressed},
-                {"predicted_raw_peak_bytes", static_cast<double>(pred_raw_peak)},
-                {"measured_raw_peak_bytes", measured_raw},
-                {"timeline_total_peak_bytes", static_cast<double>(tl.peak_bytes)},
-                {"compression_ratio_used", ratio},
-                {"divergence_frac", divergence},
-                {"within_10pct", within ? 1.0 : 0.0}});
-  }
 
   const double fractions[] = {1.0, 0.75, 0.5, 0.25};
   for (const double frac : fractions) {

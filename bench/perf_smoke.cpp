@@ -389,9 +389,15 @@ void check_wallclock_gate(const TimingRows& timings) {
   const char* base_path = std::getenv("EBCT_PERF_BASELINE");
   if (base_path == nullptr || base_path[0] == '\0') return;
   double max_slowdown = 1.25;
-  if (const char* s = std::getenv("EBCT_PERF_MAX_SLOWDOWN")) {
-    const double v = std::strtod(s, nullptr);
-    if (v > 0.0) max_slowdown = v;
+  // Unset or empty keeps the default (CI passes an unset repo variable as "").
+  const char* s = std::getenv("EBCT_PERF_MAX_SLOWDOWN");
+  if (s != nullptr && s[0] != '\0') {
+    char* end = nullptr;
+    const double v = std::strtod(s, &end);
+    const bool ok = end != s && *end == '\0' && std::isfinite(v) && v > 0.0;
+    check(ok, "EBCT_PERF_MAX_SLOWDOWN is a positive number");
+    if (!ok) return;
+    max_slowdown = v;
   }
   const auto baseline = read_baseline(base_path);
   check(!baseline.empty(), "EBCT_PERF_BASELINE readable and non-empty");

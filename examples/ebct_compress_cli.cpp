@@ -3,22 +3,17 @@
 // snapshots, simulation output, ...).
 //
 // Usage:
-//   ebct_compress_cli c <in.f32|-> <out.ebcs|-> --codec=<name[:params]>
+//   ebct_compress_cli c <in.f32|-> <out.ebcs|-> [--codec=<name[:params]>] [--window=<elems>]
 //   ebct_compress_cli d <in.ebcs|-> <out.f32|->
-//   ebct_compress_cli c <in.f32> <out.ebct> [abs_error_bound] [zero_mode]
 //   ebct_compress_cli c|d ... --server=<socket> [--tenant=<name>]
 //   ebct_compress_cli --help
 //
-// "-" means stdin/stdout. With --codec (or any stdio endpoint) the CLI
-// streams through the chunked EBCS container (src/nn/streaming.hpp) in
-// constant memory: input is read, encoded window by window, and written
-// without ever buffering the whole payload. --server routes the same
-// stream through a running ebct_serve daemon instead of encoding locally.
-//
-// The positional [eb] [zero_mode] form keeps the historical behaviour: a
-// raw self-describing SZ stream, byte-compatible with earlier releases
-// (whole-buffer; file paths only). `d` sniffs all three input formats
-// (EBCS stream, legacy EBCC container, raw SZ stream).
+// "-" means stdin/stdout. Both modes stream through the chunked EBCS
+// container (src/nn/streaming.hpp) in constant memory: input is read,
+// encoded window by window, and written without ever buffering the whole
+// payload. `c` defaults to --codec=sz:eb=1e-3; `d` accepts only EBCS input.
+// --server routes the same stream through a running ebct_serve daemon
+// instead of encoding locally.
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,16 +24,12 @@
 #include "core/codec_registry.hpp"
 #include "nn/streaming.hpp"
 #include "serve/client.hpp"
-#include "sz/compressor.hpp"
-#include "tensor/tensor.hpp"
 
 using namespace ebct;
 
 namespace {
 
-// Legacy container layout: "EBCC" | u32 spec length | spec bytes |
-// u64 numel | codec payload. Still decoded; no longer produced.
-constexpr char kLegacyMagic[4] = {'E', 'B', 'C', 'C'};
+constexpr const char* kDefaultSpec = "sz:eb=1e-3";
 
 // Bytes pulled per read in the streaming paths — with the codec window this
 // bounds resident memory (see --help text).
@@ -72,14 +63,6 @@ void close_file(std::FILE* f) {
   }
 }
 
-std::vector<std::uint8_t> slurp(std::FILE* f) {
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[kIoChunk];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.insert(bytes.end(), buf, buf + n);
-  return bytes;
-}
-
 void write_out(std::FILE* f, const void* data, std::size_t size) {
   if (std::fwrite(data, 1, size, f) != size) {
     std::fprintf(stderr, "write failed\n");
@@ -92,15 +75,15 @@ void print_usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  %s c <in.f32|-> <out.ebcs|-> --codec=<name[:params]> [--window=<elems>]\n"
+      "  %s c <in.f32|-> <out.ebcs|-> [--codec=<name[:params]>] [--window=<elems>]\n"
       "  %s d <in.ebcs|-> <out.f32|->\n"
-      "  %s c <in.f32> <out.ebct> [eb=1e-3] [none|rezero|rle]   (legacy raw SZ stream)\n"
-      "  %s c|d ... --server=<socket> [--tenant=<name>]          (route via ebct_serve)\n"
-      "\n'-' streams stdin/stdout. Streaming paths run in constant memory:\n"
-      "resident bytes are bounded by ~3x the codec window (%zu floats = %zu KiB\n"
-      "raw by default, tune with --window) plus one %zu KiB I/O chunk,\n"
-      "independent of payload size.\n\nregistered codecs:\n",
-      argv0, argv0, argv0, argv0, window, window * sizeof(float) / 1024, kIoChunk / 1024);
+      "  %s c|d ... --server=<socket> [--tenant=<name>]   (route via ebct_serve)\n"
+      "\n'-' streams stdin/stdout. --codec defaults to %s. Both modes run in\n"
+      "constant memory: resident bytes are bounded by ~3x the codec window\n"
+      "(%zu floats = %zu KiB raw by default, tune with --window) plus one\n"
+      "%zu KiB I/O chunk, independent of payload size.\n\nregistered codecs:\n",
+      argv0, argv0, argv0, kDefaultSpec, window, window * sizeof(float) / 1024,
+      kIoChunk / 1024);
   for (const auto& info : core::CodecRegistry::instance().list()) {
     std::fprintf(stderr, "  %-10s %s%s%s\n", info.name.c_str(), info.summary.c_str(),
                  info.params_help.empty() ? "" : "  params: ",
@@ -113,9 +96,9 @@ int run(int argc, char** argv);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Registry/codec errors (typo'd --codec spec, bad parameters, corrupt
-  // container) are invalid_argument/runtime_error throws — turn them into
-  // a message + nonzero exit instead of a terminate() abort.
+  // Registry/codec errors (typo'd --codec spec, bad parameters, malformed
+  // --window, corrupt container) are invalid_argument/runtime_error throws —
+  // turn them into a message + nonzero exit instead of a terminate() abort.
   try {
     return run(argc, argv);
   } catch (const std::exception& e) {
@@ -135,7 +118,7 @@ serve::PushWriter file_writer(std::FILE* out) {
 }
 
 int run(int argc, char** argv) {
-  std::string codec_spec;
+  std::string codec_spec = kDefaultSpec;
   std::string server_sock;
   std::string tenant = "cli";
   std::size_t window = 0;  // 0 = codec default
@@ -152,30 +135,28 @@ int run(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--tenant=", 9) == 0) {
       tenant = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--window=", 9) == 0) {
-      window = static_cast<std::size_t>(std::strtoull(argv[i] + 9, nullptr, 10));
+      window = core::parse_size("--window", argv[i] + 9);
     } else {
       args.push_back(argv[i]);
     }
   }
-  if (args.size() < 3) {
+  if (args.size() != 3) {
     print_usage(argv[0]);
     return 2;
   }
   const std::string mode = args[0];
-  const bool stdio = std::strcmp(args[1], "-") == 0 || std::strcmp(args[2], "-") == 0;
 
   // Registry codecs seed this CLI's historical eb=1e-3 default (the
   // library's FrameworkConfig would seed 1e-4), so `--codec=sz` and the
-  // positional form compress identically.
+  // default spec compress identically.
   core::FrameworkConfig fw;
   fw.bootstrap_error_bound = 1e-3;
 
   if (mode == "c") {
     std::FILE* in = open_input(args[1]);
-    std::FILE* out = open_output(args[2]);
     if (!server_sock.empty()) {
-      // Remote: the daemon encodes; spec defaults as locally.
-      if (codec_spec.empty()) codec_spec = "sz:eb=1e-3";
+      // Remote: the daemon encodes.
+      std::FILE* out = open_output(args[2]);
       serve::Client client(server_sock);
       const auto stats =
           client.encode(tenant, codec_spec, window, file_reader(in), file_writer(out));
@@ -187,51 +168,25 @@ int run(int argc, char** argv) {
                    server_sock.c_str());
       return 0;
     }
-    if (!codec_spec.empty() || stdio) {
-      // Local streaming: constant-memory chunked encode to EBCS.
-      if (codec_spec.empty()) codec_spec = "sz:eb=1e-3";
-      auto codec = core::CodecRegistry::instance().create(codec_spec, fw);
-      nn::StreamingEncoder enc(codec, codec_spec, window, file_writer(out));
-      std::vector<std::uint8_t> buf(kIoChunk);
-      std::size_t n;
-      while ((n = std::fread(buf.data(), 1, buf.size(), in)) > 0) enc.feed_bytes(buf.data(), n);
-      enc.finish();
-      close_file(out);
-      close_file(in);
-      std::fprintf(stderr, "%llu floats -> %llu bytes (%.2fx) via %s (streamed)\n",
-                   static_cast<unsigned long long>(enc.floats_in()),
-                   static_cast<unsigned long long>(enc.bytes_out()),
-                   enc.floats_in() == 0
-                       ? 0.0
-                       : static_cast<double>(enc.floats_in() * sizeof(float)) /
-                             static_cast<double>(enc.bytes_out()),
-                   codec->name().c_str());
-      return 0;
-    }
-    // Legacy raw SZ stream (whole-buffer, byte-compatible with earlier
-    // releases).
-    const auto raw = slurp(in);
-    close_file(in);
-    if (raw.size() % sizeof(float) != 0) {
-      std::fprintf(stderr, "%s is not a whole number of float32s\n", args[1]);
-      return 1;
-    }
-    const std::size_t n = raw.size() / sizeof(float);
-    sz::Config cfg;
-    cfg.error_bound = args.size() > 3 ? std::atof(args[3]) : 1e-3;
-    if (args.size() > 4) {
-      const std::string zm = args[4];
-      cfg.zero_mode = zm == "none"     ? sz::ZeroMode::kNone
-                      : zm == "rle"    ? sz::ZeroMode::kExactRle
-                                       : sz::ZeroMode::kRezero;
-    }
-    sz::Compressor comp(cfg);
-    std::span<const float> data{reinterpret_cast<const float*>(raw.data()), n};
-    const auto buf = comp.compress(data);
-    write_out(out, buf.bytes.data(), buf.bytes.size());
+    // Local: constant-memory chunked encode to EBCS. A bad spec throws
+    // before the output is opened, so it never truncates an existing file.
+    auto codec = core::CodecRegistry::instance().create(codec_spec, fw);
+    std::FILE* out = open_output(args[2]);
+    nn::StreamingEncoder enc(codec, codec_spec, window, file_writer(out));
+    std::vector<std::uint8_t> buf(kIoChunk);
+    std::size_t n;
+    while ((n = std::fread(buf.data(), 1, buf.size(), in)) > 0) enc.feed_bytes(buf.data(), n);
+    enc.finish();
     close_file(out);
-    std::printf("%zu floats -> %zu bytes (%.2fx), abs eb %.3e\n", data.size(),
-                buf.bytes.size(), buf.compression_ratio(), buf.abs_error_bound);
+    close_file(in);
+    std::fprintf(stderr, "%llu floats -> %llu bytes (%.2fx) via %s\n",
+                 static_cast<unsigned long long>(enc.floats_in()),
+                 static_cast<unsigned long long>(enc.bytes_out()),
+                 enc.floats_in() == 0
+                     ? 0.0
+                     : static_cast<double>(enc.floats_in() * sizeof(float)) /
+                           static_cast<double>(enc.bytes_out()),
+                 codec->name().c_str());
     return 0;
   }
 
@@ -241,8 +196,8 @@ int run(int argc, char** argv) {
   }
 
   std::FILE* in = open_input(args[1]);
-  std::FILE* out = open_output(args[2]);
   if (!server_sock.empty()) {
+    std::FILE* out = open_output(args[2]);
     serve::Client client(server_sock);
     const auto stats = client.decode(tenant, file_reader(in), file_writer(out));
     close_file(out);
@@ -253,69 +208,26 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  // Sniff the format from the first 4 bytes.
+  // EBCS is the only accepted input; anything else fails before a byte of
+  // it sizes an allocation and before the output is opened (truncated).
   std::uint8_t head[4];
-  const std::size_t head_n = std::fread(head, 1, 4, in);
-  if (head_n == 4 && std::memcmp(head, "EBCS", 4) == 0) {
-    // Chunked stream: constant-memory decode.
-    nn::StreamingDecoder dec(
-        [&fw](const std::string& spec) {
-          return core::CodecRegistry::instance().create(spec, fw);
-        },
-        [out](const float* data, std::size_t n) { write_out(out, data, n * sizeof(float)); });
-    dec.feed(head, 4);
-    std::vector<std::uint8_t> buf(kIoChunk);
-    std::size_t n;
-    while ((n = std::fread(buf.data(), 1, buf.size(), in)) > 0) dec.feed(buf.data(), n);
-    dec.finish();
-    close_file(out);
-    close_file(in);
-    std::fprintf(stderr, "restored %llu floats via %s (streamed)\n",
-                 static_cast<unsigned long long>(dec.floats_out()), dec.spec().c_str());
-    return 0;
-  }
-
-  // Whole-buffer formats: legacy EBCC container or raw SZ stream.
-  std::vector<std::uint8_t> bytes(head, head + head_n);
-  {
-    const auto rest = slurp(in);
-    bytes.insert(bytes.end(), rest.begin(), rest.end());
-  }
-  close_file(in);
-  if (bytes.size() >= 16 && std::memcmp(bytes.data(), kLegacyMagic, 4) == 0) {
-    std::uint32_t spec_len = 0;
-    std::memcpy(&spec_len, bytes.data() + 4, 4);
-    if (bytes.size() < 16 + static_cast<std::size_t>(spec_len)) {
-      std::fprintf(stderr, "truncated container %s\n", args[1]);
-      return 1;
-    }
-    const std::string spec(reinterpret_cast<const char*>(bytes.data()) + 8, spec_len);
-    std::uint64_t numel = 0;
-    std::memcpy(&numel, bytes.data() + 8 + spec_len, 8);
-    nn::EncodedActivation enc;
-    enc.layer = "cli";
-    enc.shape = tensor::Shape::nchw(1, 1, 1, static_cast<std::size_t>(numel));
-    enc.bytes.assign(bytes.begin() + 16 + spec_len, bytes.end());
-    auto codec = core::CodecRegistry::instance().create(spec);
-    const tensor::Tensor dec = codec->decode(enc);
-    write_out(out, dec.data(), dec.numel() * sizeof(float));
-    close_file(out);
-    std::fprintf(stderr, "restored %zu floats via %s\n", dec.numel(), codec->name().c_str());
-    return 0;
-  }
-  sz::CompressedBuffer buf;
-  buf.bytes = std::move(bytes);
-  if (buf.bytes.size() < 12) {
-    std::fprintf(stderr, "input too short to be an SZ stream\n");
+  if (std::fread(head, 1, 4, in) != 4 || std::memcmp(head, "EBCS", 4) != 0) {
+    std::fprintf(stderr, "%s is not an EBCS stream\n", args[1]);
     return 1;
   }
-  // num_elements lives in the self-describing header.
-  std::memcpy(&buf.num_elements, buf.bytes.data() + 4, sizeof(std::uint64_t));
-  sz::Compressor comp;
-  const auto dec = comp.decompress(buf);
-  write_out(out, dec.data(), dec.size() * sizeof(float));
+  std::FILE* out = open_output(args[2]);
+  nn::StreamingDecoder dec(
+      [&fw](const std::string& spec) { return core::CodecRegistry::instance().create(spec, fw); },
+      [out](const float* data, std::size_t n) { write_out(out, data, n * sizeof(float)); });
+  dec.feed(head, 4);
+  std::vector<std::uint8_t> buf(kIoChunk);
+  std::size_t n;
+  while ((n = std::fread(buf.data(), 1, buf.size(), in)) > 0) dec.feed(buf.data(), n);
+  dec.finish();
   close_file(out);
-  std::fprintf(stderr, "restored %zu floats\n", dec.size());
+  close_file(in);
+  std::fprintf(stderr, "restored %llu floats via %s\n",
+               static_cast<unsigned long long>(dec.floats_out()), dec.spec().c_str());
   return 0;
 }
 

@@ -82,21 +82,6 @@ Graph Graph::from_network(const nn::Network& net, const Shape& input_shape) {
   return g;
 }
 
-std::vector<NodeId> Graph::topological_order() const {
-  std::vector<NodeId> order;
-  order.reserve(nodes_.size());
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    for (TensorId in : nodes_[id].inputs) {
-      const NodeId prod = tensors_[in].producer;
-      if (prod != kNoNode && prod >= id)
-        throw std::logic_error("Graph: node '" + nodes_[id].name +
-                               "' consumes a tensor produced later");
-    }
-    order.push_back(id);
-  }
-  return order;
-}
-
 const Node* Graph::find_node(const std::string& name) const {
   for (const Node& n : nodes_)
     if (n.name == name) return &n;

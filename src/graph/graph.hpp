@@ -3,7 +3,8 @@
 /// \file graph.hpp
 /// Lightweight op-graph IR over the nn layer tree (modeled on the willow
 /// op/tensor design): nodes with explicit producer/consumer tensor edges,
-/// a topological schedule, and shape inference carried on every edge.
+/// node ids in forward (topological) order, and shape inference carried on
+/// every edge.
 ///
 /// The IR is *descriptive*, not executable — forward/backward still run
 /// through nn::Network. What the graph adds is the structural knowledge the
@@ -92,12 +93,6 @@ class Graph {
   const TensorInfo& tensor(TensorId id) const { return tensors_.at(id); }
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_tensors() const { return tensors_.size(); }
-
-  /// Node ids in execution order. Nodes are appended in forward order, so
-  /// insertion order *is* a topological order; this validates the edge
-  /// invariant (every input produced earlier) and throws std::logic_error
-  /// if it does not hold.
-  std::vector<NodeId> topological_order() const;
 
   /// The node mirroring layer name `name`, or null.
   const Node* find_node(const std::string& name) const;

@@ -1,7 +1,6 @@
 #include "stats/histogram.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ebct::stats {
@@ -66,19 +65,6 @@ std::string Histogram::ascii(std::size_t height) const {
   out += std::string(counts_.size(), '-');
   out += '\n';
   return out;
-}
-
-double Histogram::ks_uniform() const {
-  const std::size_t in_range = total_ - underflow_ - overflow_;
-  if (in_range == 0) return 1.0;
-  double cdf = 0.0;
-  double d = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cdf += static_cast<double>(counts_[i]) / static_cast<double>(in_range);
-    const double ucdf = static_cast<double>(i + 1) / static_cast<double>(counts_.size());
-    d = std::max(d, std::fabs(cdf - ucdf));
-  }
-  return d;
 }
 
 }  // namespace ebct::stats

@@ -2,7 +2,7 @@
 
 /// \file histogram.hpp
 /// Fixed-range histogram used to render the error-distribution figures
-/// (Figs. 3, 6) as ASCII plots and to compute empirical CDF distances.
+/// (Figs. 3, 6) as ASCII plots.
 
 #include <cstddef>
 #include <span>
@@ -34,10 +34,6 @@ class Histogram {
 
   /// Render a vertical-bar ASCII chart `width` rows tall.
   std::string ascii(std::size_t height = 12) const;
-
-  /// Kolmogorov–Smirnov statistic of the in-range samples vs the uniform
-  /// distribution on [lo, hi] — cheap bin-level approximation.
-  double ks_uniform() const;
 
  private:
   double lo_, hi_;

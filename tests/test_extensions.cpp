@@ -1,23 +1,17 @@
-// Tests for the extension modules: LZ77 lossless backend, checkpointing,
-// channel concatenation + Inception-V4, the hybrid activation store,
-// memory timelines, data transforms, and the KS goodness-of-fit test.
+// Tests for the extension modules: channel concatenation + Inception-V4 and
+// the hybrid activation store.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cmath>
 
 #include "core/codec_registry.hpp"
 #include "core/hybrid_store.hpp"
 #include "core/session.hpp"
-#include "data/transforms.hpp"
-#include "memory/timeline.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/concat.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/serialize.hpp"
 #include "nn/simple_layers.hpp"
-#include "stats/ks_test.hpp"
-#include "sz/lz77.hpp"
 #include "util/test_util.hpp"
 
 namespace ebct {
@@ -26,133 +20,6 @@ namespace {
 using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
-
-// --- LZ77 --------------------------------------------------------------------
-
-TEST(Lz77, RoundtripText) {
-  std::string text;
-  for (int i = 0; i < 8; ++i) {
-    text += "the quick brown fox jumps over the lazy dog — the quick brown fox "
-            "jumps over the lazy dog again and again and again and again. ";
-  }
-  std::span<const std::uint8_t> in{reinterpret_cast<const std::uint8_t*>(text.data()),
-                                   text.size()};
-  const auto enc = sz::lz77_compress(in);
-  const auto dec = sz::lz77_decompress(enc);
-  ASSERT_EQ(dec.size(), text.size());
-  EXPECT_EQ(std::memcmp(dec.data(), text.data(), text.size()), 0);
-  EXPECT_LT(enc.size(), text.size());  // repetition must compress
-}
-
-TEST(Lz77, RoundtripRandomBinary) {
-  Rng rng(600);
-  std::vector<std::uint8_t> data(100000);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-  const auto enc = sz::lz77_compress(data);
-  const auto dec = sz::lz77_decompress(enc);
-  EXPECT_EQ(dec, data);
-}
-
-TEST(Lz77, RunsCompressExtremelyWell) {
-  std::vector<std::uint8_t> data(1 << 16, 0x42);
-  const auto enc = sz::lz77_compress(data);
-  EXPECT_LT(enc.size(), data.size() / 50);
-  EXPECT_EQ(sz::lz77_decompress(enc), data);
-}
-
-TEST(Lz77, OverlappingMatchIdiom) {
-  // "abcabcabc..." forces distance < length copies.
-  std::vector<std::uint8_t> data;
-  for (int i = 0; i < 5000; ++i) data.push_back(static_cast<std::uint8_t>('a' + i % 3));
-  const auto enc = sz::lz77_compress(data);
-  EXPECT_EQ(sz::lz77_decompress(enc), data);
-}
-
-TEST(Lz77, EmptyInput) {
-  const auto enc = sz::lz77_compress({});
-  EXPECT_TRUE(sz::lz77_decompress(enc).empty());
-}
-
-TEST(Lz77, CorruptInputThrows) {
-  std::vector<std::uint8_t> junk(16, 0xff);
-  EXPECT_THROW(sz::lz77_decompress(junk), std::runtime_error);
-}
-
-TEST(Lz77, FloatActivationBytesReachLosslessRegime) {
-  Rng rng(601);
-  std::vector<float> act(1 << 16);
-  rng.fill_relu_like({act.data(), act.size()}, 0.6, 1.0f);
-  std::span<const std::uint8_t> bytes{reinterpret_cast<const std::uint8_t*>(act.data()),
-                                      act.size() * sizeof(float)};
-  const auto enc = sz::lz77_compress(bytes);
-  const double ratio = static_cast<double>(bytes.size()) / enc.size();
-  EXPECT_GT(ratio, 1.3);  // zero runs compress
-  EXPECT_LT(ratio, 4.0);  // mantissa noise caps it — the paper's ≤2x point
-}
-
-// --- Checkpointing -------------------------------------------------------------
-
-TEST(Checkpoint, RoundtripRestoresValuesAndMomentum) {
-  models::ModelConfig cfg;
-  cfg.input_hw = 16;
-  cfg.num_classes = 4;
-  cfg.width_multiplier = 0.25;
-  auto a = models::make_resnet18(cfg);
-  // Perturb from init so the restore is observable.
-  Rng rng(602);
-  for (nn::Param* p : a->params()) {
-    rng.fill_normal(p->value.span(), 0.0f, 0.1f);
-    rng.fill_normal(p->momentum.span(), 0.0f, 0.01f);
-  }
-  const auto bytes = nn::save_checkpoint(*a);
-
-  cfg.seed = 999;  // different init
-  auto b = models::make_resnet18(cfg);
-  nn::load_checkpoint(*b, bytes);
-  auto pa = a->params();
-  auto pb = b->params();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    for (std::size_t j = 0; j < pa[i]->value.numel(); ++j) {
-      ASSERT_EQ(pa[i]->value[j], pb[i]->value[j]);
-      ASSERT_EQ(pa[i]->momentum[j], pb[i]->momentum[j]);
-    }
-  }
-}
-
-TEST(Checkpoint, FileRoundtrip) {
-  models::ModelConfig cfg;
-  cfg.input_hw = 16;
-  cfg.num_classes = 2;
-  cfg.width_multiplier = 0.125;
-  auto a = models::make_resnet18(cfg);
-  const std::string path = ::testing::TempDir() + "/ckpt.ebck";
-  nn::save_checkpoint_file(*a, path);
-  cfg.seed = 5;
-  auto b = models::make_resnet18(cfg);
-  nn::load_checkpoint_file(*b, path);
-  EXPECT_EQ(a->params()[0]->value[0], b->params()[0]->value[0]);
-}
-
-TEST(Checkpoint, MismatchedModelThrows) {
-  models::ModelConfig cfg;
-  cfg.input_hw = 16;
-  cfg.num_classes = 4;
-  cfg.width_multiplier = 0.25;
-  auto a = models::make_resnet18(cfg);
-  const auto bytes = nn::save_checkpoint(*a);
-  auto b = models::make_alexnet(cfg);  // different parameter names
-  EXPECT_THROW(nn::load_checkpoint(*b, bytes), std::runtime_error);
-}
-
-TEST(Checkpoint, CorruptBytesThrow) {
-  models::ModelConfig cfg;
-  cfg.input_hw = 16;
-  cfg.width_multiplier = 0.125;
-  auto a = models::make_resnet18(cfg);
-  std::vector<std::uint8_t> junk{1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_THROW(nn::load_checkpoint(*a, junk), std::runtime_error);
-}
 
 // --- ConcatBranches -------------------------------------------------------------
 
@@ -408,149 +275,6 @@ TEST(HybridStoreTest, TrainsEndToEnd) {
   }
   EXPECT_TRUE(any_raw);
   EXPECT_TRUE(any_comp);
-}
-
-// --- Memory timeline --------------------------------------------------------------
-
-TEST(Timeline, PeakAtForwardBackwardTurnaround) {
-  models::ModelConfig cfg;
-  cfg.input_hw = 32;
-  cfg.num_classes = 10;
-  cfg.width_multiplier = 0.25;
-  auto net = models::make_vgg16(cfg);
-  const auto r = memory::simulate_iteration(*net, Shape::nchw(8, 3, 32, 32));
-  EXPECT_GT(r.peak_bytes, 0u);
-  // The peak is inside the iteration, after stashes have accumulated — for
-  // VGG-like nets it can sit late in the backward pass, where the largest
-  // (early-layer) activations are decompressed while gradients are live.
-  EXPECT_GT(r.peak_position(), 0.2);
-  // Ends with only the fixed weights/optimizer state left live.
-  EXPECT_LT(r.events.back().live_after, r.peak_bytes);
-}
-
-TEST(Timeline, CompressionLowersPeak) {
-  models::ModelConfig cfg;
-  cfg.input_hw = 32;
-  cfg.num_classes = 10;
-  cfg.width_multiplier = 0.25;
-  auto net = models::make_vgg16(cfg);
-  const auto raw = memory::simulate_iteration(*net, Shape::nchw(8, 3, 32, 32), 1.0);
-  const auto comp = memory::simulate_iteration(*net, Shape::nchw(8, 3, 32, 32), 11.0);
-  EXPECT_LT(comp.peak_bytes, raw.peak_bytes);
-}
-
-TEST(Timeline, ConsistentWithStaticEstimate) {
-  // The event-accurate peak and the static estimate model the same
-  // iteration with different fidelity (the timeline also counts transient
-  // gradient/decompression buffers); they must agree within a small factor.
-  models::ModelConfig cfg;
-  cfg.input_hw = 32;
-  cfg.num_classes = 10;
-  cfg.width_multiplier = 0.25;
-  auto net = models::make_resnet18(cfg);
-  const auto tl = memory::simulate_iteration(*net, Shape::nchw(4, 3, 32, 32));
-  const auto st = memory::analyze(*net, 32, 4);
-  const double ratio = static_cast<double>(tl.peak_bytes) /
-                       static_cast<double>(st.peak_bytes(1.0));
-  EXPECT_GT(ratio, 0.5);
-  EXPECT_LT(ratio, 2.5);
-}
-
-// --- Transforms ----------------------------------------------------------------
-
-TEST(Transforms, HflipIsInvolution) {
-  Rng rng(614);
-  std::vector<float> img(3 * 8 * 8);
-  rng.fill_uniform({img.data(), img.size()}, -1, 1);
-  std::vector<float> orig = img;
-  Rng always(1);
-  data::random_hflip({img.data(), img.size()}, 3, 8, always, 1.1);  // p>1: always
-  EXPECT_NE(img, orig);
-  data::random_hflip({img.data(), img.size()}, 3, 8, always, 1.1);
-  EXPECT_EQ(img, orig);
-}
-
-TEST(Transforms, PadCropPreservesSizeAndContent) {
-  Rng rng(615);
-  std::vector<float> img(1 * 4 * 4);
-  for (std::size_t i = 0; i < img.size(); ++i) img[i] = static_cast<float>(i + 1);
-  data::random_pad_crop({img.data(), img.size()}, 1, 4, 1, rng);
-  // All surviving non-zero values must come from the original set.
-  for (float v : img) {
-    if (v != 0.0f) {
-      EXPECT_GE(v, 1.0f);
-      EXPECT_LE(v, 16.0f);
-    }
-  }
-}
-
-TEST(Transforms, StandardizeGivesZeroMeanUnitVar) {
-  Rng rng(616);
-  std::vector<float> img(2 * 16 * 16);
-  rng.fill_normal({img.data(), img.size()}, 3.0f, 2.0f);
-  data::per_channel_standardize({img.data(), img.size()}, 2, 16);
-  for (std::size_t c = 0; c < 2; ++c) {
-    double sum = 0, sq = 0;
-    for (std::size_t i = 0; i < 256; ++i) {
-      const float v = img[c * 256 + i];
-      sum += v;
-      sq += double(v) * v;
-    }
-    EXPECT_NEAR(sum / 256.0, 0.0, 1e-4);
-    EXPECT_NEAR(sq / 256.0, 1.0, 1e-3);
-  }
-}
-
-// --- KS test --------------------------------------------------------------------
-
-TEST(KsTest, UniformSampleAccepted) {
-  Rng rng(617);
-  std::vector<float> v(5000);
-  rng.fill_uniform({v.data(), v.size()}, -1.0f, 1.0f);
-  const auto r = stats::ks_test_uniform({v.data(), v.size()}, -1.0, 1.0);
-  EXPECT_LT(r.statistic, 0.03);
-  EXPECT_GT(r.p_value, 0.05);
-}
-
-TEST(KsTest, NormalSampleRejectedAsUniform) {
-  Rng rng(618);
-  std::vector<float> v(5000);
-  rng.fill_normal({v.data(), v.size()}, 0.0f, 0.25f);
-  const auto r = stats::ks_test_uniform({v.data(), v.size()}, -1.0, 1.0);
-  EXPECT_LT(r.p_value, 1e-6);
-}
-
-TEST(KsTest, NormalSampleAcceptedAsNormal) {
-  Rng rng(619);
-  std::vector<float> v(5000);
-  rng.fill_normal({v.data(), v.size()}, 1.0f, 0.5f);
-  const auto r = stats::ks_test_normal({v.data(), v.size()}, 1.0, 0.5);
-  EXPECT_GT(r.p_value, 0.05);
-}
-
-TEST(KsTest, KolmogorovTailSaneValues) {
-  EXPECT_NEAR(stats::kolmogorov_tail(0.0), 1.0, 1e-12);
-  EXPECT_NEAR(stats::kolmogorov_tail(1.36), 0.05, 0.005);  // classic 5% point
-  EXPECT_LT(stats::kolmogorov_tail(2.0), 1e-3);
-}
-
-TEST(KsTest, CompressionErrorPassesUniformKs) {
-  // Fig. 3 with a proper GOF statistic: SZ reconstruction error on dense
-  // activation data is uniform by KS at the 1% level.
-  Rng rng(620);
-  std::vector<float> act(60000);
-  rng.fill_relu_like({act.data(), act.size()}, 0.0, 1.0f);
-  sz::Config cfg;
-  cfg.error_bound = 1e-4;
-  cfg.zero_mode = sz::ZeroMode::kNone;
-  sz::Compressor comp(cfg);
-  const auto recon = comp.decompress(comp.compress({act.data(), act.size()}));
-  std::vector<float> err(act.size());
-  for (std::size_t i = 0; i < act.size(); ++i) err[i] = recon[i] - act[i];
-  const auto r = stats::ks_test_uniform({err.data(), err.size()}, -1e-4, 1e-4);
-  // Quantization lattice effects make the error slightly non-ideal; accept a
-  // small statistic rather than a strict p-value.
-  EXPECT_LT(r.statistic, 0.05);
 }
 
 }  // namespace

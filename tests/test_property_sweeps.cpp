@@ -17,7 +17,6 @@
 #include "models/model_zoo.hpp"
 #include "nn/conv2d.hpp"
 #include "sz/compressor.hpp"
-#include "sz/lz77.hpp"
 #include "sz/metrics.hpp"
 #include "util/test_util.hpp"
 
@@ -241,35 +240,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, LosslessSweep,
                          ::testing::Combine(::testing::Values(0.0, 0.5, 0.95),
                                             ::testing::Values<std::size_t>(64, 4096,
                                                                            100000)));
-
-// --- LZ77 fuzz-ish sweep ------------------------------------------------------------
-
-class Lz77Sweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(Lz77Sweep, RandomStructuredRoundtrip) {
-  Rng rng(7300 + static_cast<std::uint64_t>(GetParam()));
-  // Random mix of runs, repeats and noise.
-  std::vector<std::uint8_t> data;
-  const std::size_t segments = 20 + rng.uniform_index(30);
-  for (std::size_t s = 0; s < segments; ++s) {
-    const auto kind = rng.uniform_index(3);
-    const std::size_t len = 1 + rng.uniform_index(3000);
-    if (kind == 0) {
-      data.insert(data.end(), len, static_cast<std::uint8_t>(rng.uniform_index(256)));
-    } else if (kind == 1 && !data.empty()) {
-      const std::size_t start = rng.uniform_index(data.size());
-      for (std::size_t i = 0; i < len; ++i)
-        data.push_back(data[start + (i % (data.size() - start))]);
-    } else {
-      for (std::size_t i = 0; i < len; ++i)
-        data.push_back(static_cast<std::uint8_t>(rng.uniform_index(256)));
-    }
-  }
-  const auto enc = sz::lz77_compress(data);
-  EXPECT_EQ(sz::lz77_decompress(enc), data);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, Lz77Sweep, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace ebct

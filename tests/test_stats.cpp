@@ -93,20 +93,6 @@ TEST(Histogram, DensityIntegratesToOne) {
   EXPECT_NEAR(integral, 1.0, 1e-9);
 }
 
-TEST(Histogram, KsUniformSmallForUniformData) {
-  tensor::Rng rng(25);
-  Histogram h(-1.0, 1.0, 64);
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform(-1.0, 1.0));
-  EXPECT_LT(h.ks_uniform(), 0.02);
-}
-
-TEST(Histogram, KsUniformLargeForNormalData) {
-  tensor::Rng rng(26);
-  Histogram h(-1.0, 1.0, 64);
-  for (int i = 0; i < 100000; ++i) h.add(rng.normal(0.0, 0.25));
-  EXPECT_GT(h.ks_uniform(), 0.15);
-}
-
 TEST(Histogram, InvalidConstructionThrows) {
   EXPECT_THROW(Histogram(1.0, 0.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);

@@ -19,7 +19,6 @@
 #include "sz/bitstream.hpp"
 #include "sz/compressor.hpp"
 #include "sz/huffman.hpp"
-#include "sz/lz77.hpp"
 #include "sz/metrics.hpp"
 #include "stats/distribution.hpp"
 #include "tensor/rng.hpp"
@@ -491,32 +490,6 @@ TEST(SymbolHistogram, DrainsAscendingAndResets) {
   h.drain(syms, counts);
   EXPECT_EQ(syms, (std::vector<std::uint32_t>{7, 64}));
   EXPECT_EQ(counts, (std::vector<std::uint64_t>{4, 10}));
-}
-
-TEST(Lz77, EmptyInputRoundtrip) {
-  const auto enc = lz77_compress({});
-  EXPECT_TRUE(lz77_decompress(enc).empty());
-}
-
-TEST(Lz77, SingleByteRoundtrip) {
-  const std::vector<std::uint8_t> data{0x42};
-  EXPECT_EQ(lz77_decompress(lz77_compress(data)), data);
-}
-
-TEST(Lz77, LongConstantRunCompressesHard) {
-  // Match lengths are deflate-capped, so a constant run compresses to one
-  // short token per ~258 bytes: expect at least ~50:1 on 100 KB of zeros.
-  const std::vector<std::uint8_t> data(100000, 0x00);
-  const auto enc = lz77_compress(data);
-  EXPECT_LT(enc.size(), data.size() / 50);
-  EXPECT_EQ(lz77_decompress(enc), data);
-}
-
-TEST(Lz77, IncompressibleNoiseRoundtrip) {
-  tensor::Rng rng(46);
-  std::vector<std::uint8_t> data(65536);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-  EXPECT_EQ(lz77_decompress(lz77_compress(data)), data);
 }
 
 TEST(Huffman, EntropyBitsSane) {
