@@ -91,11 +91,11 @@ SweepPoint train(std::size_t budget, std::size_t iterations, bool async_encode,
   return p;
 }
 
-/// The graph-liveness A/B: Inception's branch heads stash clones of one
-/// produced tensor per block, so the exact-liveness pager (graph attached,
-/// shared-stash dedup live) should spill fewer bytes at a constrained
-/// budget than put-order paging of the very same run.
-SweepPoint train_inception(std::size_t budget, std::size_t iterations, bool liveness) {
+/// Inception under a budget: its branch heads stash clones of one produced
+/// tensor per block, so the session's exact-liveness pager dedups them and
+/// pages by furthest next use (tests/test_graph.cpp gates that this spills
+/// less than put-order paging).
+SweepPoint train_inception(std::size_t budget, std::size_t iterations) {
   models::ModelConfig mcfg;
   mcfg.input_hw = 16;
   mcfg.num_classes = 4;
@@ -114,7 +114,6 @@ SweepPoint train_inception(std::size_t budget, std::size_t iterations, bool live
   core::SessionConfig cfg;
   cfg.framework.active_factor_w = 10;
   cfg.framework.memory_budget_bytes = budget;
-  cfg.framework.graph_liveness = liveness;
   cfg.base_lr = 0.05;
   core::TrainingSession session(*net, loader, cfg);
 
@@ -235,69 +234,36 @@ int main(int argc, char** argv) {
                       {"sync_iters_per_sec", static_cast<double>(iters) / ref.seconds}});
   }
 
-  // Graph-liveness A/B on Inception: same model, same data, same budgets —
-  // one run pages put-order (graph_liveness=false, the seed policy), the
-  // other with the graph IR's exact liveness + shared-stash dedup. Both
-  // rows land in the JSON so the win is recorded, and the trajectories must
-  // stay bitwise identical (the policy moves bytes, never values).
+  // Inception under the liveness pager: same model and data at every
+  // budget, so the trajectory must stay bitwise identical to the
+  // unbudgeted run while the budget holds.
   {
     const std::size_t inc_iters = smoke ? 6 : 24;
-    const SweepPoint inc_ref = train_inception(0, inc_iters, /*liveness=*/false);
+    const SweepPoint inc_ref = train_inception(0, inc_iters);
     const std::size_t inc_peak = inc_ref.pager.peak_resident_bytes;
-    std::printf("inception unbudgeted peak (put-order): %s\n",
-                memory::human_bytes(inc_peak).c_str());
-    // EBCT_GRAPH_LIVENESS overrides the config flag; when it pins both runs
-    // to one policy the A/B collapses and its gates must not fire.
-    const bool env_pinned = std::getenv("EBCT_GRAPH_LIVENESS") != nullptr;
+    std::printf("inception unbudgeted peak: %s\n", memory::human_bytes(inc_peak).c_str());
     for (const double frac : {0.5, 0.25}) {
       const std::size_t budget =
           static_cast<std::size_t>(static_cast<double>(inc_peak) * frac);
-      const SweepPoint put_order = train_inception(budget, inc_iters, false);
-      const SweepPoint exact = train_inception(budget, inc_iters, true);
-      char put_name[48], live_name[48];
-      std::snprintf(put_name, sizeof(put_name), "inception_putorder_%d%%",
+      const SweepPoint p = train_inception(budget, inc_iters);
+      char name[48];
+      std::snprintf(name, sizeof(name), "inception_liveness_%d%%",
                     static_cast<int>(frac * 100));
-      std::snprintf(live_name, sizeof(live_name), "inception_liveness_%d%%",
-                    static_cast<int>(frac * 100));
-      const auto add_row = [&](const char* name, const SweepPoint& p) {
-        report.add(name,
-                   {{"budget_bytes", static_cast<double>(budget)},
-                    {"iters_per_sec", static_cast<double>(inc_iters) / p.seconds},
-                    {"peak_resident_bytes",
-                     static_cast<double>(p.pager.peak_resident_bytes)},
-                    {"spill_write_bytes", static_cast<double>(p.pager.spill_write_bytes)},
-                    {"dedup_pages", static_cast<double>(p.pager.dedup_pages)},
-                    {"dedup_saved_bytes",
-                     static_cast<double>(p.pager.dedup_saved_bytes)},
-                    {"bitwise_identical", p.losses == inc_ref.losses ? 1.0 : 0.0}});
-      };
-      add_row(put_name, put_order);
-      add_row(live_name, exact);
-      std::printf("%-24s spilled %-12s  %-24s spilled %-12s (dedup %zu pages)\n",
-                  put_name, memory::human_bytes(put_order.pager.spill_write_bytes).c_str(),
-                  live_name, memory::human_bytes(exact.pager.spill_write_bytes).c_str(),
-                  exact.pager.dedup_pages);
-      check(put_order.losses == inc_ref.losses,
-            "inception put-order trajectory byte-identical under budget");
-      check(exact.losses == inc_ref.losses,
-            "inception exact-liveness trajectory byte-identical under budget");
-      check(put_order.pager.peak_resident_bytes <= budget,
-            "inception put-order run respects the budget");
-      check(exact.pager.peak_resident_bytes <= budget,
-            "inception exact-liveness run respects the budget");
-      if (!env_pinned) {
-        check(exact.pager.spill_write_bytes <= put_order.pager.spill_write_bytes,
-              "exact liveness never spills more than put-order");
-        // The strict win: whenever dedup engaged (codec certifies layer
-        // invariance — true for sz with uniform bounds) and put-order had
-        // to spill at all, exact liveness must spill strictly less.
-        if (exact.pager.dedup_pages > 0 && put_order.pager.spill_write_bytes > 0) {
-          check(exact.pager.spill_write_bytes < put_order.pager.spill_write_bytes,
-                "exact liveness spills strictly fewer bytes at a constrained budget");
-        }
-      }
+      report.add(name,
+                 {{"budget_bytes", static_cast<double>(budget)},
+                  {"iters_per_sec", static_cast<double>(inc_iters) / p.seconds},
+                  {"peak_resident_bytes", static_cast<double>(p.pager.peak_resident_bytes)},
+                  {"spill_write_bytes", static_cast<double>(p.pager.spill_write_bytes)},
+                  {"dedup_pages", static_cast<double>(p.pager.dedup_pages)},
+                  {"dedup_saved_bytes", static_cast<double>(p.pager.dedup_saved_bytes)},
+                  {"bitwise_identical", p.losses == inc_ref.losses ? 1.0 : 0.0}});
+      std::printf("%-24s spilled %-12s (dedup %zu pages)\n", name,
+                  memory::human_bytes(p.pager.spill_write_bytes).c_str(),
+                  p.pager.dedup_pages);
+      check(p.losses == inc_ref.losses,
+            "inception liveness trajectory byte-identical under budget");
+      check(p.pager.peak_resident_bytes <= budget, "inception run respects the budget");
     }
-
   }
 
   // Spill-dir teardown: every pager above is destroyed; no descriptor and

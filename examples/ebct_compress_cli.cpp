@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/codec_registry.hpp"
+#include "core/env.hpp"
 #include "nn/streaming.hpp"
 #include "serve/client.hpp"
 

@@ -28,7 +28,7 @@
 #include <limits>
 #include <thread>
 
-#include "core/config.hpp"
+#include "core/env.hpp"
 #include "memory/spill_file.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"

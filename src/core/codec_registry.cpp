@@ -260,21 +260,9 @@ CodecPolicy::CodecPolicy(std::vector<Rule> rules, std::size_t min_bytes)
       throw std::invalid_argument("CodecPolicy: null codec for pattern '" +
                                   r.pattern + "'");
     }
-    if (r.max_bytes > 0 && r.min_bytes >= r.max_bytes) {
-      throw std::invalid_argument("CodecPolicy: rule '" + r.pattern +
-                                  "' has an empty size window (min_bytes=" +
-                                  std::to_string(r.min_bytes) + " >= max_bytes=" +
-                                  std::to_string(r.max_bytes) + ")");
-    }
   }
   if (min_bytes_ > 0) threshold_codec_ = std::make_shared<NoneCodec>();
 }
-
-namespace {
-bool size_admits(const CodecPolicy::Rule& r, std::size_t bytes) {
-  return bytes >= r.min_bytes && (r.max_bytes == 0 || bytes < r.max_bytes);
-}
-}  // namespace
 
 bool CodecPolicy::glob_match(const std::string& pattern, const std::string& text) {
   // Iterative '*' glob with backtracking to the most recent star.
@@ -306,18 +294,6 @@ nn::ActivationCodec& CodecPolicy::codec_for(const std::string& layer) const {
                               "' (add a trailing '*' catch-all)");
 }
 
-nn::ActivationCodec& CodecPolicy::codec_for(const std::string& layer,
-                                            std::size_t bytes) const {
-  for (const Rule& r : rules_) {
-    if (glob_match(r.pattern, layer) && size_admits(r, bytes)) return *r.codec;
-  }
-  throw std::invalid_argument(
-      "CodecPolicy: no rule matches layer '" + layer + "' at " +
-      std::to_string(bytes) +
-      " bytes (every glob match size-excluded the activation — add a "
-      "catch-all '*' rule without a size window)");
-}
-
 bool CodecPolicy::encoding_layer_invariant(const std::string& a,
                                            const std::string& b) const {
   std::vector<std::size_t> ca, cb;
@@ -337,7 +313,7 @@ nn::EncodedActivation CodecPolicy::encode(const std::string& layer,
   if (min_bytes_ > 0 && act.bytes() < min_bytes_) {
     return threshold_codec_->encode(layer, act);
   }
-  return codec_for(layer, act.bytes()).encode(layer, act);
+  return codec_for(layer).encode(layer, act);
 }
 
 tensor::Tensor CodecPolicy::decode(const nn::EncodedActivation& enc) {
@@ -347,9 +323,8 @@ tensor::Tensor CodecPolicy::decode(const nn::EncodedActivation& enc) {
     return threshold_codec_->decode(enc);
   }
   // The layer recorded at encode time pins the round trip to the codec
-  // that produced the bytes; the size the rules see is recomputed from the
-  // recorded shape, so the same rule is selected as at encode().
-  return codec_for(enc.layer, enc.shape.numel() * sizeof(float)).decode(enc);
+  // that produced the bytes.
+  return codec_for(enc.layer).decode(enc);
 }
 
 std::map<std::string, double> CodecPolicy::last_ratios() const {
@@ -365,15 +340,14 @@ std::map<std::string, double> CodecPolicy::last_ratios() const {
 void CodecPolicy::set_layer_bound(const std::string& layer, double eb) {
   // Bounds land only on layers routed to an error-bounded member; for the
   // rest the install is a no-op, which is exactly the per-layer "adaptive
-  // where it applies" semantics a mixed policy wants. With per-rule size
-  // windows the layer may route to any glob-matching rule depending on
-  // the activation size, so the bound is installed on every one of them.
+  // where it applies" semantics a mixed policy wants.
   for (const Rule& r : rules_) {
     if (!glob_match(r.pattern, layer)) continue;
     auto* eb_codec = dynamic_cast<nn::ErrorBoundedCodec*>(r.codec.get());
     if (eb_codec != nullptr && eb_codec->error_bounded()) {
       eb_codec->set_layer_bound(layer, eb);
     }
+    return;
   }
 }
 
@@ -401,8 +375,8 @@ void detail::register_policy_codec(CodecRegistry& reg) {
   reg.register_codec(
       {"policy",
        "per-layer routing: first glob pattern matching the layer name wins",
-       "[min_bytes=<n>,]<pattern>[\\[min_bytes=<n>,max_bytes=<n>\\]]=<spec>;... "
-       "e.g. policy:min_bytes=4096,stem*=none;*conv*[min_bytes=65536]=sz;*=lossless",
+       "[min_bytes=<n>,]<pattern>=<spec>;... "
+       "e.g. policy:min_bytes=4096,stem*=none;*conv*=sz;*=lossless",
        true},
       [&reg](const std::string& raw_params, const FrameworkConfig& fw) {
         std::string params = raw_params;
@@ -439,58 +413,13 @@ void detail::register_policy_codec(CodecRegistry& reg) {
           const std::string item = params.substr(pos, end - pos);
           pos = end + 1;
           if (item.empty()) continue;  // tolerate a trailing ';'
-          std::string pattern, spec;
-          std::size_t rule_min = 0, rule_max = 0;
-          // Optional per-rule size window in brackets right after the
-          // pattern: "*conv*[min_bytes=65536,max_bytes=4194304]=sz". The
-          // window's '=' signs come before the rule's own '=', so the
-          // bracket is parsed off first.
-          const std::size_t lb = item.find('[');
-          if (lb != std::string::npos) {
-            const std::size_t rb = item.find(']', lb);
-            if (lb == 0 || rb == std::string::npos || rb + 1 >= item.size() ||
-                item[rb + 1] != '=') {
-              throw std::invalid_argument(
-                  "policy: expected pattern[min_bytes=<n>,max_bytes=<n>]=spec, "
-                  "got '" + item + "'");
-            }
-            pattern = item.substr(0, lb);
-            const std::string window = item.substr(lb + 1, rb - lb - 1);
-            if (window.empty()) {
-              throw std::invalid_argument("policy: empty size window on rule '" +
-                                          pattern + "'");
-            }
-            // CodecParams enforces key=value form, uniqueness and full
-            // consumption; the byte values themselves must be plain digits
-            // (same stance as the policy-wide min_bytes).
-            CodecParams wp("policy rule '" + pattern + "'", window);
-            const auto parse_bytes = [&](const char* key) -> std::size_t {
-              const std::string v = wp.get_string(key, "0");
-              if (v.empty() ||
-                  v.find_first_not_of("0123456789") != std::string::npos) {
-                throw std::invalid_argument("policy: rule '" + pattern + "' " +
-                                            key + " expects a plain byte count, "
-                                            "got '" + v + "'");
-              }
-              return static_cast<std::size_t>(std::stoull(v));
-            };
-            rule_min = parse_bytes("min_bytes");
-            rule_max = parse_bytes("max_bytes");
-            wp.finish();
-            spec = item.substr(rb + 2);
-            if (spec.empty()) {
-              throw std::invalid_argument("policy: rule '" + pattern +
-                                          "' is missing a codec spec");
-            }
-          } else {
-            const std::size_t eq = item.find('=');
-            if (eq == std::string::npos || eq == 0) {
-              throw std::invalid_argument("policy: expected pattern=spec, got '" +
-                                          item + "'");
-            }
-            pattern = item.substr(0, eq);
-            spec = item.substr(eq + 1);
+          const std::size_t eq = item.find('=');
+          if (eq == std::string::npos || eq == 0) {
+            throw std::invalid_argument("policy: expected pattern=spec, got '" +
+                                        item + "'");
           }
+          const std::string pattern = item.substr(0, eq);
+          const std::string spec = item.substr(eq + 1);
           if (CodecRegistry::split_spec(spec).first == "policy") {
             // ';' cannot nest: an inner policy's rules would have been
             // split by this loop. Compose CodecPolicy objects in code
@@ -498,7 +427,7 @@ void detail::register_policy_codec(CodecRegistry& reg) {
             throw std::invalid_argument("policy: nested policy specs are not "
                                         "supported in string form");
           }
-          rules.push_back({pattern, reg.create(spec, fw), rule_min, rule_max});
+          rules.push_back({pattern, reg.create(spec, fw)});
         }
         return std::make_shared<CodecPolicy>(std::move(rules), min_bytes);
       });

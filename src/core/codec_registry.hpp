@@ -133,16 +133,6 @@ class CodecPolicy : public nn::ActivationCodec, public nn::ErrorBoundedCodec {
   struct Rule {
     std::string pattern;
     std::shared_ptr<nn::ActivationCodec> codec;
-    /// Per-rule size window over the activation's raw byte size: the rule
-    /// matches only when bytes >= min_bytes and (max_bytes == 0 or
-    /// bytes < max_bytes). A size-excluded rule *falls through* to later
-    /// rules — unlike the policy-wide min_bytes threshold, which short-
-    /// circuits to the identity codec. Spec syntax appends the window in
-    /// brackets to the pattern: "*conv*[min_bytes=4096,max_bytes=1048576]=sz".
-    /// Both default to 0 (no bound). Routing stays a pure function of
-    /// (layer, recorded shape), so encode/decode always agree.
-    std::size_t min_bytes = 0;
-    std::size_t max_bytes = 0;
   };
 
   /// Throws std::invalid_argument on an empty rule list or a null codec.
@@ -169,19 +159,13 @@ class CodecPolicy : public nn::ActivationCodec, public nn::ErrorBoundedCodec {
 
   /// Invariant only when the two layers have the *same ordered list* of
   /// glob-matching rules and every one of those rules' members is itself
-  /// invariant across the two names. Size windows never break this:
-  /// dedup candidates share one produced tensor, so equal candidate lists
-  /// resolve to the same rule at any size.
+  /// invariant across the two names.
   bool encoding_layer_invariant(const std::string& a,
                                 const std::string& b) const override;
 
-  /// The codec `layer` routes to by glob alone (size windows ignored) —
-  /// the bound-routing view. Fail-loud on no match.
+  /// The codec `layer` routes to: the first rule whose glob matches.
+  /// Fail-loud on no match.
   nn::ActivationCodec& codec_for(const std::string& layer) const;
-  /// The codec an activation of `bytes` raw bytes routes to: first rule
-  /// whose glob matches AND whose size window admits `bytes`; size-excluded
-  /// rules fall through. Fail-loud when nothing matches.
-  nn::ActivationCodec& codec_for(const std::string& layer, std::size_t bytes) const;
 
   std::size_t min_bytes() const { return min_bytes_; }
 

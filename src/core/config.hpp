@@ -4,35 +4,12 @@
 /// Framework-wide constants and tunables of the adaptive compression scheme,
 /// named after the symbols in the paper.
 
-#include <cerrno>
 #include <cstddef>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "sz/compressor.hpp"
 
 namespace ebct::core {
-
-/// Strict parse of a size or count option (an env var or a CLI flag value):
-/// decimal digits only, fully consumed, no overflow. A malformed value must
-/// fail loudly, not silently parse to something else: strtoull alone would
-/// wrap "-1" to 2^64-1 (for a budget, *unlimited*) and accept "+5" or " 5".
-/// Throws std::invalid_argument naming `name`.
-inline std::size_t parse_size(const char* name, const char* value) {
-  bool digits_only = value[0] != '\0';
-  for (const char* c = value; *c != '\0'; ++c) {
-    if (*c < '0' || *c > '9') digits_only = false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (!digits_only || *end != '\0' || errno != 0) {
-    throw std::invalid_argument(std::string(name) + ": expected a non-negative integer, got '" +
-                                value + "'");
-  }
-  return static_cast<std::size_t>(v);
-}
 
 struct FrameworkConfig {
   /// Activation codec spec, resolved through the CodecRegistry
@@ -107,25 +84,6 @@ struct FrameworkConfig {
   /// the pager fetches (disk read + decompress, on the pool) up to this
   /// many upcoming activations. Env override: EBCT_PREFETCH_DEPTH.
   std::size_t prefetch_depth = 2;
-
-  /// Build the graph IR (graph/graph.hpp) at the first training iteration
-  /// and feed its exact per-activation liveness to the pager, replacing
-  /// the put-order eviction heuristic with furthest-next-use and enabling
-  /// shared-stash dedup on branchy models. Off = seed put-order paging;
-  /// training is byte-identical either way. Env override:
-  /// EBCT_GRAPH_LIVENESS (strictly "0" or "1").
-  bool graph_liveness = true;
-
-  /// Execute the network through the graph-scheduled concurrent executor
-  /// (graph/executor.hpp): independent branches (Inception towers, the
-  /// residual shortcut against its main path) run as tasks on the shared
-  /// work-stealing pool in both passes, overlapping with the pager's codec
-  /// encodes and spill I/O. Losses, gradients and pager counters are
-  /// bitwise identical to the sequential path at any pool size or budget;
-  /// the session silently falls back to sequential execution when the
-  /// model's graph has a structure the executor does not support. Env
-  /// override: EBCT_GRAPH_EXEC (strictly "0" or "1").
-  bool graph_exec = true;
 
   /// Write-behind spill queue: when the pager must evict under a RAM
   /// budget, the disk write is issued as a pool task and compute continues;

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/codec_registry.hpp"
+#include "core/env.hpp"
 #include "memory/accounting.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,40 +20,21 @@ using tensor::Tensor;
 
 namespace {
 
-bool env_flag(const char* name, bool fallback);
-
 /// Environment overrides for the paging knobs, so existing binaries can be
 /// driven under a budget without code changes (the budget-sweep CI leg and
 /// the README recipes use these).
 memory::PagerConfig pager_config_from(const FrameworkConfig& fw) {
   memory::PagerConfig pc;
-  pc.budget_bytes = fw.memory_budget_bytes;
   pc.spill_dir = fw.spill_dir;
-  pc.prefetch_depth = fw.prefetch_depth;
   pc.async_encode = fw.async_compression;
   pc.encode_window = fw.async_queue_depth;
   pc.write_behind = env_flag("EBCT_WRITE_BEHIND", fw.write_behind);
-  if (const char* env = std::getenv("EBCT_MEMORY_BUDGET_BYTES")) {
-    pc.budget_bytes = parse_size("EBCT_MEMORY_BUDGET_BYTES", env);
-  }
+  pc.budget_bytes = env_size("EBCT_MEMORY_BUDGET_BYTES", fw.memory_budget_bytes);
   if (const char* env = std::getenv("EBCT_SPILL_DIR")) {
     if (env[0] != '\0') pc.spill_dir = env;
   }
-  if (const char* env = std::getenv("EBCT_PREFETCH_DEPTH")) {
-    pc.prefetch_depth = parse_size("EBCT_PREFETCH_DEPTH", env);
-  }
+  pc.prefetch_depth = env_size("EBCT_PREFETCH_DEPTH", fw.prefetch_depth);
   return pc;
-}
-
-/// Strict boolean env override: only "0" and "1" are accepted — "true",
-/// "yes" or a typo silently meaning "off" would be the same failure mode
-/// parse_size guards against.
-bool env_flag(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  if (v[0] == '1' && v[1] == '\0') return true;
-  if (v[0] == '0' && v[1] == '\0') return false;
-  throw std::invalid_argument(std::string(name) + ": expected 0 or 1, got '" + v + "'");
 }
 
 /// The session's codec choice: FrameworkConfig::codec, unless the
@@ -87,8 +69,6 @@ TrainingSession::TrainingSession(nn::Network& net, data::DataLoader& loader,
       cfg_(cfg),
       codec_spec_(resolve_codec_spec(cfg)),
       sgd_(cfg.sgd) {
-  graph_liveness_ = env_flag("EBCT_GRAPH_LIVENESS", cfg_.framework.graph_liveness);
-  graph_exec_ = env_flag("EBCT_GRAPH_EXEC", cfg_.framework.graph_exec);
   if (cfg_.lr_step > 0) {
     schedule_ = std::make_unique<nn::StepLr>(cfg_.base_lr, cfg_.lr_gamma, cfg_.lr_step);
   } else {
@@ -141,20 +121,17 @@ void TrainingSession::run(std::size_t iterations,
     // provides — so the build happens here, once, not in the constructor.
     // Liveness flows to the pager before the first forward so eviction is
     // furthest-next-use from the very first stash.
-    if (framework_store_ && !graph_ && (graph_liveness_ || graph_exec_)) {
+    if (framework_store_ && !graph_) {
       graph_ = std::make_unique<graph::Graph>(
           graph::Graph::from_network(net_, images.shape()));
-      if (graph_liveness_) framework_store_->set_liveness(graph_->liveness());
+      framework_store_->set_liveness(graph_->liveness());
       // The executor validates the graph's structure itself; an unsupported
       // model simply keeps the sequential path.
-      if (graph_exec_) {
-        executor_ = std::make_unique<graph::GraphExecutor>(*graph_, net_,
-                                                           *framework_store_);
-        if (executor_->supported()) {
-          framework_store_->set_interceptor(executor_.get());
-        } else {
-          executor_.reset();
-        }
+      executor_ = std::make_unique<graph::GraphExecutor>(*graph_, net_, *framework_store_);
+      if (executor_->supported()) {
+        framework_store_->set_interceptor(executor_.get());
+      } else {
+        executor_.reset();
       }
     }
 

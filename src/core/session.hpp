@@ -85,13 +85,13 @@ class TrainingSession {
   /// The framework mode's tiered store (null in baseline/custom modes).
   memory::PagedStore* paged_store() { return framework_store_.get(); }
   /// The graph IR built at the first run() iteration (null before that,
-  /// and always null for "none"/"custom" sessions or when both graph
-  /// features are disabled).
+  /// and always null for "none"/"custom" sessions).
   const graph::Graph* graph() const { return graph_.get(); }
-  /// The graph-scheduled executor, when active (null before the first run()
-  /// iteration, when EBCT_GRAPH_EXEC=0 / graph_exec=false, for
-  /// "none"/"custom" sessions, or when the model's graph is structurally
-  /// unsupported and the session fell back).
+  /// The graph-scheduled executor (null before the first run() iteration,
+  /// for "none"/"custom" sessions, or when the model's graph is
+  /// structurally unsupported and the session fell back). Batches it does
+  /// not handle() — any batch on a one-thread pool — take the sequential
+  /// path.
   graph::GraphExecutor* executor() { return executor_.get(); }
   std::size_t iteration() const { return iteration_; }
 
@@ -122,8 +122,6 @@ class TrainingSession {
   /// ~GraphExecutor detaches itself from the store, and the plan borrows
   /// the graph.
   std::unique_ptr<graph::GraphExecutor> executor_;
-  bool graph_liveness_ = true;  ///< resolved framework.graph_liveness + env
-  bool graph_exec_ = true;      ///< resolved framework.graph_exec + env
 
   std::vector<IterationRecord> history_;
   std::size_t iteration_ = 0;

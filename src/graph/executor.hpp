@@ -49,8 +49,8 @@
 /// The executor is conservative: plan() validates every structural
 /// assumption (supported ops, join shapes, single-join fan-out) and the
 /// session falls back to the sequential path — same results, no overlap —
-/// whenever supported() is false, EBCT_GRAPH_EXEC=0 or the pool has one
-/// thread (see handles()).
+/// whenever supported() is false or the pool has one thread (see
+/// handles()).
 
 #include <atomic>
 #include <cstddef>

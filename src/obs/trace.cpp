@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -10,6 +11,8 @@
 #include <mutex>
 #include <stdexcept>
 #include <vector>
+
+#include "core/env.hpp"
 
 namespace obs {
 namespace trace {
@@ -43,6 +46,13 @@ std::size_t round_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+// Ring capacity for a requested event count: the power of two at or above
+// it, within [kMinRingEvents, kMaxRingEvents]. Clamped before rounding, so
+// a huge request cannot overflow the doubling loop.
+std::size_t ring_cap_for(std::size_t n) {
+  return std::max(kMinRingEvents, round_pow2(std::min(n, kMaxRingEvents)));
 }
 
 // Steady-clock origin captured at static init (single-threaded), so every
@@ -126,10 +136,7 @@ void emit(Ring* r, const char* name, Cat cat, std::uint64_t t0_ns,
 
 void enable(std::size_t ring_events) {
   if (ring_events > 0) {
-    std::size_t cap = detail::round_pow2(ring_events);
-    if (cap < detail::kMinRingEvents) cap = detail::kMinRingEvents;
-    if (cap > detail::kMaxRingEvents) cap = detail::kMaxRingEvents;
-    detail::g_ring_cap.store(cap, std::memory_order_seq_cst);
+    detail::g_ring_cap.store(detail::ring_cap_for(ring_events), std::memory_order_seq_cst);
   }
   detail::g_enabled.store(true, std::memory_order_seq_cst);
 }
@@ -263,11 +270,9 @@ namespace {
 
 // EBCT_TRACE / EBCT_TRACE_RING_EVENTS are read here, at static init, so
 // that tracing covers the whole process (including pre-main pool spin-up)
-// without any call-site wiring. Like EBCT_SCHED_THREADS — and unlike every
-// other EBCT_* variable — EBCT_TRACE_RING_EVENTS is parsed leniently
-// (strtoull + clamp): throwing from a static initializer terminates the
-// process before main, which is strictly worse than a clamped ring size.
-// docs/CONFIG.md documents both exceptions.
+// without any call-site wiring. A malformed ring size fails closed like
+// every other EBCT_* variable; there is no caller to throw to before main,
+// so the message is printed and the process exits with status 2.
 std::string* g_env_path = nullptr;
 
 void flush_env_path() {
@@ -281,20 +286,13 @@ void flush_env_path() {
 
 struct EnvInit {
   EnvInit() {
-    if (const char* cap = std::getenv("EBCT_TRACE_RING_EVENTS")) {
-      if (*cap) {
-        char* end = nullptr;
-        unsigned long long v = std::strtoull(cap, &end, 10);
-        if (end != cap && v > 0)
-          detail::g_ring_cap.store(
-              [] (std::size_t n) {
-                std::size_t p = detail::round_pow2(n);
-                if (p < detail::kMinRingEvents) p = detail::kMinRingEvents;
-                if (p > detail::kMaxRingEvents) p = detail::kMaxRingEvents;
-                return p;
-              }(static_cast<std::size_t>(v)),
-              std::memory_order_seq_cst);
-      }
+    try {
+      const std::size_t n =
+          ebct::core::env_count("EBCT_TRACE_RING_EVENTS", detail::kDefaultRingEvents);
+      detail::g_ring_cap.store(detail::ring_cap_for(n), std::memory_order_seq_cst);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "[obs] %s\n", e.what());
+      std::exit(2);
     }
     if (const char* path = std::getenv("EBCT_TRACE")) {
       if (*path) {

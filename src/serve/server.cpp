@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/sched.hpp"
@@ -21,17 +22,8 @@ namespace ebct::serve {
 
 namespace {
 
-/// Strict env parses, same contract as the framework envs
-/// (core::parse_size): a set-but-malformed value throws instead of
-/// silently defaulting.
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return core::parse_size(name, v);
-}
-
 int env_int(const char* name, int fallback) {
-  const std::size_t v = env_size(name, static_cast<std::size_t>(fallback));
+  const std::size_t v = core::env_size(name, static_cast<std::size_t>(fallback));
   if (v > static_cast<std::size_t>(std::numeric_limits<int>::max()))
     throw std::invalid_argument(std::string(name) + ": out of range, got " + std::to_string(v));
   return static_cast<int>(v);
@@ -44,9 +36,9 @@ ServerConfig ServerConfig::from_env() { return from_env(ServerConfig{}); }
 ServerConfig ServerConfig::from_env(ServerConfig base) {
   if (const char* v = std::getenv("EBCT_SERVE_SOCKET"); v != nullptr && *v != '\0')
     base.socket_path = v;
-  base.window_elems = env_size("EBCT_SERVE_WINDOW", base.window_elems);
-  base.max_frame = env_size("EBCT_SERVE_MAX_FRAME", base.max_frame);
-  base.tenant_budget_bytes = env_size("EBCT_SERVE_TENANT_BUDGET", base.tenant_budget_bytes);
+  base.window_elems = core::env_size("EBCT_SERVE_WINDOW", base.window_elems);
+  base.max_frame = core::env_size("EBCT_SERVE_MAX_FRAME", base.max_frame);
+  base.tenant_budget_bytes = core::env_size("EBCT_SERVE_TENANT_BUDGET", base.tenant_budget_bytes);
   base.drain_grace_ms = env_int("EBCT_SERVE_DRAIN_MS", base.drain_grace_ms);
   if (base.max_frame == 0)
     throw std::invalid_argument("EBCT_SERVE_MAX_FRAME must be positive");

@@ -1,5 +1,6 @@
 #include "tensor/sched.hpp"
 
+#include "core/env.hpp"
 #include "obs/trace.hpp"
 
 #include <algorithm>
@@ -437,14 +438,9 @@ class Scheduler {
 
  private:
   Scheduler() {
-    int n = static_cast<int>(std::thread::hardware_concurrency());
-    if (const char* env = std::getenv("EBCT_SCHED_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 1) n = static_cast<int>(v);
-    }
-    if (n < 1) n = 1;
-    if (n > kMaxThreads) n = kMaxThreads;
-    start_workers(n);
+    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t n = core::env_count("EBCT_SCHED_THREADS", hw);
+    start_workers(static_cast<int>(std::min<std::size_t>(n, kMaxThreads)));
   }
 
   ~Scheduler() { stop_workers(); }

@@ -273,81 +273,27 @@ TEST(CodecPolicyTest, MinBytesThresholdStoresSmallActivationsRaw) {
   EXPECT_EQ(enc_stem.bytes.size(), big.bytes());
 }
 
-TEST(CodecPolicyTest, PerRuleSizeWindowsRouteBySizeAndFallThrough) {
-  // Small convs stay raw, mid-size go lossless, only big ones pay the sz
-  // round trip — all under one glob, discriminated purely by byte size.
-  const auto policy_codec = CodecRegistry::instance().create(
-      "policy:*conv*[max_bytes=1024]=none;"
-      "*conv*[min_bytes=1024,max_bytes=16384]=lossless;"
-      "*conv*=sz:eb=1e-3;*=lossless");
-  auto& policy = dynamic_cast<CodecPolicy&>(*policy_codec);
-
-  // 2*2*4*4 floats = 256 bytes < 1024: first rule admits it -> identity.
-  Tensor small = testutil::relu_like_tensor(Shape::nchw(2, 2, 4, 4), 9105, 0.5);
-  EXPECT_EQ(&policy.codec_for("a.conv", small.bytes()),
-            &policy.codec_for("a.conv"));  // first glob match == first admit
-  const auto enc_small = policy.encode("a.conv", small);
-  EXPECT_EQ(enc_small.bytes.size(), small.bytes());
-  Tensor back_small = policy.decode(enc_small);
-  for (std::size_t i = 0; i < small.numel(); ++i) ASSERT_EQ(back_small[i], small[i]);
-
-  // 2*2*16*16 floats = 4 KB: rule 1 size-excludes, falls through to the
-  // lossless window -> bit-exact but actually encoded.
-  Tensor mid = testutil::relu_like_tensor(Shape::nchw(2, 2, 16, 16), 9106, 0.5);
-  EXPECT_EQ(policy.codec_for("a.conv", mid.bytes()).name(), "lossless-rle-huffman");
-  Tensor back_mid = policy.decode(policy.encode("a.conv", mid));
-  for (std::size_t i = 0; i < mid.numel(); ++i) ASSERT_EQ(back_mid[i], mid[i]);
-
-  // 2*8*32*32 floats = 64 KB: past both windows -> the unbounded sz rule.
-  Tensor big = testutil::relu_like_tensor(Shape::nchw(2, 8, 32, 32), 9107, 0.5);
-  EXPECT_EQ(policy.codec_for("a.conv", big.bytes()).name(), "sz-error-bounded");
-  Tensor lossy = policy.decode(policy.encode("a.conv", big));
-  for (std::size_t i = 0; i < big.numel(); ++i)
-    ASSERT_NEAR(lossy[i], big[i], 1e-3 * 1.01);
-}
-
-TEST(CodecPolicyTest, AllGlobMatchesSizeExcludedThrows) {
-  const auto policy_codec = CodecRegistry::instance().create(
-      "policy:*conv*[min_bytes=1048576]=sz");
-  Tensor small(Shape{16});
-  EXPECT_THROW(policy_codec->encode("a.conv", small), std::invalid_argument);
-}
-
-TEST(CodecPolicyTest, SizeWindowSpecParsesStrictly) {
+TEST(CodecPolicyTest, BracketedSizeWindowRuleThrows) {
+  // Rules route by layer name only: a per-rule size window is not part of
+  // the spec grammar, so its '=' splits the rule into a bad codec spec.
   auto& reg = CodecRegistry::instance();
-  // Happy path round-trips through create (window consumed, spec attached).
-  EXPECT_NO_THROW(reg.create("policy:*conv*[min_bytes=4096]=sz;*=lossless"));
-  EXPECT_NO_THROW(
-      reg.create("policy:*conv*[min_bytes=4096,max_bytes=65536]=sz;*=lossless"));
-  // Strict failures: malformed brackets, unknown/duplicate keys, non-digit
-  // byte counts, an empty window, a missing spec, an empty size range.
-  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=4096=sz"), std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=4096]sz"), std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:*conv*[]=sz"), std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:*conv*[bytes=4096]=sz"), std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=4096,min_bytes=1]=sz"),
+  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=4096]=sz;*=lossless"),
                std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=4k]=sz"), std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=-1]=sz"), std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=4096]="), std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:[min_bytes=4096]=sz"), std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=4096,max_bytes=4096]=sz"),
-               std::invalid_argument);
-  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=9,max_bytes=8]=sz"),
+  EXPECT_THROW(reg.create("policy:*conv*[min_bytes=4096,max_bytes=65536]=sz;*=lossless"),
                std::invalid_argument);
 }
 
-TEST(CodecPolicyTest, SizeWindowsKeepInvariantConservative) {
+TEST(CodecPolicyTest, InvariantOnlyWithSameCandidateRules) {
   // Identical candidate rule lists (same globs match both names) and an
-  // invariant member at every candidate -> invariant, even with windows.
-  const auto win = CodecRegistry::instance().create(
-      "policy:*head*[max_bytes=1024]=none;*head*=sz:eb=1e-3;*=lossless");
-  auto& wp = dynamic_cast<CodecPolicy&>(*win);
-  EXPECT_TRUE(wp.encoding_layer_invariant("block.head.a", "block.head.b"));
+  // invariant member at every candidate -> invariant.
+  const auto same = CodecRegistry::instance().create(
+      "policy:*head*=sz:eb=1e-3;*=lossless");
+  auto& sp = dynamic_cast<CodecPolicy&>(*same);
+  EXPECT_TRUE(sp.encoding_layer_invariant("block.head.a", "block.head.b"));
   // Different candidate lists (one name also matches an earlier rule) ->
-  // not invariant, whatever the sizes.
+  // not invariant.
   const auto mixed = CodecRegistry::instance().create(
-      "policy:*special*[max_bytes=1024]=none;*head*=sz:eb=1e-3;*=lossless");
+      "policy:*special*=none;*head*=sz:eb=1e-3;*=lossless");
   auto& mp = dynamic_cast<CodecPolicy&>(*mixed);
   EXPECT_FALSE(mp.encoding_layer_invariant("special.head.a", "block.head.b"));
 }

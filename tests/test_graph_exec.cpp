@@ -1,11 +1,13 @@
 /// \file test_graph_exec.cpp
 /// The graph-scheduled executor's determinism contract: losses, parameters
 /// and pager counters must be bitwise identical to the sequential path at
-/// every pool size x budget point, executor on or off, write-behind on or
-/// off. The matrix pins prefetch_depth = 0, so a counter is a pure function
-/// of the pager call sequence — which is exactly what the executor promises
-/// to replay. One leg leaves prefetch at its default (admission then
-/// depends on timing) and compares losses and parameters only.
+/// every pool size x budget point, write-behind on or off. A one-thread
+/// pool always takes the sequential path (GraphExecutor::handles()), so
+/// the pool-1 run is the reference. The matrix pins prefetch_depth = 0, so
+/// a counter is a pure function of the pager call sequence — which is
+/// exactly what the executor promises to replay. One leg leaves prefetch
+/// at its default (admission then depends on timing) and compares losses
+/// and parameters only.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +27,8 @@ namespace ebct {
 namespace {
 
 /// The env overrides would silently re-route every matrix point (a CI leg
-/// exporting EBCT_GRAPH_EXEC=0 must not turn the exec-on half of the
-/// matrix into a second exec-off half), so the fixture clears them and
-/// puts them back afterwards.
+/// exporting a budget must not turn the unbudgeted points into budgeted
+/// ones), so the fixture clears them and puts them back afterwards.
 class GraphExecMatrix : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -50,8 +51,7 @@ class GraphExecMatrix : public ::testing::Test {
   }
 
  private:
-  static constexpr const char* kVars[] = {"EBCT_GRAPH_EXEC", "EBCT_WRITE_BEHIND",
-                                          "EBCT_MEMORY_BUDGET_BYTES",
+  static constexpr const char* kVars[] = {"EBCT_WRITE_BEHIND", "EBCT_MEMORY_BUDGET_BYTES",
                                           "EBCT_PREFETCH_DEPTH"};
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
   int initial_pool_ = 1;
@@ -69,8 +69,7 @@ struct RunResult {
 
 /// `prefetch` < 0 keeps the FrameworkConfig default prefetch depth.
 RunResult train_once(const std::string& model, int pool, std::size_t budget,
-                     bool exec, bool write_behind, std::size_t iterations = 3,
-                     int prefetch = 0) {
+                     bool write_behind, std::size_t iterations = 3, int prefetch = 0) {
   tensor::sched::set_num_threads(pool);
   models::ModelConfig mcfg;
   mcfg.input_hw = 16;
@@ -94,7 +93,6 @@ RunResult train_once(const std::string& model, int pool, std::size_t budget,
   if (prefetch >= 0) {
     cfg.framework.prefetch_depth = static_cast<std::size_t>(prefetch);
   }
-  cfg.framework.graph_exec = exec;
   cfg.framework.write_behind = write_behind;
   cfg.base_lr = 0.05;
   core::TrainingSession session(*net, loader, cfg);
@@ -139,42 +137,40 @@ void expect_same_counters(const memory::PagerCounters& a,
   EXPECT_EQ(a.peak_resident_bytes, b.peak_resident_bytes) << label;
 }
 
-/// Pools {1, 2, max} x budgets {unlimited, ~50% peak, ~25% peak} x
-/// EBCT_GRAPH_EXEC {off, on} for a branchy-concat model (Inception), a
-/// residual model and a chain whose LRN layers stash twice per node under a
-/// budget (AlexNet), which checks the within-node staging order. The
-/// exec-off pool-1 run is the ground truth; every other point must be
-/// bitwise identical in losses and parameters, and exec on/off must agree
-/// counter-for-counter at each (pool, budget).
+/// Pools {1, 2, max} x budgets {unlimited, ~50% peak, ~25% peak} for a
+/// branchy-concat model (Inception), a residual model and a chain whose LRN
+/// layers stash twice per node under a budget (AlexNet), which checks the
+/// within-node staging order. The unbudgeted pool-1 run is the ground
+/// truth for losses and parameters; at each budget the pool-1 run is the
+/// counter reference the executor must match.
 void run_matrix(const std::string& model) {
   const int max_pool = std::min(4, tensor::sched::num_threads());
-  const RunResult ref = train_once(model, 1, 0, /*exec=*/false, false);
+  const RunResult ref = train_once(model, 1, 0, false);
   ASSERT_FALSE(ref.losses.empty());
   const std::size_t peak = ref.counters.peak_resident_bytes;
   ASSERT_GT(peak, 0u);
 
   std::size_t exec_max_dispatch = 0;
   for (const std::size_t budget : {std::size_t{0}, peak / 2, peak / 4}) {
+    const RunResult seq = budget == 0 ? ref : train_once(model, 1, budget, false);
     for (const int pool : {1, 2, max_pool}) {
       const std::string point = model + " pool=" + std::to_string(pool) +
                                 " budget=" + std::to_string(budget);
-      const RunResult off = train_once(model, pool, budget, /*exec=*/false, false);
-      const RunResult on = train_once(model, pool, budget, /*exec=*/true, false);
-      expect_identical(off, ref, point + " exec=0");
-      expect_identical(on, ref, point + " exec=1");
+      const RunResult run = pool == 1 ? seq : train_once(model, pool, budget, false);
+      expect_identical(run, ref, point);
       // With prefetch pinned off, the counters are a pure function of the
       // pager call sequence: the driver's in-order commits and staged drops
       // must replay the sequential one exactly.
-      expect_same_counters(on.counters, off.counters, point);
+      expect_same_counters(run.counters, seq.counters, point);
       if (budget > 0) {
-        EXPECT_GT(on.counters.spill_write_bytes, 0u)
+        EXPECT_GT(run.counters.spill_write_bytes, 0u)
             << point << " never spilled — not a real paging point";
       }
       // On one thread every node task would run inline inside the first
       // dispatch, leaving the whole pass's raw stashes deposited outside
       // the pager's budget until the pass ends; the executor stands down.
-      EXPECT_EQ(on.executor_active, pool > 1) << point;
-      exec_max_dispatch = std::max(exec_max_dispatch, on.max_parallel_dispatch);
+      EXPECT_EQ(run.executor_active, pool > 1) << point;
+      exec_max_dispatch = std::max(exec_max_dispatch, run.max_parallel_dispatch);
     }
   }
 
@@ -185,20 +181,20 @@ void run_matrix(const std::string& model) {
   }
 }
 
-TEST_F(GraphExecMatrix, InceptionBitwiseAcrossPoolsBudgetsAndExecutor) {
+TEST_F(GraphExecMatrix, InceptionBitwiseAcrossPoolsAndBudgets) {
   run_matrix("inception-v4");
 }
 
-TEST_F(GraphExecMatrix, ResNetBitwiseAcrossPoolsBudgetsAndExecutor) {
+TEST_F(GraphExecMatrix, ResNetBitwiseAcrossPoolsAndBudgets) {
   run_matrix("ResNet-18");
 }
 
-TEST_F(GraphExecMatrix, AlexNetBitwiseAcrossPoolsBudgetsAndExecutor) {
+TEST_F(GraphExecMatrix, AlexNetBitwiseAcrossPoolsAndBudgets) {
   run_matrix("AlexNet");
 }
 
 /// The shipped defaults — prefetch on, write-behind on — on the largest
-/// pool, executor on, unbudgeted and budgeted, over enough steps for the
+/// pool, unbudgeted and budgeted, over enough steps for the
 /// prefetch tasks to race the executor's backward staging. Prefetch
 /// admission depends on timing, so only losses and parameters are compared.
 TEST_F(GraphExecMatrix, DefaultPrefetchMatchesSequential) {
@@ -207,14 +203,13 @@ TEST_F(GraphExecMatrix, DefaultPrefetchMatchesSequential) {
   constexpr int kDefaultPrefetch = -1;
   const std::string kModels[] = {"inception-v4", "ResNet-18"};
   for (const std::string& model : kModels) {
-    const RunResult ref = train_once(model, 1, 0, /*exec=*/false, false, kSteps);
+    const RunResult ref = train_once(model, 1, 0, false, kSteps);
     const std::size_t peak = ref.counters.peak_resident_bytes;
     ASSERT_GT(peak, 0u);
     for (const std::size_t budget : {std::size_t{0}, peak / 2}) {
       const std::string point = model + " prefetch=default pool=" +
                                 std::to_string(pool) + " budget=" + std::to_string(budget);
-      const RunResult on =
-          train_once(model, pool, budget, /*exec=*/true, true, kSteps, kDefaultPrefetch);
+      const RunResult on = train_once(model, pool, budget, true, kSteps, kDefaultPrefetch);
       expect_identical(on, ref, point);
       EXPECT_EQ(on.executor_active, pool > 1) << point;
       EXPECT_GT(on.counters.prefetch_submitted, 0u) << point;
@@ -224,23 +219,20 @@ TEST_F(GraphExecMatrix, DefaultPrefetchMatchesSequential) {
 
 TEST_F(GraphExecMatrix, WriteBehindSpillMatchesSynchronousSpill) {
   const int max_pool = std::min(4, tensor::sched::num_threads());
-  const RunResult ref = train_once("ResNet-18", 1, 0, /*exec=*/false, false);
+  const RunResult ref = train_once("ResNet-18", 1, 0, false);
   const std::size_t tight = ref.counters.peak_resident_bytes / 2;
   ASSERT_GT(tight, 0u);
   for (const int pool : {1, max_pool}) {
-    for (const bool exec : {false, true}) {
-      const std::string point = "wb pool=" + std::to_string(pool) +
-                                " exec=" + std::to_string(exec);
-      const RunResult sync = train_once("ResNet-18", pool, tight, exec, false);
-      const RunResult wb = train_once("ResNet-18", pool, tight, exec, true);
-      expect_identical(wb, ref, point);
-      // The write-behind queue counts not-yet-written blobs as resident,
-      // picks the same victims, and stamps counters at issue — the whole
-      // counter stream matches the synchronous spill path.
-      expect_same_counters(wb.counters, sync.counters, point);
-      EXPECT_GT(wb.counters.spill_write_bytes, 0u) << point;
-      EXPECT_LE(wb.counters.peak_resident_bytes, tight) << point;
-    }
+    const std::string point = "wb pool=" + std::to_string(pool);
+    const RunResult sync = train_once("ResNet-18", pool, tight, false);
+    const RunResult wb = train_once("ResNet-18", pool, tight, true);
+    expect_identical(wb, ref, point);
+    // The write-behind queue counts not-yet-written blobs as resident,
+    // picks the same victims, and stamps counters at issue — the whole
+    // counter stream matches the synchronous spill path.
+    expect_same_counters(wb.counters, sync.counters, point);
+    EXPECT_GT(wb.counters.spill_write_bytes, 0u) << point;
+    EXPECT_LE(wb.counters.peak_resident_bytes, tight) << point;
   }
 }
 

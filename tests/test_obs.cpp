@@ -85,8 +85,7 @@ class ObsTest : public ::testing::Test {
   }
 
  private:
-  static constexpr const char* kVars[] = {"EBCT_GRAPH_EXEC", "EBCT_WRITE_BEHIND",
-                                          "EBCT_MEMORY_BUDGET_BYTES",
+  static constexpr const char* kVars[] = {"EBCT_WRITE_BEHIND", "EBCT_MEMORY_BUDGET_BYTES",
                                           "EBCT_PREFETCH_DEPTH"};
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
   bool was_enabled_ = false;

@@ -241,10 +241,11 @@ TEST(TrainingSessionTest, NonErrorBoundedCodecTrainsWithAdaptiveDisabled) {
 }
 
 
-/// Boolean env overrides accept only "0" and "1": "yes" or "true" silently
-/// meaning "off" would be the failure mode parse_size guards against for
-/// sizes. The fixture clears the variables it sets and puts them back
-/// afterwards.
+/// Env overrides fail closed: boolean ones accept only "0" and "1" ("yes"
+/// or "true" silently meaning "off" would be the failure mode parse_size
+/// guards against for sizes), size ones only plain digits, and an empty
+/// value means unset. The fixture clears the variables it sets and puts
+/// them back afterwards.
 class StrictEnvFlags : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -265,7 +266,8 @@ class StrictEnvFlags : public ::testing::Test {
   }
 
  private:
-  static constexpr const char* kVars[] = {"EBCT_GRAPH_EXEC", "EBCT_WRITE_BEHIND"};
+  static constexpr const char* kVars[] = {"EBCT_WRITE_BEHIND", "EBCT_MEMORY_BUDGET_BYTES",
+                                          "EBCT_PREFETCH_DEPTH"};
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
 };
 
@@ -274,16 +276,35 @@ TEST_F(StrictEnvFlags, NonBinaryValuesThrow) {
   data::SyntheticImageDataset ds(tiny_data());
   data::DataLoader loader(ds, 8, true, true);
 
-  setenv("EBCT_GRAPH_EXEC", "yes", 1);
+  setenv("EBCT_WRITE_BEHIND", "yes", 1);
   EXPECT_THROW(TrainingSession(*net, loader, fast_framework()), std::invalid_argument);
-  unsetenv("EBCT_GRAPH_EXEC");
-
   setenv("EBCT_WRITE_BEHIND", "true", 1);
   EXPECT_THROW(TrainingSession(*net, loader, fast_framework()), std::invalid_argument);
 
-  setenv("EBCT_GRAPH_EXEC", "0", 1);
   setenv("EBCT_WRITE_BEHIND", "1", 1);
   EXPECT_NO_THROW(TrainingSession(*net, loader, fast_framework()));
+}
+
+TEST_F(StrictEnvFlags, MalformedSizesThrowAndEmptyMeansUnset) {
+  auto net = models::make_resnet18(tiny_model());
+  data::SyntheticImageDataset ds(tiny_data());
+  data::DataLoader loader(ds, 8, true, true);
+  SessionConfig cfg = fast_framework();
+  cfg.framework.memory_budget_bytes = 12345;
+  cfg.framework.prefetch_depth = 3;
+
+  for (const char* name : {"EBCT_MEMORY_BUDGET_BYTES", "EBCT_PREFETCH_DEPTH"}) {
+    for (const char* junk : {"abc", "4abc", "-1", " 5"}) {
+      setenv(name, junk, 1);
+      EXPECT_THROW(TrainingSession(*net, loader, cfg), std::invalid_argument)
+          << name << "=" << junk;
+    }
+    setenv(name, "", 1);
+  }
+  TrainingSession session(*net, loader, cfg);
+  if (session.paged_store() == nullptr) GTEST_SKIP() << "EBCT_CODEC selects no pager";
+  EXPECT_EQ(session.paged_store()->pager().config().budget_bytes, 12345u);
+  EXPECT_EQ(session.paged_store()->pager().config().prefetch_depth, 3u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 #
 #   tools/check_docs.sh
 #
-# Three gates, all stdlib-only (bash + python3, no packages):
+# Four gates, all stdlib-only (bash + python3, no packages):
 #
 #  1. Link check — every relative markdown link in README.md and docs/*.md
 #     must resolve to an existing file or directory. External links
@@ -20,6 +20,11 @@
 #     CI or tooling (src/, bench/, benchmark/, tests/, examples/, tools/,
 #     CMakeLists.txt, .github/). A row left behind by a deleted option
 #     fails CI until it is removed.
+#
+#  4. Config-field guard — both directions for the core::FrameworkConfig
+#     struct: every data member in src/core/config.hpp needs a row in
+#     docs/CONFIG.md's "FrameworkConfig fields" table, and every row there
+#     must name a member that still exists.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,6 +84,31 @@ for v in $documented; do
   fi
 done
 echo "checked $(echo "$documented" | wc -l) documented env vars"
+
+echo "== FrameworkConfig field guard =="
+python3 - <<'EOF' || fail=1
+import re, sys
+
+src = open("src/core/config.hpp", encoding="utf-8").read()
+body = re.search(r"struct FrameworkConfig \{(.*?)\n\};", src, re.S).group(1)
+code = "\n".join(line.split("//", 1)[0] for line in body.splitlines())
+# A data member is "<type> <name> [= init];" at statement level.
+fields = set(re.findall(r"(\w+)\s*(?:=[^;]*)?;", code))
+
+doc = open("docs/CONFIG.md", encoding="utf-8").read()
+table = re.search(r"## FrameworkConfig fields\n(.*?)\n## ", doc, re.S).group(1)
+rows = set(re.findall(r"^\| `(\w+)` \|", table, re.M))
+
+ok = True
+for f in sorted(fields - rows):
+    print(f"UNDOCUMENTED  FrameworkConfig::{f} (no row in docs/CONFIG.md)")
+    ok = False
+for f in sorted(rows - fields):
+    print(f"STALE  FrameworkConfig::{f} (documented, but not a field in config.hpp)")
+    ok = False
+print(f"checked {len(fields)} fields against {len(rows)} rows")
+sys.exit(0 if ok else 1)
+EOF
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
