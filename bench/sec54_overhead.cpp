@@ -8,6 +8,7 @@
 
 #include "baselines/strategies.hpp"
 #include "bench_util.hpp"
+#include "core/env.hpp"
 #include "core/session.hpp"
 #include "data/synthetic.hpp"
 #include "memory/accounting.hpp"
@@ -135,6 +136,8 @@ bool trace_overhead_bracket(bench::JsonReporter& json) {
 }  // namespace
 
 int main() {
+  // Read up front so a malformed value fails before the measurements run.
+  const bool enforce_trace_gate = core::env_flag("EBCT_PERF_ENFORCE", false);
   std::puts("=== §5.4 — framework overhead and batch-scaling recovery ===\n");
 
   bench::JsonReporter json("sec54_overhead");
@@ -197,8 +200,7 @@ int main() {
   std::puts("(Layrub: 2.4x at 24.1%) or recomputation.");
 
   if (!trace_gate_ok) {
-    const char* enforce = std::getenv("EBCT_PERF_ENFORCE");
-    if (enforce != nullptr && enforce[0] == '1') {
+    if (enforce_trace_gate) {
       std::fprintf(stderr, "FAIL: disabled-mode trace overhead exceeds 2%% gate\n");
       return 1;
     }

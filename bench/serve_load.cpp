@@ -17,12 +17,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/codec_registry.hpp"
+#include "core/env.hpp"
 #include "memory/spill_file.hpp"
 #include "nn/streaming.hpp"
 #include "obs/metrics.hpp"
@@ -72,14 +74,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
 
-  std::size_t reqs_per_client = smoke ? 6 : 24;
-  if (const char* v = std::getenv("EBCT_SERVE_LOAD_REQS"); v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    reqs_per_client = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0' || reqs_per_client == 0) {
-      std::fprintf(stderr, "serve_load: bad EBCT_SERVE_LOAD_REQS '%s'\n", v);
-      return 2;
-    }
+  std::size_t reqs_per_client = 0;
+  try {
+    reqs_per_client = core::env_count("EBCT_SERVE_LOAD_REQS", smoke ? 6 : 24);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "serve_load: %s\n", e.what());
+    return 2;
   }
 
   serve::ServerConfig cfg;

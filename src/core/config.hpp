@@ -15,18 +15,14 @@ struct FrameworkConfig {
   /// Activation codec spec, resolved through the CodecRegistry
   /// (core/codec_registry.hpp): "<name>[:<params>]", e.g. "sz",
   /// "sz:threads=1", "lossless", "jpeg-act:quality=50", or a per-layer
-  /// "policy:*conv*=sz;*=lossless". Two sentinels are handled by the
-  /// session rather than the registry:
-  ///   "none"   — raw activations, no pager (the stock-framework baseline);
-  ///   "custom" — build no store; the caller installs one with
-  ///              TrainingSession::set_custom_store().
+  /// "policy:*conv*=sz;*=lossless". One sentinel is handled by the
+  /// session rather than the registry: "none" — raw activations, no pager
+  /// (the stock-framework baseline).
   /// Env override: EBCT_CODEC replaces any registry spec with another
   /// registry spec (or "none" to force the raw baseline). It never
-  /// overrides a configured "none"/"custom" — those select a store
-  /// topology, not a codec — and EBCT_CODEC=custom is rejected loudly,
-  /// since an env var cannot install a store. Unset codec parameters
-  /// inherit the fields below (bootstrap_error_bound, zero_mode,
-  /// compressor_threads).
+  /// overrides a configured "none", which selects a store topology, not a
+  /// codec. Unset codec parameters inherit the fields below
+  /// (bootstrap_error_bound, zero_mode, compressor_threads).
   std::string codec = "sz";
 
   /// Empirical coefficient `a` in sigma ≈ a * L̄ * sqrt(N*R) * eb (Eq. 6).

@@ -40,24 +40,13 @@ memory::PagerConfig pager_config_from(const FrameworkConfig& fw) {
 /// The session's codec choice: FrameworkConfig::codec, unless the
 /// EBCT_CODEC env override replaces it — so any training binary can be
 /// re-run under a different codec without a rebuild. The override replaces
-/// a *codec* spec only: "none"/"custom" select a store topology and a
-/// run that asked for the raw baseline must stay a raw baseline.
+/// a *codec* spec only: "none" selects a store topology and a run that
+/// asked for the raw baseline must stay a raw baseline.
 std::string resolve_codec_spec(const SessionConfig& cfg) {
-  std::string spec = cfg.framework.codec;
-  if (spec != "none" && spec != "custom") {
-    if (const char* env = std::getenv("EBCT_CODEC"); env != nullptr && env[0] != '\0') {
-      if (std::string(env) == "custom") {
-        // "custom" means "the caller will install a store in code" — an env
-        // var cannot do that, and accepting it would silently train through
-        // the network's fallback raw store. Fail loudly instead.
-        throw std::invalid_argument(
-            "EBCT_CODEC=custom: a custom store cannot be selected from the "
-            "environment; call TrainingSession::set_custom_store()");
-      }
-      spec = env;
-    }
-  }
-  return spec;
+  const char* env = std::getenv("EBCT_CODEC");
+  if (cfg.framework.codec == "none" || env == nullptr || env[0] == '\0')
+    return cfg.framework.codec;
+  return env;
 }
 
 }  // namespace
@@ -75,9 +64,6 @@ TrainingSession::TrainingSession(nn::Network& net, data::DataLoader& loader,
     schedule_ = std::make_unique<nn::ConstantLr>(cfg_.base_lr);
   }
 
-  if (codec_spec_ == "custom") {
-    return;  // caller installs via set_custom_store()
-  }
   if (codec_spec_ == "none") {
     raw_store_ = std::make_unique<nn::RawStore>();
     net_.set_store(raw_store_.get());
@@ -94,20 +80,6 @@ TrainingSession::TrainingSession(nn::Network& net, data::DataLoader& loader,
       pager_config_from(cfg_.framework), codec_);
   net_.set_store(framework_store_.get());
   scheme_ = std::make_unique<AdaptiveScheme>(cfg_.framework, codec_.get());
-}
-
-void TrainingSession::set_custom_store(nn::ActivationStore* store) {
-  codec_spec_ = "custom";
-  net_.set_store(store);
-  // Tear down whatever a previous spec built: a live scheme would keep
-  // programming a codec no store consults, and the records would claim
-  // an adaptive run that is not happening.
-  scheme_.reset();
-  executor_.reset();  // before the store it stashes through
-  framework_store_.reset();
-  raw_store_.reset();
-  codec_.reset();
-  graph_.reset();
 }
 
 void TrainingSession::run(std::size_t iterations,
@@ -214,7 +186,7 @@ std::vector<std::pair<std::string, double>> TrainingSession::metrics() const {
     m.emplace_back(base + ".count", static_cast<double>(ph[i].count));
   }
 
-  // This session's pager counters (absent in baseline/custom modes).
+  // This session's pager counters (absent in the baseline mode).
   if (framework_store_) {
     const memory::PagerCounters c = framework_store_->pager().counters();
     const std::pair<const char*, std::size_t> rows[] = {

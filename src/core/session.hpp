@@ -11,9 +11,8 @@
 /// registered in the CodecRegistry — "sz", "lossless", "jpeg-act:quality=50",
 /// a per-layer "policy:..." — trains through the tiered pager with the
 /// adaptive scheme enabled whenever the codec is error-bounded; "none"
-/// selects the raw-store baseline and "custom" defers to
-/// set_custom_store(). The paper's §5.4 comparison is therefore a config
-/// sweep, not a code change.
+/// selects the raw-store baseline. The paper's §5.4 comparison is
+/// therefore a config sweep, not a code change.
 
 #include <functional>
 #include <memory>
@@ -62,10 +61,6 @@ class TrainingSession {
  public:
   TrainingSession(nn::Network& net, data::DataLoader& loader, SessionConfig cfg);
 
-  /// Install a caller-owned store (the codec-"custom" path; also usable to
-  /// replace the store a previous spec built).
-  void set_custom_store(nn::ActivationStore* store);
-
   /// Run `iterations` steps; per-step records are appended to history().
   /// `on_iteration` (optional) observes each record as it is produced.
   void run(std::size_t iterations,
@@ -77,18 +72,18 @@ class TrainingSession {
   const std::vector<IterationRecord>& history() const { return history_; }
   nn::Network& network() { return net_; }
   AdaptiveScheme* scheme() { return scheme_ ? scheme_.get() : nullptr; }
-  /// The registry-built codec driving the pager (null for "none"/"custom").
+  /// The registry-built codec driving the pager (null for "none").
   nn::ActivationCodec* codec() { return codec_.get(); }
-  /// The codec spec the session resolved (registry spec, "none" or
-  /// "custom") after the EBCT_CODEC override.
+  /// The codec spec the session resolved (registry spec or "none") after
+  /// the EBCT_CODEC override.
   const std::string& codec_spec() const { return codec_spec_; }
-  /// The framework mode's tiered store (null in baseline/custom modes).
+  /// The framework mode's tiered store (null in the baseline mode).
   memory::PagedStore* paged_store() { return framework_store_.get(); }
   /// The graph IR built at the first run() iteration (null before that,
-  /// and always null for "none"/"custom" sessions).
+  /// and always null for "none" sessions).
   const graph::Graph* graph() const { return graph_.get(); }
   /// The graph-scheduled executor (null before the first run() iteration,
-  /// for "none"/"custom" sessions, or when the model's graph is
+  /// for "none" sessions, or when the model's graph is
   /// structurally unsupported and the session fell back). Batches it does
   /// not handle() — any batch on a one-thread pool — take the sequential
   /// path.

@@ -13,47 +13,35 @@ using tensor::Tensor;
 
 namespace {
 
-/// Streaming window products: the one-shot encode() derives plane_width
-/// from the innermost dimension, which for a streamed window of shape
-/// nchw(1,1,1,n) is n — so setting plane_width = n here reproduces the
-/// one-shot bytes exactly.
 class SzWindowEncoder final : public nn::WindowEncoder {
  public:
-  explicit SzWindowEncoder(sz::Config cfg) : cfg_(cfg) {}
+  explicit SzWindowEncoder(sz::Config cfg) : comp_(cfg) {}
 
   void encode_window(const float* data, std::size_t n,
                      std::vector<std::uint8_t>& out) override {
-    sz::Config cfg = cfg_;
-    if (cfg.predictor == sz::Predictor::kLorenzo2D)
-      cfg.plane_width = static_cast<std::uint32_t>(n);
-    sz::Compressor comp(cfg);
-    sz::CompressedBuffer buf = comp.compress({data, n});
+    sz::CompressedBuffer buf = comp_.compress({data, n});
     out = std::move(buf.bytes);
   }
 
  private:
-  sz::Config cfg_;
+  sz::Compressor comp_;
 };
 
 class SzWindowDecoder final : public nn::WindowDecoder {
  public:
-  explicit SzWindowDecoder(sz::Config cfg) : cfg_(cfg) {}
+  explicit SzWindowDecoder(sz::Config cfg) : comp_(cfg) {}
 
   void decode_window(const std::uint8_t* payload, std::size_t payload_len,
                      std::size_t numel, std::vector<float>& out) override {
     sz::CompressedBuffer buf;
     buf.bytes.assign(payload, payload + payload_len);
     buf.num_elements = numel;
-    sz::Config cfg = cfg_;
-    if (cfg.predictor == sz::Predictor::kLorenzo2D)
-      cfg.plane_width = static_cast<std::uint32_t>(numel);
-    sz::Compressor comp(cfg);
     out.resize(numel);
-    comp.decompress(buf, {out.data(), numel});
+    comp_.decompress(buf, {out.data(), numel});
   }
 
  private:
-  sz::Config cfg_;
+  sz::Compressor comp_;
 };
 
 }  // namespace
@@ -79,12 +67,6 @@ std::map<std::string, double> SzActivationCodec::last_ratios() const {
 EncodedActivation SzActivationCodec::encode(const std::string& layer, const Tensor& act) {
   sz::Config cfg = base_;
   cfg.error_bound = layer_bound(layer);
-  // The 2-D Lorenzo predictor works over rows of the innermost dimension;
-  // the plane width is a property of the tensor, not the spec, so it is
-  // derived per activation here (and again at decode — the stream header
-  // records the predictor but not the width).
-  if (cfg.predictor == sz::Predictor::kLorenzo2D)
-    cfg.plane_width = static_cast<std::uint32_t>(act.shape().dim(act.shape().rank() - 1));
   sz::Compressor comp(cfg);
   sz::CompressedBuffer buf = comp.compress(act.span());
   {
@@ -102,10 +84,7 @@ Tensor SzActivationCodec::decode(const EncodedActivation& enc) {
   sz::CompressedBuffer buf;
   buf.bytes = enc.bytes;  // copy: the store still owns its entry
   buf.num_elements = enc.shape.numel();
-  sz::Config cfg = base_;
-  if (cfg.predictor == sz::Predictor::kLorenzo2D)
-    cfg.plane_width = static_cast<std::uint32_t>(enc.shape.dim(enc.shape.rank() - 1));
-  sz::Compressor comp(cfg);
+  sz::Compressor comp(base_);
   Tensor out(enc.shape);
   comp.decompress(buf, out.span());
   return out;
@@ -127,8 +106,7 @@ void detail::register_sz_codec(CodecRegistry& reg) {
   reg.register_codec(
       {"sz",
        "SZ error-bounded lossy compressor — the framework codec (adaptive-compatible)",
-       "eb=<abs bound>, mode=abs|rel, zero=none|rezero|rle, threads=<n>, "
-       "predictor=lorenzo1d|lorenzo2d, block=<n>",
+       "eb=<abs bound>, mode=abs|rel, zero=none|rezero|rle, threads=<n>, block=<n>",
        true},
       [](const std::string& params, const FrameworkConfig& fw) {
         CodecParams p("sz", params);
@@ -139,17 +117,6 @@ void detail::register_sz_codec(CodecRegistry& reg) {
         sz::Config cfg;
         cfg.error_bound = p.get_double("eb", fw.bootstrap_error_bound);
         cfg.num_threads = p.get_uint("threads", fw.compressor_threads);
-        const std::string predictor = p.get_string("predictor", "lorenzo1d");
-        if (predictor == "lorenzo1d") {
-          cfg.predictor = sz::Predictor::kLorenzo1D;
-        } else if (predictor == "lorenzo2d") {
-          // plane_width stays 0 here: the codec derives it from each
-          // activation's innermost dimension at encode/decode time.
-          cfg.predictor = sz::Predictor::kLorenzo2D;
-        } else {
-          throw std::invalid_argument(
-              "sz: predictor must be lorenzo1d or lorenzo2d, got '" + predictor + "'");
-        }
         const std::uint32_t block = p.get_uint("block", cfg.block_size);
         if (block == 0)
           throw std::invalid_argument("sz: block must be a positive block size");

@@ -14,7 +14,8 @@
 
 namespace ebct::core {
 
-/// Registry spec: "sz[:eb=<bound>,mode=abs|rel,zero=none|rezero|rle,threads=<n>]"
+/// Registry spec:
+/// "sz[:eb=<bound>,mode=abs|rel,zero=none|rezero|rle,threads=<n>,block=<n>]"
 /// — unset parameters inherit the FrameworkConfig defaults (bootstrap
 /// error bound, zero mode, compressor thread cap).
 class SzActivationCodec : public nn::ActivationCodec, public nn::ErrorBoundedCodec {

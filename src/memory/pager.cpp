@@ -830,24 +830,6 @@ void ActivationPager::spill_payload_async(Page* p, std::unique_lock<std::mutex>&
   lock.lock();
 }
 
-void ActivationPager::spill(PageId id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Page* p = find_locked(resolve_locked(id));
-  if (p == nullptr) throw std::logic_error("ActivationPager::spill: unknown handle");
-  if (p->pin_count > 0) throw std::logic_error("ActivationPager::spill: page is pinned");
-  wait_io(p, lock);
-  if (p->error) std::rethrow_exception(p->error);
-
-  // Free a duplicate raw cache first, then push the remaining RAM payload
-  // (blob or exact raw) to disk.
-  if (p->raw.numel() > 0 && (p->encoded || p->spilled)) {
-    account_sub(Tier::kRaw, p->raw.bytes());
-    p->raw = Tensor();
-    p->prefetched = false;
-  }
-  spill_payload(p, lock);
-}
-
 // ---------------------------------------------------------------------------
 // Backward-pass prefetch.
 // ---------------------------------------------------------------------------

@@ -67,11 +67,11 @@
 namespace ebct::memory {
 
 struct PagerConfig {
-  /// RAM budget over tiers 0+1. 0 = unlimited (pages never spill unless
-  /// spill() is called explicitly). The budget is a hard target: the pager
-  /// only rides above it while every RAM page is pinned or mid-I/O (counted
-  /// in over_budget_events) and, in async-encode mode, by the bounded
-  /// window of raw tensors awaiting encode.
+  /// RAM budget over tiers 0+1. 0 = unlimited (pages never spill). The
+  /// budget is a hard target: the pager only rides above it while every
+  /// RAM page is pinned or mid-I/O (counted in over_budget_events) and, in
+  /// async-encode mode, by the bounded window of raw tensors awaiting
+  /// encode.
   std::size_t budget_bytes = 0;
 
   /// Directory for the spill file; empty = the system temp directory. The
@@ -164,10 +164,6 @@ class ActivationPager {
   /// before training; pages already stored keep their put-order keys.
   void set_liveness(graph::Liveness lv);
   bool has_liveness() const;
-
-  /// Force a page down to the disk tier (explicit offload, used by the
-  /// hybrid store's migration route). No-op if already spilled.
-  void spill(PageId id);
 
   /// Block until every in-flight encode/prefetch task has completed,
   /// helping the pool while waiting.

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "tensor/bytes.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
 
@@ -14,29 +15,12 @@ namespace {
 constexpr char kMagic[4] = {'E', 'B', 'C', 'S'};
 constexpr std::uint8_t kVersion = 1;
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
+using tensor::get_u16;
+using tensor::get_u32;
+using tensor::get_u64;
+using tensor::put_u16;
+using tensor::put_u32;
+using tensor::put_u64;
 
 /// Fallback WindowEncoder: copies the window into a Tensor and runs the
 /// codec's one-shot encode(). Correct for every codec by construction;

@@ -9,30 +9,6 @@
 
 namespace ebct::serve {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
-
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,
                   const std::uint8_t* payload, std::size_t len) {
   put_u32(out, static_cast<std::uint32_t>(len));
@@ -151,12 +127,17 @@ bool read_frame(int fd, Frame& out, std::size_t max_payload,
 }
 
 std::vector<std::uint8_t> serialize_open(const OpenRequest& req) {
+  // A u16 length field cannot declare a longer value; truncating the field
+  // while writing every byte would make the server parse other fields.
+  if (req.tenant.size() > 0xffff || req.spec.size() > 0xffff)
+    throw std::invalid_argument("serialize_open: tenant and spec must be at most 65535 bytes");
   std::vector<std::uint8_t> p;
+  p.reserve(1 + 2 + req.tenant.size() + 2 + req.spec.size() + 4);
   p.push_back(static_cast<std::uint8_t>(req.op));
   put_u16(p, static_cast<std::uint16_t>(req.tenant.size()));
-  p.insert(p.end(), req.tenant.begin(), req.tenant.end());
+  tensor::append_bytes(p, req.tenant.data(), req.tenant.size());
   put_u16(p, static_cast<std::uint16_t>(req.spec.size()));
-  p.insert(p.end(), req.spec.begin(), req.spec.end());
+  tensor::append_bytes(p, req.spec.data(), req.spec.size());
   put_u32(p, req.window_elems);
   return p;
 }

@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "tensor/bytes.hpp"
+
 namespace ebct::serve {
 
 enum class FrameType : std::uint8_t {
@@ -82,12 +84,12 @@ class ServerError : public std::runtime_error {
 
 // --- frame (de)serialisation helpers -------------------------------------
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v);
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-std::uint16_t get_u16(const std::uint8_t* p);
-std::uint32_t get_u32(const std::uint8_t* p);
-std::uint64_t get_u64(const std::uint8_t* p);
+using tensor::get_u16;
+using tensor::get_u32;
+using tensor::get_u64;
+using tensor::put_u16;
+using tensor::put_u32;
+using tensor::put_u64;
 
 /// Serialise a frame header+payload into `out` (appended).
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,
@@ -125,6 +127,8 @@ struct OpenRequest {
   std::uint32_t window_elems = 0;
 };
 
+/// Throws std::invalid_argument when the tenant or spec is longer than
+/// its u16 length field can declare (65,535 bytes).
 std::vector<std::uint8_t> serialize_open(const OpenRequest& req);
 OpenRequest parse_open(const std::vector<std::uint8_t>& payload);  // throws ServerError(400)
 

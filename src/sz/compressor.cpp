@@ -24,7 +24,7 @@ struct Header {
   std::uint32_t magic = kMagic;
   std::uint64_t num_elements = 0;
   double abs_eb = 0.0;
-  std::uint8_t predictor = 0;
+  std::uint8_t predictor = 0;  // 0 = 1-D Lorenzo; other ids are reserved
   std::uint8_t zero_mode = 0;
   std::uint32_t radius = 0;
   std::uint32_t block_size = 0;
@@ -145,44 +145,6 @@ class HistogramPool {
   std::vector<std::unique_ptr<detail::SymbolHistogram>> free_;
 };
 
-/// 2-D Lorenzo over a plane of width w: pred = left + top - topleft, using
-/// reconstructed values. Single block (serial) by design.
-void quantize_2d(std::span<const float> data, std::size_t w, double eb,
-                 std::uint32_t radius, std::vector<std::uint32_t>& symbols,
-                 std::vector<float>& outliers, std::vector<float>& recon) {
-  symbols.resize(data.size());
-  recon.resize(data.size());
-  const double inv_step = 1.0 / (2.0 * eb);
-  const std::size_t rows = (data.size() + w - 1) / w;
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < w; ++c) {
-      const std::size_t i = r * w + c;
-      if (i >= data.size()) break;
-      const double left = c > 0 ? recon[i - 1] : 0.0;
-      const double top = r > 0 ? recon[i - w] : 0.0;
-      const double tl = (c > 0 && r > 0) ? recon[i - w - 1] : 0.0;
-      const double pred = left + top - tl;
-      const float x = data[i];
-      const double code_d = std::nearbyint((static_cast<double>(x) - pred) * inv_step);
-      bool outlier = !(std::fabs(code_d) < static_cast<double>(radius));  // NaN escapes
-      float rec = 0.0f;
-      if (!outlier) {
-        rec = static_cast<float>(pred + code_d * 2.0 * eb);
-        if (std::fabs(static_cast<double>(rec) - static_cast<double>(x)) > eb) outlier = true;
-      }
-      if (outlier) {
-        symbols[i] = 0;
-        outliers.push_back(x);
-        recon[i] = x;
-      } else {
-        symbols[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(code_d) +
-                                                static_cast<std::int64_t>(radius));
-        recon[i] = rec;
-      }
-    }
-  }
-}
-
 using tensor::append_bytes;
 
 template <typename T>
@@ -200,8 +162,6 @@ Compressor::Compressor(Config cfg) : cfg_(cfg) {
   if (cfg_.radius < 2 || cfg_.radius > kMaxRadius)
     throw std::invalid_argument("Compressor: radius must be in [2, kMaxRadius]");
   if (cfg_.block_size == 0) throw std::invalid_argument("Compressor: block_size must be > 0");
-  if (cfg_.predictor == Predictor::kLorenzo2D && cfg_.plane_width == 0)
-    throw std::invalid_argument("Compressor: kLorenzo2D requires plane_width");
 }
 
 CompressedBuffer Compressor::compress(std::span<const float> data) const {
@@ -245,8 +205,7 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
 
   const std::size_t n = payload.size();
   const std::size_t bs = cfg_.block_size;
-  const bool two_d = cfg_.predictor == Predictor::kLorenzo2D;
-  const std::size_t num_blocks = two_d ? (n ? 1 : 0) : (n + bs - 1) / bs;
+  const std::size_t num_blocks = (n + bs - 1) / bs;
 
   // Stage 1 — block-parallel Lorenzo + quantization. Every block predicts
   // from a fresh context (prev_recon = 0), so blocks are fully independent;
@@ -256,18 +215,12 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   // of waiting for a free OpenMP team, and skewed blocks (outlier-heavy
   // ones encode slower) are absorbed by stealing.
   std::vector<BlockResult> blocks(num_blocks);
-  if (two_d && n > 0) {
-    std::vector<float> recon;
-    quantize_2d(payload, cfg_.plane_width, eb, cfg_.radius, blocks[0].symbols,
-                blocks[0].outliers, recon);
-  } else {
-    tensor::parallel_for_tasks(num_blocks, cfg_.num_threads, [&](std::size_t b) {
-      const std::size_t begin = b * bs;
-      const std::size_t end = std::min(n, begin + bs);
-      detail::quantize_block_1d(payload.subspan(begin, end - begin), eb, cfg_.radius,
-                                blocks[b].symbols, blocks[b].outliers);
-    });
-  }
+  tensor::parallel_for_tasks(num_blocks, cfg_.num_threads, [&](std::size_t b) {
+    const std::size_t begin = b * bs;
+    const std::size_t end = std::min(n, begin + bs);
+    detail::quantize_block_1d(payload.subspan(begin, end - begin), eb, cfg_.radius,
+                              blocks[b].symbols, blocks[b].outliers);
+  });
 
   // Stage 2 — global Huffman table. Each chunk of blocks counts into a
   // reused histogram and drains a sparse (symbol, count) list; the lists
@@ -315,7 +268,6 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   Header h;
   h.num_elements = data.size();
   h.abs_eb = eb;
-  h.predictor = static_cast<std::uint8_t>(cfg_.predictor);
   h.zero_mode = static_cast<std::uint8_t>(cfg_.zero_mode);
   h.radius = cfg_.radius;
   h.block_size = cfg_.block_size;
@@ -364,8 +316,7 @@ void Compressor::decompress(const CompressedBuffer& buf, std::span<float> out) c
   if (h.num_blocks > remaining / kIndexEntry)
     throw std::runtime_error("Compressor::decompress: corrupt header (blocks)");
   remaining -= static_cast<std::size_t>(h.num_blocks) * kIndexEntry;
-  if (h.predictor > static_cast<std::uint8_t>(Predictor::kLorenzo2D) ||
-      h.zero_mode > static_cast<std::uint8_t>(ZeroMode::kExactRle))
+  if (h.predictor != 0 || h.zero_mode > static_cast<std::uint8_t>(ZeroMode::kExactRle))
     throw std::runtime_error("Compressor::decompress: corrupt header (mode)");
   // num_quantized sizes the payload buffer and, for the non-RLE modes, is
   // copied verbatim into `out` — forging it must not move the write bounds.
@@ -375,9 +326,6 @@ void Compressor::decompress(const CompressedBuffer& buf, std::span<float> out) c
     throw std::runtime_error("Compressor::decompress: corrupt header (count)");
   if (h.radius < 2 || h.radius > kMaxRadius)
     throw std::runtime_error("Compressor::decompress: corrupt header (radius)");
-  if (static_cast<Predictor>(h.predictor) == Predictor::kLorenzo2D && cfg_.plane_width == 0)
-    throw std::runtime_error(
-        "Compressor::decompress: 2-D stream needs a compressor with plane_width set");
   if (out.size() != h.num_elements)
     throw std::invalid_argument("Compressor::decompress: output size mismatch");
 
@@ -420,7 +368,6 @@ void Compressor::decompress(const CompressedBuffer& buf, std::span<float> out) c
   const std::uint8_t* outlier_base = p + enc_off;
 
   std::vector<float> payload(h.num_quantized);
-  const bool two_d = static_cast<Predictor>(h.predictor) == Predictor::kLorenzo2D;
   const double eb = h.abs_eb;
   const std::uint32_t radius = h.radius;
 
@@ -436,37 +383,19 @@ void Compressor::decompress(const CompressedBuffer& buf, std::span<float> out) c
     }
     float* dst = payload.data() + m.out_off;
     std::size_t oi = 0;
-    if (two_d) {
-      const std::size_t w = cfg_.plane_width;
-      for (std::size_t i = 0; i < symbols.size(); ++i) {
-        const std::size_t r = i / w, c = i % w;
-        const double left = c > 0 ? dst[i - 1] : 0.0;
-        const double top = r > 0 ? dst[i - w] : 0.0;
-        const double tl = (c > 0 && r > 0) ? dst[i - w - 1] : 0.0;
-        const double pred = left + top - tl;
-        if (symbols[i] == 0) {
-          // A corrupt symbol stream can claim more escapes than the block
-          // index promised; clamp rather than read out of bounds.
-          dst[i] = oi < outliers.size() ? outliers[oi++] : 0.0f;
-        } else {
-          const auto code = static_cast<std::int64_t>(symbols[i]) -
-                            static_cast<std::int64_t>(radius);
-          dst[i] = static_cast<float>(pred + static_cast<double>(code) * 2.0 * eb);
-        }
+    float prev = 0.0f;
+    for (std::size_t i = 0; i < symbols.size(); ++i) {
+      if (symbols[i] == 0) {
+        // A corrupt symbol stream can claim more escapes than the block
+        // index promised; clamp rather than read out of bounds.
+        prev = oi < outliers.size() ? outliers[oi++] : 0.0f;
+      } else {
+        const auto code = static_cast<std::int64_t>(symbols[i]) -
+                          static_cast<std::int64_t>(radius);
+        prev = static_cast<float>(static_cast<double>(prev) +
+                                  static_cast<double>(code) * 2.0 * eb);
       }
-    } else {
-      float prev = 0.0f;
-      for (std::size_t i = 0; i < symbols.size(); ++i) {
-        if (symbols[i] == 0) {
-          prev = oi < outliers.size() ? outliers[oi++] : 0.0f;
-        } else {
-          const auto code = static_cast<std::int64_t>(symbols[i]) -
-                            static_cast<std::int64_t>(radius);
-          prev = static_cast<float>(static_cast<double>(prev) +
-                                    static_cast<double>(code) * 2.0 * eb);
-        }
-        dst[i] = prev;
-      }
+      dst[i] = prev;
     }
   });
 

@@ -40,11 +40,6 @@ namespace ebct::sz {
 /// declare; it bounds the Huffman alphabet (2 * radius) a decoder sizes.
 inline constexpr std::uint32_t kMaxRadius = 32768;
 
-enum class Predictor : std::uint8_t {
-  kLorenzo1D = 0,  ///< previous reconstructed value
-  kLorenzo2D = 1,  ///< left + top - topleft over a plane of `plane_width`
-};
-
 enum class ZeroMode : std::uint8_t {
   kNone = 0,
   kRezero = 1,
@@ -59,11 +54,9 @@ enum class BoundMode : std::uint8_t {
 struct Config {
   double error_bound = 1e-3;
   BoundMode bound_mode = BoundMode::kAbsolute;
-  Predictor predictor = Predictor::kLorenzo1D;
   ZeroMode zero_mode = ZeroMode::kRezero;
   std::uint32_t radius = 32768;      ///< codes in (-radius, radius); 2 <= radius <= kMaxRadius
   std::uint32_t block_size = 65536;  ///< independent prediction blocks (parallelism)
-  std::uint32_t plane_width = 0;     ///< required for kLorenzo2D
 
   /// Concurrency cap for the block-parallel compress/decompress paths,
   /// which run as tasks in the shared work-stealing scheduler (see

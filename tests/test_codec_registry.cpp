@@ -151,39 +151,18 @@ TEST(CodecParams, FrameworkDefaultsSeedTheSzFactory) {
       dynamic_cast<core::SzActivationCodec&>(*codec2).base_config().error_bound, 1e-2);
 }
 
-TEST(CodecParams, SzPredictorAndBlockParams) {
-  // predictor= selects the Lorenzo variant, block= the parallel block size;
-  // both land in the compressor Config the codec was built around.
-  const auto c1 = CodecRegistry::instance().create("sz:predictor=lorenzo2d,block=4096");
-  const auto& cfg = dynamic_cast<core::SzActivationCodec&>(*c1).base_config();
-  EXPECT_EQ(cfg.predictor, sz::Predictor::kLorenzo2D);
-  EXPECT_EQ(cfg.block_size, 4096u);
-  EXPECT_EQ(cfg.plane_width, 0u);  // derived per activation, not in the spec
+TEST(CodecParams, SzBlockParam) {
+  // block= sets the parallel block size in the compressor Config the codec
+  // was built around.
+  const auto c1 = CodecRegistry::instance().create("sz:block=4096");
+  EXPECT_EQ(dynamic_cast<core::SzActivationCodec&>(*c1).base_config().block_size, 4096u);
 
-  const auto c2 = CodecRegistry::instance().create("sz:predictor=lorenzo1d");
-  EXPECT_EQ(dynamic_cast<core::SzActivationCodec&>(*c2).base_config().predictor,
-            sz::Predictor::kLorenzo1D);
-
-  // Strict errors: an unknown predictor or a zero block size throws instead
-  // of silently configuring something else.
-  EXPECT_THROW(CodecRegistry::instance().create("sz:predictor=cubic"),
-               std::invalid_argument);
+  // Strict errors: a zero block size throws instead of silently configuring
+  // something else, and there is no predictor= key (1-D Lorenzo is the only
+  // predictor), so naming one throws as an unknown parameter.
   EXPECT_THROW(CodecRegistry::instance().create("sz:block=0"), std::invalid_argument);
-}
-
-TEST(CodecParams, SzLorenzo2dRoundtripsWithinBound) {
-  // The 2-D predictor needs a plane width at *both* encode and decode; the
-  // codec derives it from the activation's innermost dimension, so a plain
-  // spec-built codec must round-trip without any manual width plumbing.
-  const double eb = 1e-3;
-  const auto codec =
-      CodecRegistry::instance().create("sz:predictor=lorenzo2d,eb=1e-3,zero=none");
-  Tensor t = testutil::random_tensor(Shape::nchw(2, 3, 8, 8), 9102);
-  const auto enc = codec->encode("conv1", t);
-  Tensor back = codec->decode(enc);
-  ASSERT_EQ(back.shape(), t.shape());
-  for (std::size_t i = 0; i < t.numel(); ++i)
-    ASSERT_NEAR(back[i], t[i], eb) << "element " << i;
+  EXPECT_THROW(CodecRegistry::instance().create("sz:predictor=lorenzo1d"),
+               std::invalid_argument);
 }
 
 // --- "none" identity codec ---------------------------------------------------------

@@ -1,13 +1,7 @@
-// Tests for the extension modules: channel concatenation + Inception-V4 and
-// the hybrid activation store.
+// Tests for the extension modules: channel concatenation + Inception-V4.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "core/codec_registry.hpp"
-#include "core/hybrid_store.hpp"
-#include "core/session.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/concat.hpp"
 #include "nn/conv2d.hpp"
@@ -183,98 +177,6 @@ TEST(InceptionV4, SmallScaleForwardBackward) {
 
 TEST(InceptionV4, RegistryLookupWorks) {
   EXPECT_NO_THROW(models::find_model("Inception-V4"));
-}
-
-// --- HybridStore -----------------------------------------------------------------
-
-TEST(HybridStoreTest, RoutesBySize) {
-  auto codec = core::CodecRegistry::instance().create("sz");
-  auto policy = std::make_shared<core::SizeThresholdPolicy>(1024, 1 << 20);
-  core::HybridStore store(codec, policy);
-
-  Tensor tiny(Shape{64});            // 256 B -> raw
-  Tensor mid(Shape{16384});          // 64 KB -> compress
-  Tensor huge(Shape{1 << 19});       // 2 MB -> migrate
-  Rng rng(612);
-  rng.fill_relu_like(mid.span(), 0.5, 1.0f);
-  rng.fill_relu_like(huge.span(), 0.5, 1.0f);
-
-  const auto h1 = store.stash("small", std::move(tiny));
-  const auto h2 = store.stash("medium", std::move(mid));
-  const auto h3 = store.stash("large", std::move(huge));
-  EXPECT_EQ(store.last_routes().at("small"), core::StashRoute::kRaw);
-  EXPECT_EQ(store.last_routes().at("medium"), core::StashRoute::kCompress);
-  EXPECT_EQ(store.last_routes().at("large"), core::StashRoute::kMigrate);
-
-  // Migrated tensor occupies host, not device.
-  EXPECT_EQ(store.host_bytes(), (1u << 19) * sizeof(float));
-  EXPECT_LT(store.held_bytes(), (16384 + 64) * sizeof(float));
-  EXPECT_EQ(store.migration().bytes_out, (1u << 19) * sizeof(float));
-
-  // All three retrieve correctly (raw exact; compressed within bound).
-  Tensor r1 = store.retrieve(h1);
-  EXPECT_EQ(r1.numel(), 64u);
-  Tensor r2 = store.retrieve(h2);
-  EXPECT_EQ(r2.numel(), 16384u);
-  Tensor r3 = store.retrieve(h3);
-  EXPECT_EQ(r3.numel(), 1u << 19);
-  EXPECT_EQ(store.migration().bytes_back, (1u << 19) * sizeof(float));
-  EXPECT_EQ(store.held_bytes(), 0u);
-  EXPECT_EQ(store.host_bytes(), 0u);
-}
-
-TEST(HybridStoreTest, MigratedDataIsExact) {
-  auto codec = core::CodecRegistry::instance().create("sz");
-  auto policy = std::make_shared<core::SizeThresholdPolicy>(0, 0);  // all migrate
-  core::HybridStore store(codec, policy);
-  Tensor t = testutil::random_tensor(Shape{1000}, 613);
-  Tensor orig = t.clone();
-  const auto h = store.stash("x", std::move(t));
-  Tensor back = store.retrieve(h);
-  for (std::size_t i = 0; i < back.numel(); ++i) EXPECT_EQ(back[i], orig[i]);
-}
-
-TEST(HybridStoreTest, MigrationLedgerTimeModel) {
-  core::MigrationLedger ledger;
-  ledger.bytes_out = 1ull << 30;
-  ledger.bytes_back = 1ull << 30;
-  baselines::MigrationModel model{16.0e9, 0.0};
-  EXPECT_NEAR(ledger.seconds(model), 2.0 * double(1ull << 30) / 16.0e9, 1e-9);
-}
-
-TEST(HybridStoreTest, TrainsEndToEnd) {
-  // The future-work integration actually trains: compress mid-size, keep
-  // small raw (1x1-caveat), migrate nothing at this scale.
-  models::ModelConfig cfg;
-  cfg.input_hw = 16;
-  cfg.num_classes = 4;
-  cfg.width_multiplier = 0.25;
-  auto net = models::make_resnet18(cfg);
-  auto codec = core::CodecRegistry::instance().create("sz");
-  auto policy = std::make_shared<core::SizeThresholdPolicy>(48 * 1024, 1 << 30);
-  core::HybridStore store(codec, policy);
-  net->set_store(&store);
-
-  data::SyntheticSpec dspec;
-  dspec.num_classes = 4;
-  dspec.image_hw = 16;
-  dspec.train_per_class = 32;
-  data::SyntheticImageDataset ds(dspec);
-  data::DataLoader loader(ds, 8, true, true);
-  core::SessionConfig scfg;
-  scfg.framework.codec = "custom";
-  core::TrainingSession session(*net, loader, scfg);
-  session.set_custom_store(&store);
-  session.run(5);
-  for (const auto& rec : session.history()) EXPECT_TRUE(std::isfinite(rec.loss));
-  // At 16px some conv inputs are below the raw threshold, some above.
-  bool any_raw = false, any_comp = false;
-  for (const auto& [layer, route] : store.last_routes()) {
-    any_raw |= route == core::StashRoute::kRaw;
-    any_comp |= route == core::StashRoute::kCompress;
-  }
-  EXPECT_TRUE(any_raw);
-  EXPECT_TRUE(any_comp);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -148,11 +149,22 @@ TEST(PagerTest, OverBudgetWithAllPagesPinnedIsCountedNotFatal) {
   (void)pager.drop(h);
 }
 
-TEST(PagerTest, CorruptSpillPayloadFailsLoudly) {
+/// A budget that holds one page of `page_bytes` but not two, so a second
+/// put evicts the first to the disk tier the way a training run's pages
+/// reach the spill file. No prefetch, so nothing reloads a page behind the
+/// test's back.
+PagerConfig one_page_budget(std::size_t page_bytes) {
   PagerConfig cfg;
-  ActivationPager pager(cfg, nullptr);
+  cfg.budget_bytes = page_bytes + page_bytes / 2;
+  cfg.prefetch_depth = 0;
+  return cfg;
+}
+
+TEST(PagerTest, CorruptSpillPayloadFailsLoudly) {
+  ActivationPager pager(one_page_budget(kPage), nullptr);
   const PageId h = pager.put_exact("victim", page_tensor(11));
-  pager.spill(h);
+  const PageId next = pager.put_exact("next", page_tensor(111));
+  pager.drain();
   ASSERT_EQ(pager.tier(h), Tier::kSpilled);
   const std::string path = pager.spill_path();
   ASSERT_FALSE(path.empty());
@@ -169,27 +181,34 @@ TEST(PagerTest, CorruptSpillPayloadFailsLoudly) {
   }
   EXPECT_THROW(pager.drop(h), std::runtime_error);
   // The poisoned page is released, not leaked.
+  (void)pager.drop(next);
   EXPECT_EQ(pager.num_pages(), 0u);
 }
 
 TEST(PagerTest, TruncatedSpillFileFailsLoudly) {
-  PagerConfig cfg;
-  ActivationPager pager(cfg, nullptr);
+  ActivationPager pager(one_page_budget(kPage), nullptr);
   const PageId h = pager.put_exact("victim", page_tensor(12));
-  pager.spill(h);
+  const PageId next = pager.put_exact("next", page_tensor(112));
+  pager.drain();
+  ASSERT_EQ(pager.tier(h), Tier::kSpilled);
   std::filesystem::resize_file(pager.spill_path(), 64);
   EXPECT_THROW(pager.drop(h), std::runtime_error);
+  (void)pager.drop(next);
   EXPECT_EQ(pager.num_pages(), 0u);
 }
 
 TEST(PagerTest, CorruptLossyBlobCaughtByChecksumBeforeDecode) {
   sz::Config scfg;
   scfg.error_bound = 1e-3;
-  PagerConfig cfg;
-  ActivationPager pager(cfg, std::make_shared<core::SzActivationCodec>(scfg));
-  const PageId h =
-      pager.put("conv", testutil::relu_like_tensor(Shape::nchw(1, 4, 32, 32), 13, 0.5));
-  pager.spill(h);
+  const Tensor act = testutil::relu_like_tensor(Shape::nchw(1, 4, 32, 32), 13, 0.5);
+  // Two puts of the same tensor encode to equal-size blobs; size the budget
+  // to hold one of them.
+  const std::size_t blob = core::SzActivationCodec(scfg).encode("conv", act).bytes.size();
+  ActivationPager pager(one_page_budget(blob), std::make_shared<core::SzActivationCodec>(scfg));
+  const PageId h = pager.put("conv", act.clone());
+  const PageId next = pager.put("conv2", act.clone());
+  pager.drain();
+  ASSERT_EQ(pager.tier(h), Tier::kSpilled);
   {
     std::fstream f(pager.spill_path(), std::ios::in | std::ios::out | std::ios::binary);
     char byte = 0;
@@ -200,14 +219,18 @@ TEST(PagerTest, CorruptLossyBlobCaughtByChecksumBeforeDecode) {
     f.write(&byte, 1);
   }
   EXPECT_THROW(pager.drop(h), std::runtime_error);
+  (void)pager.drop(next);
+  EXPECT_EQ(pager.num_pages(), 0u);
 }
 
 TEST(PagerTest, SpillFileTornDownWithPager) {
   std::string path;
   {
-    ActivationPager pager({}, nullptr);
+    ActivationPager pager(one_page_budget(kPage), nullptr);
     const PageId h = pager.put_exact("a", page_tensor(14));
-    pager.spill(h);
+    (void)pager.put_exact("b", page_tensor(114));
+    pager.drain();
+    ASSERT_EQ(pager.tier(h), Tier::kSpilled);
     path = pager.spill_path();
     EXPECT_TRUE(std::filesystem::exists(path));
     EXPECT_GE(SpillFile::files_open(), 1u);
@@ -269,9 +292,13 @@ TEST(PagerTest, WriteBehindSoakRecoversFromInjectedWriteFaults) {
         // and back-to-back failures across the write window.
         SpillFile::fail_next_writes(1 + static_cast<std::uint64_t>(iter % 3));
       }
+      // Appended, not `"l" + std::to_string(i)`: GCC 12 reports a false
+      // -Wrestrict on that operator+ once inlined here.
+      std::string layer = "l";
+      layer += std::to_string(i);
       for (;;) {
         try {
-          hs.push_back(pager.put_exact("l" + std::to_string(i), orig.back().clone()));
+          hs.push_back(pager.put_exact(layer, orig.back().clone()));
           break;
         } catch (const std::runtime_error& e) {
           // put_exact erases the not-yet-returned page on a failed enforce,

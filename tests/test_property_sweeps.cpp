@@ -1,6 +1,6 @@
 // Property-style parameterised sweeps: broad cross-products of configuration
 // space asserting the library's core invariants —
-//   * the compressor's error-bound contract across predictor/zero-mode/
+//   * the compressor's error-bound contract across zero-mode/
 //     radius/block-size/data-shape combinations,
 //   * conv gradient correctness across kernel/stride/pad/rect geometries,
 //   * training runs for every (model x activation store) pair,

@@ -296,6 +296,20 @@ TEST(ServerConfigTest, FromEnvParsesPlainIntegers) {
   EXPECT_EQ(cfg.drain_grace_ms, 250);
 }
 
+TEST(ProtocolTest, SerializeOpenRejectsValuesPastTheU16LengthField) {
+  // A truncated length field with every byte still written would frame
+  // fields the caller never sent; the longest legal value round-trips.
+  const std::string longest(0xffff, 't');
+  const std::vector<std::uint8_t> ok = serialize_open({Op::kEncode, longest, "sz", 7});
+  const OpenRequest back = parse_open(ok);
+  EXPECT_EQ(back.tenant, longest);
+  EXPECT_EQ(back.spec, "sz");
+  EXPECT_EQ(back.window_elems, 7u);
+  const std::string too_long(0x10000, 't');
+  EXPECT_THROW(serialize_open({Op::kEncode, too_long, "sz", 0}), std::invalid_argument);
+  EXPECT_THROW(serialize_open({Op::kEncode, "t", too_long, 0}), std::invalid_argument);
+}
+
 // --- Served requests: spec x chunk matrix over a live server. ----------------
 
 TEST(ServeTest, ServedEncodeAndDecodeBitwiseMatchOneShotForEverySpecAndChunk) {

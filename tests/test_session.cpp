@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/error_injection.hpp"
 #include "core/session.hpp"
 #include "models/model_zoo.hpp"
 
@@ -146,20 +145,21 @@ TEST(TrainingSessionTest, FrameworkAccuracyTracksBaseline) {
   EXPECT_NEAR(acc_fw, acc_base, 0.25);
 }
 
-TEST(TrainingSessionTest, CustomInjectionStoreRuns) {
+TEST(TrainingSessionTest, ConfiguredCustomCodecIsUnknown) {
+  // "none" is the one store-topology sentinel; any other name goes to the
+  // codec registry, which has no "custom" codec and says so. EBCT_CODEC
+  // would replace the configured name, so it is cleared for the check.
+  const char* prev = std::getenv("EBCT_CODEC");
+  const std::optional<std::string> saved =
+      prev ? std::optional<std::string>(prev) : std::nullopt;
+  ::unsetenv("EBCT_CODEC");
   auto net = models::make_resnet18(tiny_model());
   data::SyntheticImageDataset ds(tiny_data());
   data::DataLoader loader(ds, 8, true, true);
   SessionConfig cfg;
   cfg.framework.codec = "custom";
-  cfg.base_lr = 0.05;
-  TrainingSession session(*net, loader, cfg);
-  EXPECT_EQ(session.codec_spec(), "custom");
-  InjectionStore store(1e-3, /*preserve_zeros=*/true, 321);
-  session.set_custom_store(&store);
-  session.run(5);
-  EXPECT_EQ(session.history().size(), 5u);
-  for (const auto& rec : session.history()) EXPECT_TRUE(std::isfinite(rec.loss));
+  EXPECT_THROW(TrainingSession(*net, loader, cfg), std::invalid_argument);
+  if (saved) ::setenv("EBCT_CODEC", saved->c_str(), 1);
 }
 
 TEST(TrainingSessionTest, HistoryRecordsLrSchedule) {

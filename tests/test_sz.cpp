@@ -665,23 +665,6 @@ TEST(Compressor, RelativeBoundResolvesAgainstRange) {
                            buf.abs_error_bound));
 }
 
-TEST(Compressor, Lorenzo2DWithinBound) {
-  tensor::Rng rng(43);
-  const std::size_t w = 64, h = 64;
-  std::vector<float> data(w * h);
-  for (std::size_t y = 0; y < h; ++y)
-    for (std::size_t x = 0; x < w; ++x)
-      data[y * w + x] = std::sin(0.1 * x) * std::cos(0.07 * y) +
-                        static_cast<float>(rng.normal(0, 0.01));
-  Config cfg;
-  cfg.error_bound = 1e-3;
-  cfg.predictor = Predictor::kLorenzo2D;
-  cfg.plane_width = w;
-  Compressor comp(cfg);
-  const auto recon = comp.decompress(comp.compress({data.data(), data.size()}));
-  EXPECT_TRUE(within_bound({data.data(), data.size()}, {recon.data(), recon.size()}, 1e-3));
-}
-
 TEST(Compressor, OutliersBeyondRadiusHandled) {
   // Huge jumps force the escape path; contract must still hold.
   std::vector<float> data(1000);
@@ -843,9 +826,6 @@ TEST(Compressor, InvalidConfigThrows) {
   Config cfg;
   cfg.error_bound = 0.0;
   EXPECT_THROW(Compressor{cfg}, std::invalid_argument);
-  Config cfg2;
-  cfg2.predictor = Predictor::kLorenzo2D;  // missing plane_width
-  EXPECT_THROW(Compressor{cfg2}, std::invalid_argument);
   Config cfg3;
   cfg3.block_size = 0;
   EXPECT_THROW(Compressor{cfg3}, std::invalid_argument);
@@ -887,8 +867,8 @@ TEST(Compressor, CorruptBufferThrowsInsteadOfCrashing) {
   EXPECT_THROW(comp.decompress(count_forged, {out.data(), out.size()}),
                std::runtime_error);
 
-  // Predictor byte forged to kLorenzo2D against a 1-D compressor
-  // (plane_width 0): must throw, not divide by zero.
+  // Predictor byte forged to 1: only id 0 (1-D Lorenzo) exists, so any
+  // other id is a corrupt header, not a stream to decode.
   CompressedBuffer pred_forged;
   pred_forged.num_elements = buf.num_elements;
   pred_forged.bytes = buf.bytes;
@@ -1021,10 +1001,6 @@ std::uint64_t compress_sweep_hash() {
     cfg.radius = radii[rng.uniform_index(4)];
     cfg.block_size = block_sizes[rng.uniform_index(4)];
     cfg.num_threads = static_cast<std::uint32_t>(rng.uniform_index(4));
-    if (trial % 4 == 1) {
-      cfg.predictor = Predictor::kLorenzo2D;
-      cfg.plane_width = static_cast<std::uint32_t>(1 + rng.uniform_index(200));
-    }
     const Compressor comp(cfg);
     const auto buf = comp.compress({data.data(), n});
     h = fnv1a(h, buf.bytes.data(), buf.bytes.size());
@@ -1050,7 +1026,7 @@ TEST(Compressor, OutputBytesMatchGoldenHashes) {
   // the portable x86-64 build's bytes.
   GTEST_SKIP() << "golden bytes are those of the portable x86-64 build";
 #endif
-  EXPECT_EQ(compress_sweep_hash(), 0x7ca8cfdeac809cc7ULL);
+  EXPECT_EQ(compress_sweep_hash(), 0xc2ed33df555f46a0ULL);
   EXPECT_EQ(container_hash("sz:eb=1e-3"), 0xae3dbbb49c8b740dULL);
   EXPECT_EQ(container_hash("lossless"), 0x9f5c4c5fd485e6fcULL);
   EXPECT_EQ(container_hash("jpeg-act:quality=50"), 0x3458281a4d31c710ULL);
@@ -1066,23 +1042,19 @@ TEST(Compressor, NonFiniteValuesRoundTripBitExactly) {
   const double eb = 1e-3;
   for (const auto& data : inputs) {
     for (const auto mode : {ZeroMode::kNone, ZeroMode::kRezero, ZeroMode::kExactRle}) {
-      for (const auto predictor : {Predictor::kLorenzo1D, Predictor::kLorenzo2D}) {
-        Config cfg;
-        cfg.error_bound = eb;
-        cfg.zero_mode = mode;
-        cfg.predictor = predictor;
-        cfg.plane_width = 3;
-        const Compressor comp(cfg);
-        const auto recon = comp.decompress(comp.compress({data.data(), data.size()}));
-        ASSERT_EQ(recon.size(), data.size());
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          if (std::isfinite(data[i])) {
-            EXPECT_LE(std::fabs(static_cast<double>(recon[i]) - data[i]), eb)
-                << "element " << i << " mode " << static_cast<int>(mode);
-          } else {
-            EXPECT_EQ(std::memcmp(&recon[i], &data[i], sizeof(float)), 0)
-                << "element " << i << " mode " << static_cast<int>(mode);
-          }
+      Config cfg;
+      cfg.error_bound = eb;
+      cfg.zero_mode = mode;
+      const Compressor comp(cfg);
+      const auto recon = comp.decompress(comp.compress({data.data(), data.size()}));
+      ASSERT_EQ(recon.size(), data.size());
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        if (std::isfinite(data[i])) {
+          EXPECT_LE(std::fabs(static_cast<double>(recon[i]) - data[i]), eb)
+              << "element " << i << " mode " << static_cast<int>(mode);
+        } else {
+          EXPECT_EQ(std::memcmp(&recon[i], &data[i], sizeof(float)), 0)
+              << "element " << i << " mode " << static_cast<int>(mode);
         }
       }
     }

@@ -4,7 +4,7 @@
 #
 #   tools/check_docs.sh
 #
-# Four gates, all stdlib-only (bash + python3, no packages):
+# Five gates, all stdlib-only (bash + python3, no packages):
 #
 #  1. Link check — every relative markdown link in README.md and docs/*.md
 #     must resolve to an existing file or directory. External links
@@ -25,6 +25,11 @@
 #     struct: every data member in src/core/config.hpp needs a row in
 #     docs/CONFIG.md's "FrameworkConfig fields" table, and every row there
 #     must name a member that still exists.
+#
+#  5. Bench-report guard — both directions for the BENCH_<name>.json
+#     reports: every `bench::JsonReporter <var>("<name>")` in bench/*.cpp
+#     needs a "## `BENCH_<name>.json`" section in docs/BENCH_SCHEMA.md, and
+#     every such section must name a report some bench still writes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -107,6 +112,29 @@ for f in sorted(rows - fields):
     print(f"STALE  FrameworkConfig::{f} (documented, but not a field in config.hpp)")
     ok = False
 print(f"checked {len(fields)} fields against {len(rows)} rows")
+sys.exit(0 if ok else 1)
+EOF
+
+echo "== BENCH_*.json report guard =="
+python3 - <<'EOF' || fail=1
+import glob, re, sys
+
+reports = set()
+for path in sorted(glob.glob("bench/*.cpp")):
+    src = open(path, encoding="utf-8").read()
+    reports |= set(re.findall(r'JsonReporter\s+\w+\(\s*"([^"]+)"\s*\)', src))
+
+doc = open("docs/BENCH_SCHEMA.md", encoding="utf-8").read()
+sections = set(re.findall(r"^## `BENCH_([\w.-]+)\.json`", doc, re.M))
+
+ok = True
+for r in sorted(reports - sections):
+    print(f"UNDOCUMENTED  BENCH_{r}.json (written by bench/, no section in docs/BENCH_SCHEMA.md)")
+    ok = False
+for r in sorted(sections - reports):
+    print(f"STALE  BENCH_{r}.json (documented, but no bench writes it)")
+    ok = False
+print(f"checked {len(reports)} reports against {len(sections)} sections")
 sys.exit(0 if ok else 1)
 EOF
 
