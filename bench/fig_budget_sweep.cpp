@@ -80,7 +80,6 @@ SweepPoint train(std::size_t budget, std::size_t iterations, bool async_encode,
   core::TrainingSession session(*net, loader, cfg);
 
   SweepPoint p;
-  memory::TierAccounting::instance().reset_peaks();
   p.seconds = bench::time_seconds([&] {
     session.run(iterations, [&](const core::IterationRecord& rec) {
       p.losses.push_back(rec.loss);

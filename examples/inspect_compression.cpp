@@ -8,10 +8,11 @@
 //        defaults: AlexNet, 0.01 (the paper's 1%).
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "core/adaptive.hpp"
+#include "core/env.hpp"
 #include "core/session.hpp"
 #include "data/synthetic.hpp"
 #include "memory/report.hpp"
@@ -25,7 +26,16 @@ using namespace ebct;
 
 int main(int argc, char** argv) {
   const std::string model = argc > 1 ? argv[1] : "AlexNet";
-  const double sigma_fraction = argc > 2 ? std::atof(argv[2]) : 0.01;
+  double sigma_fraction = 0.01;
+  try {
+    if (argc > 2) sigma_fraction = core::parse_double("sigma_fraction", argv[2]);
+    if (sigma_fraction <= 0.0)
+      throw std::invalid_argument("sigma_fraction: expected a value above 0, got '" +
+                                  std::string(argv[2]) + "'");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "inspect_compression: %s\n", e.what());
+    return 2;
+  }
   std::printf("=== compression inspector: %s, sigma target = %.0f%% of momentum ===\n\n",
               model.c_str(), 100.0 * sigma_fraction);
 

@@ -7,9 +7,11 @@
 // Usage: memory_budget_explorer [framework_ratio] (default 11.0)
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "baselines/strategies.hpp"
+#include "core/env.hpp"
 #include "memory/accounting.hpp"
 #include "memory/report.hpp"
 #include "models/model_zoo.hpp"
@@ -17,7 +19,16 @@
 using namespace ebct;
 
 int main(int argc, char** argv) {
-  const double framework_ratio = argc > 1 ? std::atof(argv[1]) : 11.0;
+  double framework_ratio = 11.0;
+  try {
+    if (argc > 1) framework_ratio = core::parse_double("framework_ratio", argv[1]);
+    if (framework_ratio <= 0.0)
+      throw std::invalid_argument("framework_ratio: expected a value above 0, got '" +
+                                  std::string(argv[1]) + "'");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "memory_budget_explorer: %s\n", e.what());
+    return 2;
+  }
   std::printf("=== memory-budget explorer (EBCT ratio = %.1fx, overhead 17%%) ===\n\n",
               framework_ratio);
 

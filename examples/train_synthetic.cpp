@@ -10,12 +10,13 @@
 //        --help lists every registered codec.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/codec_registry.hpp"
+#include "core/env.hpp"
 #include "core/session.hpp"
 #include "data/synthetic.hpp"
 #include "memory/accounting.hpp"
@@ -84,13 +85,11 @@ void print_help(const char* argv0) {
                 info.params_help.empty() ? "" : "  params: ",
                 info.params_help.c_str());
   }
-  std::puts("\nplus the session sentinels \"none\" (raw baseline) and \"custom\".");
+  std::puts("\nplus the session sentinel \"none\" (raw baseline).");
   std::puts("EBCT_CODEC=<spec> overrides the codec of any non-baseline run.");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   std::string model = "ResNet-18";
   std::size_t iters = 150;
   std::vector<std::string> codecs = {"none", "sz", "lossless"};
@@ -106,9 +105,11 @@ int main(int argc, char** argv) {
     } else if (positional == 0) {
       model = arg;
       ++positional;
-    } else {
-      iters = std::strtoul(arg.c_str(), nullptr, 10);
+    } else if (positional == 1) {
+      iters = core::parse_size("iterations", arg.c_str());
       ++positional;
+    } else {
+      throw std::invalid_argument("unexpected argument '" + arg + "'");
     }
   }
 
@@ -129,4 +130,15 @@ int main(int argc, char** argv) {
   std::puts("");
   table.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "train_synthetic: %s\n", e.what());
+    return 2;
+  }
 }

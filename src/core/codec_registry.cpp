@@ -1,11 +1,10 @@
 #include "core/codec_registry.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
+#include "core/env.hpp"
 #include "nn/streaming.hpp"
 
 namespace ebct::core {
@@ -49,34 +48,17 @@ double CodecParams::get_double(const std::string& key, double fallback) {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   consumed_[key] = true;
-  const std::string& v = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const double d = std::strtod(v.c_str(), &end);
-  if (v.empty() || end != v.c_str() + v.size() || errno != 0) {
-    throw std::invalid_argument(codec_ + ": parameter " + key + "='" + v +
-                                "' is not a number");
-  }
-  return d;
+  return parse_double(codec_ + ": parameter " + key, it->second);
 }
 
 std::uint32_t CodecParams::get_uint(const std::string& key, std::uint32_t fallback) {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   consumed_[key] = true;
-  const std::string& v = it->second;
-  // Digits only: strtoul would wrap negatives into huge values.
-  bool digits_only = !v.empty();
-  for (const char c : v) {
-    if (c < '0' || c > '9') digits_only = false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long parsed = std::strtoul(v.c_str(), &end, 10);
-  if (!digits_only || *end != '\0' || errno != 0 ||
-      parsed > 0xffffffffull) {
-    throw std::invalid_argument(codec_ + ": parameter " + key + "='" + v +
-                                "' is not an unsigned integer");
+  const std::string name = codec_ + ": parameter " + key;
+  const std::size_t parsed = parse_size(name.c_str(), it->second.c_str());
+  if (parsed > 0xffffffffull) {
+    throw std::invalid_argument(name + ": '" + it->second + "' exceeds 2^32-1");
   }
   return static_cast<std::uint32_t>(parsed);
 }

@@ -1,13 +1,16 @@
 #pragma once
 
 /// \file env.hpp
-/// Strict parsers for size/count options and EBCT_* environment variables.
+/// Strict parsers for size/count/number options and EBCT_* environment
+/// variables.
 /// Dependency-free so every layer (tensor/, obs/, core/, serve/) reads its
 /// variables through one contract: a set-but-malformed value throws
 /// std::invalid_argument naming the variable, and an empty value means
 /// unset.
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <stdexcept>
@@ -33,6 +36,21 @@ inline std::size_t parse_size(const char* name, const char* value) {
                                 value + "'");
   }
   return static_cast<std::size_t>(v);
+}
+
+/// Strict parse of a real-valued option (a CLI value, a codec parameter):
+/// the whole string must parse to a finite number — no leading space, no
+/// trailing junk, no inf/nan, no overflow or underflow. Throws
+/// std::invalid_argument naming `name`.
+inline double parse_double(const std::string& name, const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const double d = std::strtod(value.c_str(), &end);
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])) != 0 ||
+      end != value.c_str() + value.size() || errno != 0 || !std::isfinite(d)) {
+    throw std::invalid_argument(name + ": expected a finite number, got '" + value + "'");
+  }
+  return d;
 }
 
 /// Size env var: `fallback` when unset or empty, else parse_size.

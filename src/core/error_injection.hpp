@@ -4,12 +4,10 @@
 /// Error-injection harness used throughout §3 of the paper: instead of
 /// running the compressor, inject its *modelled* error — uniform on the
 /// activations (Fig. 6), normal on the gradients (Fig. 9) — and observe the
-/// propagation. InjectionStore drops into the training loop exactly where
-/// the compressed store would.
+/// propagation.
 
 #include <span>
 
-#include "nn/activation_store.hpp"
 #include "tensor/rng.hpp"
 
 namespace ebct::core {
@@ -21,32 +19,5 @@ void inject_uniform(std::span<float> data, double eb, tensor::Rng& rng,
 
 /// Add N(0, sigma) noise to every element (gradient-level injection, Fig. 9).
 void inject_normal(std::span<float> data, double sigma, tensor::Rng& rng);
-
-/// ActivationStore that keeps raw tensors but perturbs them with modelled
-/// uniform compression error on retrieve.
-class InjectionStore : public nn::ActivationStore {
- public:
-  InjectionStore(double eb, bool preserve_zeros, std::uint64_t seed)
-      : eb_(eb), preserve_zeros_(preserve_zeros), rng_(seed) {}
-
-  nn::StashHandle stash(const std::string& layer, tensor::Tensor&& act) override {
-    return inner_.stash(layer, std::move(act));
-  }
-  tensor::Tensor retrieve(nn::StashHandle handle) override {
-    tensor::Tensor t = inner_.retrieve(handle);
-    inject_uniform(t.span(), eb_, rng_, preserve_zeros_);
-    return t;
-  }
-  std::size_t held_bytes() const override { return inner_.held_bytes(); }
-
-  void set_error_bound(double eb) { eb_ = eb; }
-  double error_bound() const { return eb_; }
-
- private:
-  nn::RawStore inner_;
-  double eb_;
-  bool preserve_zeros_;
-  tensor::Rng rng_;
-};
 
 }  // namespace ebct::core

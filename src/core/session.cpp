@@ -9,7 +9,6 @@
 
 #include "core/codec_registry.hpp"
 #include "core/env.hpp"
-#include "memory/accounting.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/sched.hpp"
@@ -206,17 +205,6 @@ std::vector<std::pair<std::string, double>> TrainingSession::metrics() const {
     };
     for (const auto& [name, v] : rows)
       m.emplace_back(name, static_cast<double>(v));
-  }
-
-  // Process-wide tier accounting (live + peak per tier).
-  {
-    const memory::TierUsage tu = memory::TierAccounting::instance().usage();
-    static const char* kTierNames[memory::kNumTiers] = {"raw", "compressed", "spilled"};
-    for (int t = 0; t < memory::kNumTiers; ++t) {
-      const std::string base = std::string("tiers.") + kTierNames[t];
-      m.emplace_back(base + ".live_bytes", static_cast<double>(tu.live[t]));
-      m.emplace_back(base + ".peak_bytes", static_cast<double>(tu.peak[t]));
-    }
   }
 
   // Scheduler pool + steal latency (non-destructive snapshot).

@@ -92,8 +92,8 @@ class TrainingSession {
 
   /// One consolidated name → value snapshot of every runtime counter
   /// island: per-phase wall-clock (the process-wide obs::MetricsRegistry),
-  /// this session's pager counters, tier accounting, scheduler steal
-  /// stats, executor dispatch stats, and trace-ring emit/drop totals.
+  /// this session's pager counters, scheduler steal stats, executor
+  /// dispatch stats, and trace-ring emit/drop totals.
   /// Rows are JsonReporter-shaped so benches emit them directly; names and
   /// units are documented in docs/OBSERVABILITY.md. Also written as JSON
   /// to the EBCT_METRICS path (when set) at the end of every run().

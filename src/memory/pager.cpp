@@ -92,7 +92,6 @@ void ActivationPager::account_add(Tier t, std::size_t bytes) {
       break;
   }
   peak_resident_ = std::max(peak_resident_, raw_bytes_ + compressed_bytes_);
-  TierAccounting::instance().add(t, bytes);
 }
 
 void ActivationPager::account_sub(Tier t, std::size_t bytes) {
@@ -107,7 +106,6 @@ void ActivationPager::account_sub(Tier t, std::size_t bytes) {
       spilled_bytes_ -= bytes;
       break;
   }
-  TierAccounting::instance().sub(t, bytes);
 }
 
 ActivationPager::Page* ActivationPager::find_locked(PageId id) const {
@@ -427,7 +425,6 @@ Tensor ActivationPager::load_payload(Page* p) {
       throw std::runtime_error(
           "ActivationPager: spill payload corrupt (checksum mismatch) for page of layer '" +
           p->layer + "'");
-    TierAccounting::instance().on_spill_read(buf.size());
     if (p->exact) {
       Tensor out(p->shape);
       std::memcpy(out.data(), buf.data(), buf.size());
@@ -586,10 +583,7 @@ Tensor ActivationPager::drop(PageId id) {
     alias_of_.erase(id);
     reposition_locked(p);
   }
-  if (hit) {
-    totals_.prefetch_hits += 1;
-    TierAccounting::instance().on_prefetch_hit();
-  }
+  if (hit) totals_.prefetch_hits += 1;
   prefetch_ahead(&dropped_key, lock);
   return out;
 }
@@ -628,7 +622,6 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
       p->raw = Tensor();
       p->prefetched = false;
       totals_.evictions += 1;
-      TierAccounting::instance().on_eviction();
     }
   }
 
@@ -654,12 +647,10 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
       Page* victim = pick_victim();
       if (victim == nullptr) {
         totals_.over_budget_events += 1;
-        TierAccounting::instance().on_over_budget();
         return;
       }
       spill_payload(victim, lock);
       totals_.evictions += 1;
-      TierAccounting::instance().on_eviction();
     }
     return;
   }
@@ -687,7 +678,6 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
       }
       if (pending_spill_count_ == 0) {
         totals_.over_budget_events += 1;
-        TierAccounting::instance().on_over_budget();
         return;
       }
       // Everything eligible is already mid-write: fall through and wait.
@@ -751,7 +741,6 @@ bool ActivationPager::spill_payload(Page* p, std::unique_lock<std::mutex>& lock)
     p->raw = Tensor();
   }
   totals_.spill_write_bytes += size;
-  TierAccounting::instance().on_spill_write(size);
   return true;
 }
 
@@ -759,7 +748,7 @@ void ActivationPager::spill_payload_async(Page* p, std::unique_lock<std::mutex>&
   // Counters are charged at issue time so the on/off write-behind counter
   // streams match, and rolled back if the write fails — the synchronous
   // path only counts a spill once the write has landed, so parity holds on
-  // the error path too. The tier accounting itself only moves when the
+  // the error path too. The per-tier byte counts only move when the
   // write lands (until then the payload genuinely occupies RAM).
   p->io_busy.store(true, std::memory_order_relaxed);
   const bool from_enc = p->encoded;
@@ -771,8 +760,6 @@ void ActivationPager::spill_payload_async(Page* p, std::unique_lock<std::mutex>&
   pending_spill_count_ += 1;
   totals_.evictions += 1;
   totals_.spill_write_bytes += size;
-  TierAccounting::instance().on_eviction();
-  TierAccounting::instance().on_spill_write(size);
 
   // Submit outside mu_: on a one-thread pool the body runs inline here. The
   // payload pointer stays valid because io_busy keeps every other path
@@ -804,8 +791,6 @@ void ActivationPager::spill_payload_async(Page* p, std::unique_lock<std::mutex>&
       // when the write throws.
       totals_.evictions -= 1;
       totals_.spill_write_bytes -= size;
-      TierAccounting::instance().rollback_eviction();
-      TierAccounting::instance().rollback_spill_write(size);
     } else {
       p->extent = ext;
       p->checksum = sum;
@@ -873,7 +858,6 @@ void ActivationPager::prefetch_ahead(const OrderKey* after,
     submit.push_back(p);
     ++window;
     totals_.prefetch_submitted += 1;
-    TierAccounting::instance().on_prefetch_submitted();
   }
   if (submit.empty()) return;
 

@@ -106,7 +106,7 @@ struct PagerConfig {
   std::size_t write_window = 4;
 };
 
-/// Per-pager counters (process-wide totals live in TierAccounting).
+/// Per-pager counters: the one ledger of this pager's bytes and events.
 struct PagerCounters {
   std::size_t resident_bytes = 0;       ///< tiers 0+1 now
   std::size_t peak_resident_bytes = 0;  ///< high-water of the above
@@ -277,7 +277,7 @@ class ActivationPager {
   void submit_fetch(Page* p);
   SpillFile& spill_file_locked();
 
-  // Tier bookkeeping helpers (mu_ held): mirror into TierAccounting.
+  // Tier bookkeeping helpers (mu_ held).
   void account_add(Tier t, std::size_t bytes);
   void account_sub(Tier t, std::size_t bytes);
 

@@ -1,8 +1,8 @@
 #pragma once
 // Consolidated runtime metrics: one process-wide registry of per-phase
 // timing accumulators, plus the glue that assembles the pre-existing
-// counter islands (PagerCounters, TierAccounting, sched::steal_stats,
-// executor dispatch stats) into a single named snapshot — exposed as
+// counter islands (PagerCounters, sched::steal_stats, executor dispatch
+// stats) into a single named snapshot — exposed as
 // `TrainingSession::metrics()` and emitted by the benches into their
 // BENCH_*.json rows (schema in docs/BENCH_SCHEMA.md).
 //

@@ -111,15 +111,13 @@ void Server::stop() {
   ::unlink(cfg_.socket_path.c_str());
 }
 
-memory::TierAccounting& Server::tenant_acct(const std::string& tenant) {
+std::atomic<std::size_t>& Server::tenant_charge(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(tenants_mu_);
-  auto& slot = tenants_[tenant];
-  if (!slot) slot = std::make_unique<memory::TierAccounting>();
-  return *slot;
+  return tenants_[tenant];  // map nodes are stable; value-initialized to 0
 }
 
-memory::TierUsage Server::tenant_usage(const std::string& tenant) {
-  return tenant_acct(tenant).usage();
+std::size_t Server::tenant_charged_bytes(const std::string& tenant) {
+  return tenant_charge(tenant).load(std::memory_order_relaxed);
 }
 
 void Server::reap_finished_locked() {
@@ -218,7 +216,7 @@ void Server::handle_request(int fd) {
 
   std::unique_ptr<EncodeSession> enc;
   std::unique_ptr<DecodeSession> dec;
-  memory::TierAccounting& acct = tenant_acct(req.tenant);
+  std::atomic<std::size_t>& tenant_bytes = tenant_charge(req.tenant);
   std::size_t charged = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
@@ -238,7 +236,7 @@ void Server::handle_request(int fd) {
 
   auto release = [&]() {
     if (charged > 0) {
-      acct.sub(memory::Tier::kRaw, charged);
+      tenant_bytes.fetch_sub(charged, std::memory_order_relaxed);
       charged = 0;
     }
     if (enc) pool_.release_encode(std::move(enc));
@@ -263,13 +261,11 @@ void Server::handle_request(int fd) {
 
     // Budget admission: charge the session's resident cap, then check.
     // add-then-check keeps the race window closed against concurrent
-    // admissions of the same tenant (both see the sum including the other).
+    // admissions of the same tenant (the later add sees the sum of both).
     const std::size_t cap = encode ? enc->resident_cap_bytes() : dec->resident_cap_bytes();
-    acct.add(memory::Tier::kRaw, cap);
+    const std::size_t total = tenant_bytes.fetch_add(cap, std::memory_order_relaxed) + cap;
     charged = cap;
-    if (cfg_.tenant_budget_bytes != 0 &&
-        acct.usage().resident() > cfg_.tenant_budget_bytes) {
-      acct.on_over_budget();
+    if (cfg_.tenant_budget_bytes != 0 && total > cfg_.tenant_budget_bytes) {
       throw ServerError(kErrOverBudget,
                         "tenant '" + req.tenant + "' over byte budget (" +
                             std::to_string(cfg_.tenant_budget_bytes) +
@@ -302,11 +298,10 @@ void Server::handle_request(int fd) {
       if (dec) {
         const std::size_t cap = dec->resident_cap_bytes();
         if (cap > charged) {
-          acct.add(memory::Tier::kRaw, cap - charged);
+          const std::size_t delta = cap - charged;
+          const std::size_t total = tenant_bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
           charged = cap;
-          if (cfg_.tenant_budget_bytes != 0 &&
-              acct.usage().resident() > cfg_.tenant_budget_bytes) {
-            acct.on_over_budget();
+          if (cfg_.tenant_budget_bytes != 0 && total > cfg_.tenant_budget_bytes) {
             throw ServerError(kErrOverBudget,
                               "tenant '" + req.tenant + "' over byte budget (" +
                                   std::to_string(cfg_.tenant_budget_bytes) +

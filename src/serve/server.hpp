@@ -15,11 +15,11 @@
 ///    encodes window k (double buffering), so concurrent requests share
 ///    the pool fairly and a single request still overlaps I/O with codec
 ///    compute.
-///  - Per-tenant byte budgets ride the existing memory::TierAccounting:
-///    each tenant gets an instance; a session's resident-byte cap is
-///    charged at admission (add -> check -> rollback on overflow), and a
-///    tenant over budget gets a 429-style reject — backpressure, not
-///    queueing — until running sessions release their charge.
+///  - Per-tenant byte budgets: each tenant owns one atomic count of
+///    charged bytes; a session's resident-byte cap is charged at admission
+///    (add -> check -> rollback on overflow), and a tenant over budget gets
+///    a 429-style reject — backpressure, not queueing — until running
+///    sessions release their charge.
 ///  - SIGTERM drain: stop() closes the listener, lets in-flight requests
 ///    complete (bounded by drain_grace_ms), wakes idle reads AND writes
 ///    (a peer that stopped reading cannot wedge shutdown), joins every
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/codec_registry.hpp"
-#include "memory/accounting.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
 
@@ -78,8 +77,8 @@ class Server {
   bool running() const { return running_.load(std::memory_order_acquire); }
   const ServerConfig& config() const { return cfg_; }
 
-  /// Tenant ledger snapshot (creates the tenant on first use) — test hook.
-  memory::TierUsage tenant_usage(const std::string& tenant);
+  /// Bytes currently charged to a tenant (creates it on first use) — test hook.
+  std::size_t tenant_charged_bytes(const std::string& tenant);
 
   /// Number of connections currently being handled.
   std::size_t active_connections() const {
@@ -107,7 +106,7 @@ class Server {
   void reap_finished_locked();  ///< join+erase done conns; conns_mu_ held
   void handle_connection(int fd);
   void handle_request(int fd);
-  memory::TierAccounting& tenant_acct(const std::string& tenant);
+  std::atomic<std::size_t>& tenant_charge(const std::string& tenant);
 
   ServerConfig cfg_;
   core::FrameworkConfig fw_;
@@ -120,7 +119,7 @@ class Server {
   mutable std::mutex conns_mu_;
   std::vector<Conn> conns_;
   std::mutex tenants_mu_;
-  std::map<std::string, std::unique_ptr<memory::TierAccounting>> tenants_;
+  std::map<std::string, std::atomic<std::size_t>> tenants_;  ///< charged bytes
 };
 
 }  // namespace ebct::serve

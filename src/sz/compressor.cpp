@@ -155,10 +155,15 @@ T read_pod(const std::uint8_t*& p) {
   return v;
 }
 
+/// A usable absolute bound: positive, with a finite quantization step
+/// (2 * eb). Rejects NaN, inf and values whose step overflows.
+bool valid_bound(double eb) { return eb > 0.0 && std::isfinite(2.0 * eb); }
+
 }  // namespace
 
 Compressor::Compressor(Config cfg) : cfg_(cfg) {
-  if (cfg_.error_bound <= 0.0) throw std::invalid_argument("Compressor: error_bound must be > 0");
+  if (!valid_bound(cfg_.error_bound))
+    throw std::invalid_argument("Compressor: error_bound must be finite and > 0");
   if (cfg_.radius < 2 || cfg_.radius > kMaxRadius)
     throw std::invalid_argument("Compressor: radius must be in [2, kMaxRadius]");
   if (cfg_.block_size == 0) throw std::invalid_argument("Compressor: block_size must be > 0");
@@ -168,17 +173,21 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   // Resolve the absolute bound.
   double eb = cfg_.error_bound;
   if (cfg_.bound_mode == BoundMode::kRelative) {
+    // Range over finite values only: non-finite ones escape verbatim and
+    // must not widen the bound of the rest.
     float lo = 0.0f, hi = 0.0f;
-    if (!data.empty()) {
-      lo = hi = data[0];
-      for (float v : data) {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
+    bool seen = false;
+    for (float v : data) {
+      if (!std::isfinite(v)) continue;
+      lo = seen ? std::min(lo, v) : v;
+      hi = seen ? std::max(hi, v) : v;
+      seen = true;
     }
     const double range = static_cast<double>(hi) - static_cast<double>(lo);
     eb = range > 0.0 ? cfg_.error_bound * range : cfg_.error_bound;
   }
+  if (!valid_bound(eb))
+    throw std::invalid_argument("Compressor: resolved error bound is not finite and > 0");
 
   // Exact-zero RLE mode: strip zeros into a run-length side stream and
   // compress only the packed non-zero sequence.
@@ -326,6 +335,8 @@ void Compressor::decompress(const CompressedBuffer& buf, std::span<float> out) c
     throw std::runtime_error("Compressor::decompress: corrupt header (count)");
   if (h.radius < 2 || h.radius > kMaxRadius)
     throw std::runtime_error("Compressor::decompress: corrupt header (radius)");
+  if (!valid_bound(h.abs_eb))
+    throw std::runtime_error("Compressor::decompress: corrupt header (eb)");
   if (out.size() != h.num_elements)
     throw std::invalid_argument("Compressor::decompress: output size mismatch");
 

@@ -1,77 +1,15 @@
 #pragma once
 
 /// \file alloc.hpp
-/// Global allocation tracker for tensor buffers plus a thread-local scratch
-/// arena for transient workspace (im2col columns, GEMM packing panels).
-/// Every Tensor reports its byte footprint to the tracker, giving the memory
-/// module exact live/peak statistics without intercepting malloc; scratch
-/// buffers are deliberately *not* tracked there so workspace reuse does not
-/// distort the paper's activation-memory figures. Tracker is thread-safe via
-/// atomics; the arena is thread-local and needs no locking.
+/// Thread-local scratch arena for transient workspace (im2col columns, GEMM
+/// packing panels); being per-thread, it needs no locking.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 namespace ebct::tensor {
-
-/// Process-wide counters of tensor memory. Peak tracking uses a CAS loop so
-/// concurrent allocations never under-report the high-water mark.
-class AllocTracker {
- public:
-  static AllocTracker& instance() {
-    static AllocTracker t;
-    return t;
-  }
-
-  void on_alloc(std::size_t bytes) {
-    const std::size_t now = live_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    total_allocated_.fetch_add(bytes, std::memory_order_relaxed);
-    alloc_count_.fetch_add(1, std::memory_order_relaxed);
-    std::size_t prev = peak_.load(std::memory_order_relaxed);
-    while (now > prev && !peak_.compare_exchange_weak(prev, now, std::memory_order_relaxed)) {
-    }
-  }
-
-  void on_free(std::size_t bytes) { live_.fetch_sub(bytes, std::memory_order_relaxed); }
-
-  std::size_t live_bytes() const { return live_.load(std::memory_order_relaxed); }
-  std::size_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
-  std::size_t total_allocated_bytes() const {
-    return total_allocated_.load(std::memory_order_relaxed);
-  }
-  std::size_t alloc_count() const { return alloc_count_.load(std::memory_order_relaxed); }
-
-  /// Reset the peak to the current live size (start of a measured region).
-  void reset_peak() { peak_.store(live_.load(std::memory_order_relaxed), std::memory_order_relaxed); }
-
- private:
-  AllocTracker() = default;
-  std::atomic<std::size_t> live_{0};
-  std::atomic<std::size_t> peak_{0};
-  std::atomic<std::size_t> total_allocated_{0};
-  std::atomic<std::size_t> alloc_count_{0};
-};
-
-/// RAII scope that measures the peak tensor memory between construction and
-/// `peak_delta()` queries. Only valid when scopes are not interleaved across
-/// threads (benchmark usage).
-class PeakScope {
- public:
-  PeakScope() : base_(AllocTracker::instance().live_bytes()) {
-    AllocTracker::instance().reset_peak();
-  }
-  /// Peak bytes above the live baseline when this scope began.
-  std::size_t peak_delta() const {
-    const std::size_t p = AllocTracker::instance().peak_bytes();
-    return p > base_ ? p - base_ : 0;
-  }
-
- private:
-  std::size_t base_;
-};
 
 /// Thread-local pool of reusable float workspace blocks. Hot paths that need
 /// a transient buffer per sample (im2col columns, packed GEMM panels) borrow

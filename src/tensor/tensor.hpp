@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file tensor.hpp
-/// Dense float32 tensor with NCHW layout, owning storage tracked by
-/// AllocTracker. Move-only semantics are avoided deliberately: copies are
+/// Dense float32 tensor with NCHW layout and owning storage. Copies are
 /// explicit via clone() so accidental deep copies can't hide in layer code.
 
 #include <cstddef>
@@ -11,7 +10,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "tensor/alloc.hpp"
 #include "tensor/shape.hpp"
 
 namespace ebct::tensor {
@@ -21,30 +19,24 @@ class Tensor {
  public:
   Tensor() = default;
 
-  explicit Tensor(Shape shape) : shape_(shape) { allocate(); }
+  explicit Tensor(Shape shape) : shape_(shape), data_(shape.numel(), 0.0f) {}
 
-  Tensor(Shape shape, float fill) : shape_(shape) {
-    allocate();
-    for (auto& v : data_) v = fill;
-  }
+  Tensor(Shape shape, float fill) : shape_(shape), data_(shape.numel(), fill) {}
 
   Tensor(const Tensor&) = delete;
   Tensor& operator=(const Tensor&) = delete;
 
+  /// Moves leave the source empty: no storage and a default Shape.
   Tensor(Tensor&& o) noexcept { *this = std::move(o); }
   Tensor& operator=(Tensor&& o) noexcept {
     if (this != &o) {
-      release();
       shape_ = o.shape_;
       data_ = std::move(o.data_);
-      tracked_bytes_ = o.tracked_bytes_;
       o.shape_ = Shape();
-      o.tracked_bytes_ = 0;
+      o.data_.clear();
     }
     return *this;
   }
-
-  ~Tensor() { release(); }
 
   /// Deep copy (explicit; Tensor is otherwise move-only).
   Tensor clone() const {
@@ -88,36 +80,9 @@ class Tensor {
     shape_ = s;
   }
 
-  /// Free the storage but remember the shape (used by activation stores that
-  /// replace raw data with a compressed representation).
-  void drop_storage() {
-    release();
-    data_.clear();
-    data_.shrink_to_fit();
-  }
-
-  /// Re-allocate storage for the remembered shape after drop_storage().
-  void restore_storage() {
-    if (!data_.empty()) return;
-    allocate();
-  }
-
  private:
-  void allocate() {
-    data_.assign(shape_.numel(), 0.0f);
-    tracked_bytes_ = data_.size() * sizeof(float);
-    AllocTracker::instance().on_alloc(tracked_bytes_);
-  }
-  void release() {
-    if (tracked_bytes_ != 0) {
-      AllocTracker::instance().on_free(tracked_bytes_);
-      tracked_bytes_ = 0;
-    }
-  }
-
   Shape shape_;
   std::vector<float> data_;
-  std::size_t tracked_bytes_ = 0;
 };
 
 }  // namespace ebct::tensor

@@ -122,6 +122,9 @@ TEST(CodecParams, MalformedSpecsThrow) {
   EXPECT_THROW(reg.create("sz:=3"), std::invalid_argument);          // empty key
   EXPECT_THROW(reg.create("sz:eb=1e-3,eb=1e-4"), std::invalid_argument);  // dup
   EXPECT_THROW(reg.create("sz:eb=abc"), std::invalid_argument);      // not a number
+  EXPECT_THROW(reg.create("sz:eb=inf"), std::invalid_argument);      // not finite
+  EXPECT_THROW(reg.create("sz:eb=nan"), std::invalid_argument);      // not finite
+  EXPECT_THROW(reg.create("sz:eb=1e-3x"), std::invalid_argument);    // trailing junk
   EXPECT_THROW(reg.create("sz:threads=-1"), std::invalid_argument);  // negative uint
   EXPECT_THROW(reg.create("sz:frobnicate=1"), std::invalid_argument);  // unknown key
   EXPECT_THROW(reg.create("sz:zero=sometimes"), std::invalid_argument);

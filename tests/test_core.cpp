@@ -111,23 +111,6 @@ TEST(InjectNormalTest, MatchesTargetSigma) {
   EXPECT_TRUE(stats::looks_normal(d));
 }
 
-TEST(InjectionStoreTest, PerturbsOnRetrieve) {
-  InjectionStore store(1e-3, true, 124);
-  Tensor t = testutil::relu_like_tensor(Shape{1000}, 125, 0.4);
-  Tensor orig = t.clone();
-  const auto h = store.stash("conv", std::move(t));
-  Tensor back = store.retrieve(h);
-  std::size_t changed = 0;
-  for (std::size_t i = 0; i < back.numel(); ++i) {
-    EXPECT_NEAR(back[i], orig[i], 1e-3);
-    if (back[i] != orig[i]) ++changed;
-    if (orig[i] == 0.0f) {
-      EXPECT_EQ(back[i], 0.0f);
-    }
-  }
-  EXPECT_GT(changed, 100u);
-}
-
 TEST(SzCodecTest, RoundtripWithinLayerBound) {
   sz::Config cfg;
   cfg.error_bound = 1e-3;

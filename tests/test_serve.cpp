@@ -474,8 +474,7 @@ TEST(ServeTest, TenantOverBudgetGetsBackpressureNotQueueing) {
   const obs::ServeSnapshot s = obs::ServeMetrics::instance().snapshot();
   EXPECT_EQ(s.rejects, 1u);
   EXPECT_EQ(s.requests, 3u);
-  const memory::TierUsage usage = fx.server->tenant_usage("acme");
-  EXPECT_EQ(usage.resident(), 0u);
+  EXPECT_EQ(fx.server->tenant_charged_bytes("acme"), 0u);
 }
 
 int raw_connect(const std::string& path) {
@@ -594,7 +593,7 @@ TEST(ServeTest, MidStreamDisconnectReleasesTheSessionAndItsBudget) {
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   ASSERT_EQ(fx.server->active_connections(), 0u);
-  EXPECT_EQ(fx.server->tenant_usage("acme").resident(), 0u);
+  EXPECT_EQ(fx.server->tenant_charged_bytes("acme"), 0u);
 
   // The same tenant's budget is free again (a leaked charge would 429 here).
   Client client = fx.client();
@@ -641,7 +640,7 @@ TEST(ServeTest, DecodeBudgetRechargedOnceHeaderDeclaresItsWindow) {
   const obs::ServeSnapshot s = obs::ServeMetrics::instance().snapshot();
   EXPECT_EQ(s.rejects, 1u);
   // The re-charged cap is released with the failed request.
-  EXPECT_EQ(fx.server->tenant_usage("acme").resident(), 0u);
+  EXPECT_EQ(fx.server->tenant_charged_bytes("acme"), 0u);
 
   // A modest-window container under the same budget still decodes fine.
   const std::vector<float> payload = make_payload(kTestWindow, 53);

@@ -1,10 +1,9 @@
-// Unit tests for the tensor substrate: Shape, Tensor, AllocTracker, Rng.
+// Unit tests for the tensor substrate: Shape, Tensor, Rng.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "tensor/alloc.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
@@ -99,26 +98,6 @@ TEST(Tensor, AtMatchesOffset) {
   Tensor t(Shape::nchw(2, 2, 2, 2));
   t.at(1, 1, 1, 1) = 5.0f;
   EXPECT_EQ(t[15], 5.0f);
-}
-
-TEST(AllocTracker, TracksLiveBytes) {
-  const std::size_t before = AllocTracker::instance().live_bytes();
-  {
-    Tensor t(Shape{1024});
-    EXPECT_EQ(AllocTracker::instance().live_bytes(), before + 4096);
-  }
-  EXPECT_EQ(AllocTracker::instance().live_bytes(), before);
-}
-
-TEST(AllocTracker, PeakScopeMeasuresHighWater) {
-  PeakScope scope;
-  {
-    Tensor a(Shape{1000});
-    Tensor b(Shape{1000});
-    (void)a;
-    (void)b;
-  }
-  EXPECT_GE(scope.peak_delta(), 8000u);
 }
 
 TEST(Rng, DeterministicFromSeed) {

@@ -4,7 +4,7 @@
 #
 #   tools/check_docs.sh
 #
-# Five gates, all stdlib-only (bash + python3, no packages):
+# Six gates, all stdlib-only (bash + python3, no packages):
 #
 #  1. Link check — every relative markdown link in README.md and docs/*.md
 #     must resolve to an existing file or directory. External links
@@ -30,6 +30,12 @@
 #     reports: every `bench::JsonReporter <var>("<name>")` in bench/*.cpp
 #     needs a "## `BENCH_<name>.json`" section in docs/BENCH_SCHEMA.md, and
 #     every such section must name a report some bench still writes.
+#
+#  6. Metrics-family guard — both directions for TrainingSession::metrics():
+#     the families it emits (the text before the first "." of each metric
+#     name literal in its body: iterations, phase, pager, ...) must equal the
+#     families named in the first column of docs/OBSERVABILITY.md's
+#     metrics table. A deleted metric cannot leave its row behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -135,6 +141,37 @@ for r in sorted(sections - reports):
     print(f"STALE  BENCH_{r}.json (documented, but no bench writes it)")
     ok = False
 print(f"checked {len(reports)} reports against {len(sections)} sections")
+sys.exit(0 if ok else 1)
+EOF
+
+echo "== metrics-family guard =="
+python3 - <<'EOF' || fail=1
+import re, sys
+
+src = open("src/core/session.cpp", encoding="utf-8").read()
+body = re.search(r"TrainingSession::metrics\(\) const \{\n(.*?)\n\}\n", src, re.S).group(1)
+# A name literal has a "." in it ("pager.evictions", "phase.") or is the
+# first argument of emplace_back ("iterations"); other literals, such as a
+# table of suffixes, are not metric names.
+names = [lit for lit in re.findall(r'"([^"\\]*)"', body) if "." in lit]
+names += re.findall(r'emplace_back\(\s*"([^"\\]*)"', body)
+emitted = {name.split(".", 1)[0] for name in names}
+emitted.discard("")
+
+doc = open("docs/OBSERVABILITY.md", encoding="utf-8").read()
+section = re.search(r"## Metrics: one consolidated snapshot\n(.*?)(?:\n## |\Z)", doc, re.S).group(1)
+documented = set()
+for cell in re.findall(r"^\| (`[^|]*)\|", section, re.M):
+    documented |= {name.split(".", 1)[0] for name in re.findall(r"`([^`]+)`", cell)}
+
+ok = True
+for f in sorted(emitted - documented):
+    print(f"UNDOCUMENTED  metrics family '{f}' (emitted by metrics(), no row in docs/OBSERVABILITY.md)")
+    ok = False
+for f in sorted(documented - emitted):
+    print(f"STALE  metrics family '{f}' (documented, but metrics() no longer emits it)")
+    ok = False
+print(f"checked {len(emitted)} emitted families against {len(documented)} documented")
 sys.exit(0 if ok else 1)
 EOF
 
