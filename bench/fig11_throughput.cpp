@@ -79,7 +79,7 @@ void compressor_throughput_section() {
   const auto [ser_c, ser_d] = codec_seconds(data, 1);
   memory::Table t({"threads", "compress MB/s", "decompress MB/s",
                    "compress speedup", "decompress speedup"});
-  const int hw = tensor::hardware_threads();
+  const int hw = tensor::sched::num_threads();
   for (std::uint32_t threads : {1, 2, 4, 8}) {
     if (threads > static_cast<std::uint32_t>(hw) && threads != 1) {
       // Oversubscribed settings measure scheduler noise, not scaling.
@@ -151,7 +151,7 @@ int executor_section(bench::JsonReporter& report) {
   std::puts("--- graph-scheduled executor (Inception-V4 scaled, batch 8) ---");
   // Branch overlap needs somewhere to run: guarantee at least two workers
   // even on a single-core runner (the contract is determinism, not speed).
-  tensor::sched::set_num_threads(std::max(2, tensor::hardware_threads()));
+  tensor::sched::set_num_threads(std::max(2, tensor::sched::num_threads()));
   const std::size_t peak = inception_step(false, 0).peak_resident;
   const std::size_t budget = peak * 2 / 5;
   std::printf("(memory budget %zu KiB = 40%% of unbudgeted peak)\n", budget >> 10);

@@ -419,7 +419,7 @@ void check_wallclock_gate(const TimingRows& timings) {
 
 int main() {
   // Captured before the determinism checks resize the scheduler pool.
-  const int machine_threads = tensor::hardware_threads();
+  const int machine_threads = tensor::sched::num_threads();
   bench::JsonReporter report("perf_smoke");
   TimingRows timings;
   check_parallel_plan();

@@ -28,7 +28,6 @@ struct MigrationModel {
   }
 
   static MigrationModel pcie3() { return {16.0e9, 0.5}; }
-  static MigrationModel nvlink2() { return {75.0e9, 0.5}; }
 };
 
 /// Recomputation model: layers whose stash can be cheaply regenerated

@@ -69,9 +69,9 @@ TrainingSession::TrainingSession(nn::Network& net, data::DataLoader& loader,
     return;
   }
   // Any registered codec: all training routes through the tiered pager —
-  // with no budget it behaves exactly like the old CodecStore (or, with
-  // async_compression, the retired AsyncCodecStore, now thread-free); with
-  // a budget it spills to disk and pages the layers' exact state. The
+  // with no budget it only holds the encoded bytes (encoded on the pool
+  // with async_compression); with a budget it also spills to disk and
+  // pages the layers' exact state. The
   // adaptive scheme rides along and self-disables when the codec is not
   // error-bounded (IterationRecord::adaptive_active reports which).
   codec_ = CodecRegistry::instance().create(codec_spec_, cfg_.framework);

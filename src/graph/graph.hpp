@@ -92,7 +92,6 @@ class Graph {
   const Node& node(NodeId id) const { return nodes_.at(id); }
   const TensorInfo& tensor(TensorId id) const { return tensors_.at(id); }
   std::size_t num_nodes() const { return nodes_.size(); }
-  std::size_t num_tensors() const { return tensors_.size(); }
 
   /// The node mirroring layer name `name`, or null.
   const Node* find_node(const std::string& name) const;

@@ -1,15 +1,34 @@
 #include "memory/accounting.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace ebct::memory {
 
 using tensor::Shape;
 
+namespace {
+
+/// A ratio below 1 is an expanding codec and raises the peak; only a
+/// non-finite or non-positive ratio has no meaning.
+void check_ratio(const char* who, double activation_ratio) {
+  if (!std::isfinite(activation_ratio) || activation_ratio <= 0.0)
+    throw std::invalid_argument(std::string(who) +
+                                ": activation_ratio must be finite and above 0, got " +
+                                std::to_string(activation_ratio));
+}
+
+}  // namespace
+
 std::size_t MemoryBreakdown::peak_bytes(double activation_ratio) const {
-  const double stash =
-      static_cast<double>(stashed_activation_bytes) / std::max(1.0, activation_ratio);
+  check_ratio("MemoryBreakdown::peak_bytes", activation_ratio);
+  const double stash = static_cast<double>(stashed_activation_bytes) / activation_ratio;
+  if (stash >= static_cast<double>(std::numeric_limits<std::size_t>::max() / 2))
+    throw std::overflow_error("MemoryBreakdown::peak_bytes: stash does not fit in size_t");
   return weight_bytes + optimizer_state_bytes + workspace_bytes +
          static_cast<std::size_t>(stash);
 }
@@ -42,6 +61,7 @@ MemoryBreakdown analyze(nn::Network& net, std::size_t input_hw, std::size_t batc
 
 std::size_t max_batch(nn::Network& net, std::size_t input_hw, const DeviceModel& device,
                       double activation_ratio, std::size_t limit) {
+  check_ratio("memory::max_batch", activation_ratio);
   // Peak(batch) is monotone in batch: evaluate at batch=1 to get the fixed
   // and per-sample parts, then bisect.
   const MemoryBreakdown b1 = analyze(net, input_hw, 1);
@@ -50,12 +70,13 @@ std::size_t max_batch(nn::Network& net, std::size_t input_hw, const DeviceModel&
   std::size_t lo = 0, hi = limit;
   while (lo < hi) {
     const std::size_t mid = (lo + hi + 1) / 2;
-    // Activations and workspace scale linearly with batch.
+    // Activations and workspace scale linearly with batch. Compared in
+    // double so a small ratio's huge stash cannot overflow size_t.
     const double stash = static_cast<double>(b1.stashed_activation_bytes) *
-                         static_cast<double>(mid) / std::max(1.0, activation_ratio);
+                         static_cast<double>(mid) / activation_ratio;
     const std::size_t ws = b1.workspace_bytes * mid;
-    const std::size_t peak = fixed + ws + static_cast<std::size_t>(stash);
-    if (peak <= device.capacity_bytes)
+    const double peak = static_cast<double>(fixed + ws) + std::floor(stash);
+    if (peak <= static_cast<double>(device.capacity_bytes))
       lo = mid;
     else
       hi = mid - 1;

@@ -45,8 +45,10 @@ struct MemoryBreakdown {
   std::size_t workspace_bytes = 0;       ///< 2x the largest feature map
   std::vector<LayerFootprint> layers;
 
-  /// Peak bytes with the stash reduced by `activation_ratio` (1.0 = raw
-  /// baseline, 11.0 = the paper's compressed framework, etc.).
+  /// Peak bytes with the stash divided by `activation_ratio` (1.0 = raw
+  /// baseline, 11.0 = the paper's compressed framework; below 1 = an
+  /// expanding codec). Throws std::invalid_argument unless the ratio is
+  /// finite and above 0.
   std::size_t peak_bytes(double activation_ratio = 1.0) const;
 };
 
@@ -55,7 +57,8 @@ MemoryBreakdown analyze(nn::Network& net, std::size_t input_hw, std::size_t batc
                         std::size_t channels = 3);
 
 /// Largest batch size whose peak fits the device under the given activation
-/// compression ratio. Linear in activations, so solved by bisection.
+/// compression ratio. Linear in activations, so solved by bisection. Same
+/// ratio contract as MemoryBreakdown::peak_bytes.
 std::size_t max_batch(nn::Network& net, std::size_t input_hw, const DeviceModel& device,
                       double activation_ratio, std::size_t limit = 8192);
 

@@ -4,7 +4,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -29,21 +28,6 @@ std::uint64_t fnv1a(const void* data, std::size_t n) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-/// Wall time in ns for the per-phase metrics.
-double now_ns() {
-  return std::chrono::duration<double, std::nano>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Feed one already-measured operation interval into the per-phase metrics
-/// registry.
-void note_phase(obs::Phase phase, double t0_ns, double t1_ns) {
-  const double el = t1_ns - t0_ns;
-  obs::MetricsRegistry::instance().add(
-      phase, el > 0 ? static_cast<std::uint64_t>(el) : 0);
 }
 
 }  // namespace
@@ -195,7 +179,6 @@ void ActivationPager::prune_tasks() {
 PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
   if (!codec_) throw std::logic_error("ActivationPager::put: no codec attached");
   prune_tasks();
-  const std::size_t original = t.bytes();
 
   // Shared-producer dedup: when the graph's edges say this layer stashes
   // the same produced tensor as a live page of this forward pass (the
@@ -220,9 +203,6 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
           alias_of_[id] = prim->seq;
           prim->members.emplace(id, key);
           reposition_locked(prim);
-          nn::StoreStats& s = stats_[layer];
-          s.stashed_tensors += 1;
-          s.original_bytes += original;
           totals_.dedup_pages += 1;
           if (prim->encoded) totals_.dedup_saved_bytes += prim->enc.bytes.size();
           return id;
@@ -234,14 +214,12 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
   if (!cfg_.async_encode) {
     // Encode on the caller (outside mu_: the codec forks pool tasks, and
     // helping-join loops must never run under the pager lock).
-    const double t0 = now_ns();
     nn::EncodedActivation enc;
     {
       obs::trace::Span span("codec.encode", obs::trace::Cat::kCodec);
+      obs::ScopedPhase ph(obs::Phase::kEncode);
       enc = codec_->encode(layer, t);
     }
-    const double t1 = now_ns();
-    note_phase(obs::Phase::kEncode, t0, t1);
     enc.shape = t.shape();
     enc.layer = layer;
     std::unique_lock<std::mutex> lock(mu_);
@@ -253,16 +231,11 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
     page->layer = layer;
     page->seq = id;
     page->shape = t.shape();
-    page->original_bytes = original;
     page->enc = std::move(enc);
     page->encoded = true;
     page->key = OrderKey{rank_for_locked(layer), id};
     page->members.emplace(id, page->key);
     account_add(Tier::kCompressed, page->enc.bytes.size());
-    nn::StoreStats& s = stats_[layer];
-    s.stashed_tensors += 1;
-    s.original_bytes += original;
-    s.stored_bytes += page->enc.bytes.size();
     order_[page->key] = id;
     pages_.emplace(id, std::move(page));
     register_group_locked(layer, id);
@@ -290,6 +263,7 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
   Page* p = nullptr;
   PageId id = 0;
   {
+    const std::size_t original = t.bytes();
     std::unique_lock<std::mutex> lock(mu_);
     enforce_to(target_for(original), lock);
     id = next_++;
@@ -298,7 +272,6 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
     p->layer = layer;
     p->seq = id;
     p->shape = t.shape();
-    p->original_bytes = original;
     p->raw = std::move(t);
     p->io_busy.store(true, std::memory_order_relaxed);
     p->key = OrderKey{rank_for_locked(layer), id};
@@ -307,12 +280,12 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
     order_[p->key] = id;
     pages_.emplace(id, std::move(page));
     register_group_locked(layer, id);
-    // Settle again: when older pages were pinned the pre-insert pass could
-    // not make room, and a hard budget beats lifetime order — the new page
-    // itself is the last-resort victim (it is io_busy here, so this only
-    // spills once the pins are the sole cause). If a victim's spill write
-    // fails, unwind the just-inserted page: its stuck busy flag (the
-    // encode task is not submitted yet) would hang every later waiter.
+    // Settle again: when older pages were mid-I/O the pre-insert pass could
+    // not make room. The new page is io_busy until its encode lands, so it
+    // is never a victim here; with nothing else evictable the overshoot is
+    // counted in over_budget_events. If a victim's spill write fails,
+    // unwind the just-inserted page: its stuck busy flag (the encode task
+    // is not submitted yet) would hang every later waiter.
     try {
       enforce_to(cfg_.budget_bytes, lock);
     } catch (...) {
@@ -324,14 +297,12 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
   // Submit outside mu_: on a one-thread pool the body runs inline here.
   auto fut = tensor::sched::async([this, p] {
     try {
-      const double t0 = now_ns();
       nn::EncodedActivation enc;
       {
         obs::trace::Span span("codec.encode", obs::trace::Cat::kCodec);
+        obs::ScopedPhase ph(obs::Phase::kEncode);
         enc = codec_->encode(p->layer, p->raw);
       }
-      const double t1 = now_ns();
-      note_phase(obs::Phase::kEncode, t0, t1);
       enc.shape = p->shape;
       enc.layer = p->layer;
       std::lock_guard<std::mutex> lock(mu_);
@@ -340,10 +311,6 @@ PageId ActivationPager::put(const std::string& layer, Tensor&& t) {
       p->enc = std::move(enc);
       p->encoded = true;
       account_add(Tier::kCompressed, p->enc.bytes.size());
-      nn::StoreStats& s = stats_[p->layer];
-      s.stashed_tensors += 1;
-      s.original_bytes += p->original_bytes;
-      s.stored_bytes += p->enc.bytes.size();
       encode_inflight_.fetch_sub(1, std::memory_order_release);
       p->io_busy.store(false, std::memory_order_release);
     } catch (...) {
@@ -370,21 +337,16 @@ PageId ActivationPager::put_exact(const std::string& layer, Tensor&& t) {
   page->seq = id;
   page->exact = true;
   page->shape = t.shape();
-  page->original_bytes = bytes;
   page->raw = std::move(t);
   page->key = OrderKey{rank_for_locked(layer), id};
   page->members.emplace(id, page->key);
   account_add(Tier::kRaw, bytes);
-  nn::StoreStats& s = stats_[layer];
-  s.stashed_tensors += 1;
-  s.original_bytes += bytes;
-  s.stored_bytes += bytes;
   order_[page->key] = id;
   pages_.emplace(id, std::move(page));
   // Exact pages are deliberately never registered as dedup candidates: an
   // alias reconstructs through the shared payload, and the exact contract
   // promises this page's very own bytes back.
-  // Hard budget: if pinned pages blocked the pre-insert pass, the newest
+  // Hard budget: if busy pages blocked the pre-insert pass, the newest
   // page is the last-resort victim. On a failed spill write the caller
   // gets the exception, not a handle — so the page must not stay behind.
   try {
@@ -414,13 +376,11 @@ void ActivationPager::wait_io(Page* p, std::unique_lock<std::mutex>& lock) {
 Tensor ActivationPager::load_payload(Page* p) {
   if (p->spilled && !p->encoded) {
     std::vector<std::uint8_t> buf(p->extent.size);
-    const double t0 = now_ns();
     {
       obs::trace::Span span("pager.spill_read", obs::trace::Cat::kPager);
+      obs::ScopedPhase ph(obs::Phase::kSpillRead);
       spill_->read(p->extent, buf.data());
     }
-    const double t1 = now_ns();
-    note_phase(obs::Phase::kSpillRead, t0, t1);
     if (fnv1a(buf.data(), buf.size()) != p->checksum)
       throw std::runtime_error(
           "ActivationPager: spill payload corrupt (checksum mismatch) for page of layer '" +
@@ -434,26 +394,14 @@ Tensor ActivationPager::load_payload(Page* p) {
     enc.bytes = std::move(buf);
     enc.shape = p->shape;
     enc.layer = p->layer;
-    const double d0 = now_ns();
-    Tensor out;
-    {
-      obs::trace::Span span("codec.decode", obs::trace::Cat::kCodec);
-      out = codec_->decode(enc);
-    }
-    const double d1 = now_ns();
-    note_phase(obs::Phase::kDecode, d0, d1);
-    return out;
+    obs::trace::Span span("codec.decode", obs::trace::Cat::kCodec);
+    obs::ScopedPhase ph(obs::Phase::kDecode);
+    return codec_->decode(enc);
   }
   if (p->encoded) {
-    const double d0 = now_ns();
-    Tensor out;
-    {
-      obs::trace::Span span("codec.decode", obs::trace::Cat::kCodec);
-      out = codec_->decode(p->enc);
-    }
-    const double d1 = now_ns();
-    note_phase(obs::Phase::kDecode, d0, d1);
-    return out;
+    obs::trace::Span span("codec.decode", obs::trace::Cat::kCodec);
+    obs::ScopedPhase ph(obs::Phase::kDecode);
+    return codec_->decode(p->enc);
   }
   throw std::logic_error("ActivationPager: page has no payload");
 }
@@ -494,28 +442,8 @@ void ActivationPager::materialize(Page* p, std::unique_lock<std::mutex>& lock) {
 }
 
 // ---------------------------------------------------------------------------
-// pin / unpin / drop.
+// drop.
 // ---------------------------------------------------------------------------
-
-const Tensor& ActivationPager::pin(PageId id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Page* p = find_locked(resolve_locked(id));
-  if (p == nullptr) throw std::logic_error("ActivationPager::pin: unknown handle");
-  wait_io(p, lock);
-  if (p->error) std::rethrow_exception(p->error);
-  materialize(p, lock);
-  p->pin_count += 1;
-  return p->raw;
-}
-
-void ActivationPager::unpin(PageId id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Page* p = find_locked(resolve_locked(id));
-  if (p == nullptr) throw std::logic_error("ActivationPager::unpin: unknown handle");
-  if (p->pin_count <= 0) throw std::logic_error("ActivationPager::unpin: not pinned");
-  p->pin_count -= 1;
-  if (p->pin_count == 0) enforce_to(cfg_.budget_bytes, lock);
-}
 
 Tensor ActivationPager::drop(PageId id) {
   prune_tasks();
@@ -527,7 +455,6 @@ Tensor ActivationPager::drop(PageId id) {
   const PageId prim_id = resolve_locked(id);
   Page* p = find_locked(prim_id);
   if (p == nullptr) throw std::logic_error("ActivationPager::drop: unknown handle");
-  if (p->pin_count > 0) throw std::logic_error("ActivationPager::drop: page is pinned");
   wait_io(p, lock);
 
   auto member = p->members.find(id);
@@ -616,7 +543,7 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
     if (resident() <= target_bytes) return;
     Page* p = find_locked(it->second);
     if (p == nullptr) continue;
-    if (p->pin_count > 0 || p->io_busy.load(std::memory_order_relaxed)) continue;
+    if (p->io_busy.load(std::memory_order_relaxed)) continue;
     if (p->raw.numel() > 0 && (p->encoded || p->spilled)) {
       account_sub(Tier::kRaw, p->raw.bytes());
       p->raw = Tensor();
@@ -635,7 +562,7 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
     for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
       Page* p = find_locked(it->second);
       if (p == nullptr) continue;
-      if (p->pin_count > 0 || p->io_busy.load(std::memory_order_relaxed)) continue;
+      if (p->io_busy.load(std::memory_order_relaxed)) continue;
       if (p->spilled) continue;  // RAM copy (if any) was freed in pass 1
       if (p->encoded || (p->exact && p->raw.numel() > 0)) return p;
     }
@@ -714,13 +641,9 @@ bool ActivationPager::spill_payload(Page* p, std::unique_lock<std::mutex>& lock)
   std::uint64_t sum = 0;
   try {
     sum = fnv1a(data, size);
-    const double t0 = now_ns();
-    {
-      obs::trace::Span span("pager.spill_write", obs::trace::Cat::kPager);
-      ext = file.write(data, size);
-    }
-    const double t1 = now_ns();
-    note_phase(obs::Phase::kSpillWrite, t0, t1);
+    obs::trace::Span span("pager.spill_write", obs::trace::Cat::kPager);
+    obs::ScopedPhase ph(obs::Phase::kSpillWrite);
+    ext = file.write(data, size);
   } catch (...) {
     err = std::current_exception();
   }
@@ -771,13 +694,9 @@ void ActivationPager::spill_payload_async(Page* p, std::unique_lock<std::mutex>&
     std::exception_ptr err;
     try {
       sum = fnv1a(data, size);
-      const double t0 = now_ns();
-      {
-        obs::trace::Span span("pager.spill_write_wb", obs::trace::Cat::kPager);
-        ext = file.write(data, size);
-      }
-      const double t1 = now_ns();
-      note_phase(obs::Phase::kSpillWrite, t0, t1);
+      obs::trace::Span span("pager.spill_write_wb", obs::trace::Cat::kPager);
+      obs::ScopedPhase ph(obs::Phase::kSpillWrite);
+      ext = file.write(data, size);
     } catch (...) {
       err = std::current_exception();
     }
@@ -970,16 +889,6 @@ PagerCounters ActivationPager::counters() const {
   c.compressed_bytes = compressed_bytes_;
   c.spilled_bytes = spilled_bytes_;
   return c;
-}
-
-std::map<std::string, nn::StoreStats> ActivationPager::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void ActivationPager::reset_stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.clear();
 }
 
 std::string ActivationPager::spill_path() const {

@@ -6,14 +6,14 @@
 /// payload in the process lives behind an ActivationPager handle in one of
 /// three tiers:
 ///
-///   tier 0 (raw)        : the tensor bytes, in RAM — pinned working set,
+///   tier 0 (raw)        : the tensor bytes, in RAM — exact pages,
 ///                         prefetched decode caches, and not-yet-encoded
 ///                         async puts;
 ///   tier 1 (compressed) : the SZ/lossless codec blob, in RAM;
 ///   tier 2 (spilled)    : the payload bytes in a SpillFile on disk,
 ///                         guarded by a checksum so corruption fails loudly.
 ///
-/// A configurable budget caps tiers 0+1 (RAM residency). When a put, pin or
+/// A configurable budget caps tiers 0+1 (RAM residency). When a put, drop or
 /// prefetch would exceed it the pager evicts by lifetime: every page carries
 /// an order key (liveness rank, put sequence) approximating when the
 /// backward pass will consume it, and the page needed *furthest* in the
@@ -69,7 +69,7 @@ namespace ebct::memory {
 struct PagerConfig {
   /// RAM budget over tiers 0+1. 0 = unlimited (pages never spill). The
   /// budget is a hard target: the pager only rides above it while every
-  /// RAM page is pinned or mid-I/O (counted in over_budget_events) and, in
+  /// RAM page is mid-I/O (counted in over_budget_events) and, in
   /// async-encode mode, by the bounded window of raw tensors awaiting
   /// encode.
   std::size_t budget_bytes = 0;
@@ -142,15 +142,10 @@ class ActivationPager {
   /// Safe for bitcast payloads such as argmax indices.
   PageId put_exact(const std::string& layer, tensor::Tensor&& t);
 
-  /// Materialize the page in RAM and pin it against eviction. The reference
-  /// stays valid until the matching unpin(). Pins nest.
-  const tensor::Tensor& pin(PageId id);
-  void unpin(PageId id);
-
   /// Destructive take: return the reconstructed tensor and release every
   /// resource of the page (RAM, disk extent). Triggers prefetch of the next
   /// pages in reverse-sequence (backward) order. Throws std::logic_error on
-  /// unknown or pinned handles; rethrows codec/spill failures.
+  /// unknown handles; rethrows codec/spill failures.
   tensor::Tensor drop(PageId id);
 
   /// Hint that drops will now replay in consumption order: prefetch the
@@ -174,8 +169,6 @@ class ActivationPager {
   std::size_t resident_bytes() const;
   std::size_t spilled_bytes() const;
   PagerCounters counters() const;
-  std::map<std::string, nn::StoreStats> stats() const;
-  void reset_stats();
   const PagerConfig& config() const { return cfg_; }
   /// Path of the spill file; empty until the first spill (tests corrupt it).
   std::string spill_path() const;
@@ -199,9 +192,7 @@ class ActivationPager {
     std::string layer;
     PageId seq = 0;             ///< put order == forward layer order
     bool exact = false;         ///< bypasses the lossy codec everywhere
-    int pin_count = 0;
     tensor::Shape shape;
-    std::size_t original_bytes = 0;
 
     tensor::Tensor raw;             ///< tier-0 payload / decode cache
     nn::EncodedActivation enc;      ///< tier-1 payload (lossy pages)
@@ -211,11 +202,12 @@ class ActivationPager {
     bool spilled = false;
     bool prefetched = false;        ///< raw was installed ahead of need
 
-    /// A pool task (encode or fetch) owns the payload right now: eviction
-    /// skips the page, drop/pin wait (sched::help_while on this flag). The
-    /// task's last touch of the page is the release store clearing it, so
-    /// once a waiter observes false the page may be freed; the task's
-    /// Future lives in the pager-level task list, not here.
+    /// A pool task (encode, fetch or spill write) or a materializing drop
+    /// owns the payload right now: eviction skips the page, drop waits
+    /// (sched::help_while on this flag). The task's last touch of the page
+    /// is the release store clearing it, so once a waiter observes false
+    /// the page may be freed; the task's Future lives in the pager-level
+    /// task list, not here.
     std::atomic<bool> io_busy{false};
     std::exception_ptr error;       ///< deferred async failure, thrown at use
 
@@ -247,7 +239,7 @@ class ActivationPager {
   /// Expects `lock` held; returns with it re-held.
   void wait_io(Page* p, std::unique_lock<std::mutex>& lock);
   /// Push the page's RAM payload (blob or exact raw) to the disk tier.
-  /// Expects `lock` held and the page idle/unpinned; releases it around
+  /// Expects `lock` held and the page idle; releases it around
   /// the checksum+write. False when nothing was spillable.
   bool spill_payload(Page* p, std::unique_lock<std::mutex>& lock);
   /// Write-behind variant: queue the checksum+write as a pool task and
@@ -316,7 +308,6 @@ class ActivationPager {
   std::exception_ptr spill_error_;
   std::size_t peak_resident_ = 0;
   PagerCounters totals_;  ///< cumulative fields only (evictions, I/O, ...)
-  std::map<std::string, nn::StoreStats> stats_;
   std::atomic<std::size_t> encode_inflight_{0};
 
   /// Futures of submitted tasks, joined opportunistically (ready ones are
@@ -356,11 +347,11 @@ class StashInterceptor {
   virtual tensor::Tensor retrieve(nn::StashHandle handle, bool exact) = 0;
 };
 
-/// ActivationStore adapter: the training-loop face of the pager. Replaces
-/// CodecStore/AsyncCodecStore in the session — stash() puts through the
-/// codec, retrieve() drops (with prefetch), and when a budget is active the
-/// store also claims the layers' byte-exact saved state (pages_layer_state)
-/// so every saved-for-backward byte is governed by one budget.
+/// ActivationStore adapter: the training-loop face of the pager and the one
+/// codec-backed store — stash() puts through the codec, retrieve() drops
+/// (with prefetch), and when a budget is active the store also claims the
+/// layers' byte-exact saved state (pages_layer_state) so every
+/// saved-for-backward byte is governed by one budget.
 class PagedStore : public nn::ActivationStore {
  public:
   PagedStore(PagerConfig cfg, std::shared_ptr<nn::ActivationCodec> codec)
@@ -379,8 +370,6 @@ class PagedStore : public nn::ActivationStore {
     return pager_.drop(handle);
   }
   std::size_t held_bytes() const override { return pager_.resident_bytes(); }
-  std::map<std::string, nn::StoreStats> stats() const override { return pager_.stats(); }
-  void reset_stats() override { pager_.reset_stats(); }
 
   bool pages_layer_state() const override { return pager_.config().budget_bytes > 0; }
   nn::StashHandle stash_exact(const std::string& layer, tensor::Tensor&& t) override {

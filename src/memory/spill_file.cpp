@@ -77,7 +77,6 @@ SpillExtent SpillFile::write(const void* data, std::size_t size) {
       ext = {end_, size};
       end_ += size;
     }
-    live_bytes_ += size;
   }
 
   const char* p = static_cast<const char*>(data);
@@ -113,7 +112,6 @@ void SpillFile::read(const SpillExtent& extent, void* out) const {
 void SpillFile::free_extent(const SpillExtent& extent) {
   if (extent.size == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  live_bytes_ -= std::min<std::size_t>(live_bytes_, extent.size);
   auto it = std::lower_bound(
       free_.begin(), free_.end(), extent,
       [](const SpillExtent& a, const SpillExtent& b) { return a.offset < b.offset; });
@@ -131,16 +129,6 @@ void SpillFile::free_extent(const SpillExtent& extent) {
       free_.erase(it);
     }
   }
-}
-
-std::size_t SpillFile::live_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return live_bytes_;
-}
-
-std::size_t SpillFile::file_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return end_;
 }
 
 std::uint64_t SpillFile::files_open() {

@@ -50,10 +50,6 @@ class SpillFile {
   /// Return an extent to the free list (coalescing with neighbours).
   void free_extent(const SpillExtent& extent);
 
-  /// Bytes currently allocated to live extents.
-  std::size_t live_bytes() const;
-  /// High-water size of the backing file.
-  std::size_t file_bytes() const;
   /// Path of the backing file (tests corrupt it deliberately).
   const std::string& path() const { return path_; }
 
@@ -73,7 +69,6 @@ class SpillFile {
   int fd_ = -1;
   std::string path_;
   std::uint64_t end_ = 0;        ///< append point (= high-water file size)
-  std::size_t live_bytes_ = 0;
   std::vector<SpillExtent> free_;  ///< sorted by offset, coalesced
 };
 

@@ -21,47 +21,18 @@ tensor::Tensor ActivationStore::retrieve_exact(StashHandle) {
   throw std::logic_error("ActivationStore::retrieve_exact: this store does not page layer state");
 }
 
-StashHandle RawStore::stash(const std::string& layer, tensor::Tensor&& act) {
+StashHandle RawStore::stash(const std::string&, tensor::Tensor&& act) {
   const StashHandle h = next_++;
-  StoreStats& s = stats_[layer];
-  s.stashed_tensors += 1;
-  s.original_bytes += act.bytes();
-  s.stored_bytes += act.bytes();
   held_bytes_ += act.bytes();
-  entries_.emplace(h, Entry{std::move(act)});
+  entries_.emplace(h, std::move(act));
   return h;
 }
 
 tensor::Tensor RawStore::retrieve(StashHandle handle) {
   auto it = entries_.find(handle);
   if (it == entries_.end()) throw std::logic_error("RawStore::retrieve: unknown handle");
-  tensor::Tensor t = std::move(it->second.t);
+  tensor::Tensor t = std::move(it->second);
   held_bytes_ -= t.bytes();
-  entries_.erase(it);
-  return t;
-}
-
-StashHandle CodecStore::stash(const std::string& layer, tensor::Tensor&& act) {
-  const StashHandle h = next_++;
-  const std::size_t original = act.bytes();
-  EncodedActivation enc = codec_->encode(layer, act);
-  enc.shape = act.shape();
-  enc.layer = layer;
-  StoreStats& s = stats_[layer];
-  s.stashed_tensors += 1;
-  s.original_bytes += original;
-  s.stored_bytes += enc.bytes.size();
-  held_bytes_ += enc.bytes.size();
-  entries_.emplace(h, std::move(enc));
-  // `act` frees here: only the encoded bytes stay alive, as in the paper.
-  return h;
-}
-
-tensor::Tensor CodecStore::retrieve(StashHandle handle) {
-  auto it = entries_.find(handle);
-  if (it == entries_.end()) throw std::logic_error("CodecStore::retrieve: unknown handle");
-  tensor::Tensor t = codec_->decode(it->second);
-  held_bytes_ -= it->second.bytes.size();
   entries_.erase(it);
   return t;
 }

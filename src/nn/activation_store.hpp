@@ -3,10 +3,12 @@
 /// \file activation_store.hpp
 /// Strategy interface for stashing forward-pass activations until the
 /// backward pass needs them. This is the seam the paper's framework plugs
-/// into: the baseline keeps raw tensors, the framework keeps SZ-compressed
-/// bytes, and the comparison baselines (lossless, JPEG-ACT) keep their own
-/// encodings — all behind the same stash/retrieve contract, so every memory
-/// strategy runs through identical training code.
+/// into. There are two stores: RawStore keeps raw tensors (the stock
+/// baseline), and memory::PagedStore (memory/pager.hpp) keeps whatever the
+/// session's ActivationCodec produces — SZ for the framework, lossless or
+/// JPEG-ACT for the comparison baselines. Both sit behind the same
+/// stash/retrieve contract, so every memory strategy runs through identical
+/// training code.
 ///
 /// Two channels share the handle space:
 ///  - stash()/retrieve(): the compressible channel (conv inputs — what the
@@ -36,18 +38,6 @@ class WindowDecoder;
 /// Opaque ticket for a stashed activation.
 using StashHandle = std::uint64_t;
 
-/// Per-layer compression bookkeeping, aggregated across an iteration.
-struct StoreStats {
-  std::size_t stashed_tensors = 0;
-  std::size_t original_bytes = 0;
-  std::size_t stored_bytes = 0;
-  double compression_ratio() const {
-    return stored_bytes == 0 ? 0.0
-                             : static_cast<double>(original_bytes) /
-                                   static_cast<double>(stored_bytes);
-  }
-};
-
 class ActivationStore {
  public:
   virtual ~ActivationStore() = default;
@@ -61,10 +51,6 @@ class ActivationStore {
 
   /// Bytes currently held by the store (the quantity the paper reduces).
   virtual std::size_t held_bytes() const = 0;
-
-  /// Per-layer statistics accumulated since the last reset_stats().
-  virtual std::map<std::string, StoreStats> stats() const { return {}; }
-  virtual void reset_stats() {}
 
   /// True when the store wants layers to route their byte-exact saved state
   /// (stash_exact) through it instead of private members — the budgeted
@@ -90,17 +76,11 @@ class RawStore : public ActivationStore {
   StashHandle stash(const std::string& layer, tensor::Tensor&& act) override;
   tensor::Tensor retrieve(StashHandle handle) override;
   std::size_t held_bytes() const override { return held_bytes_; }
-  std::map<std::string, StoreStats> stats() const override { return stats_; }
-  void reset_stats() override { stats_.clear(); }
 
  private:
-  struct Entry {
-    tensor::Tensor t;
-  };
-  std::unordered_map<StashHandle, Entry> entries_;
+  std::unordered_map<StashHandle, tensor::Tensor> entries_;
   StashHandle next_ = 1;
   std::size_t held_bytes_ = 0;
-  std::map<std::string, StoreStats> stats_;
 };
 
 /// A serialized activation produced by an ActivationCodec.
@@ -172,34 +152,6 @@ class ErrorBoundedCodec {
   /// the adaptive scheme can tell a plumbing-only implementation from a
   /// real one.
   virtual bool error_bounded() const { return true; }
-};
-
-/// Store that routes activations through an ActivationCodec, holding only the
-/// encoded bytes between forward and backward.
-///
-/// The asynchronous double-buffered variant that used to live here
-/// (AsyncCodecStore, with its dedicated worker thread) is retired: the
-/// tiered pager's PagedStore (memory/pager.hpp) provides the same
-/// off-critical-path encode by submitting tasks to the shared work-stealing
-/// pool, plus budget enforcement and a disk tier on top.
-class CodecStore : public ActivationStore {
- public:
-  explicit CodecStore(std::shared_ptr<ActivationCodec> codec) : codec_(std::move(codec)) {}
-
-  StashHandle stash(const std::string& layer, tensor::Tensor&& act) override;
-  tensor::Tensor retrieve(StashHandle handle) override;
-  std::size_t held_bytes() const override { return held_bytes_; }
-  std::map<std::string, StoreStats> stats() const override { return stats_; }
-  void reset_stats() override { stats_.clear(); }
-
-  ActivationCodec& codec() { return *codec_; }
-
- private:
-  std::shared_ptr<ActivationCodec> codec_;
-  std::unordered_map<StashHandle, EncodedActivation> entries_;
-  StashHandle next_ = 1;
-  std::size_t held_bytes_ = 0;
-  std::map<std::string, StoreStats> stats_;
 };
 
 }  // namespace ebct::nn

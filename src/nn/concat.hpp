@@ -39,8 +39,6 @@ class ConcatBranches : public Layer {
   /// Mirrors backward(): branches in reverse forward order, each reversed.
   void backward_schedule(std::vector<const Layer*>& order) const override;
 
-  std::size_t num_branches() const { return branches_.size(); }
-
  private:
   tensor::Shape branch_output_shape(std::size_t b, const tensor::Shape& input) const;
 

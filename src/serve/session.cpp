@@ -63,14 +63,4 @@ void SessionPool::release_decode(std::unique_ptr<DecodeSession> s) {
   free_decode_.push_back(std::move(s));
 }
 
-std::size_t SessionPool::pooled_encode() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return free_encode_.size();
-}
-
-std::size_t SessionPool::pooled_decode() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return free_decode_.size();
-}
-
 }  // namespace ebct::serve

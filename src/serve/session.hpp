@@ -81,12 +81,9 @@ class SessionPool {
   std::unique_ptr<DecodeSession> acquire_decode();
   void release_decode(std::unique_ptr<DecodeSession> s);
 
-  std::size_t pooled_encode() const;
-  std::size_t pooled_decode() const;
-
  private:
   nn::CodecFactory factory_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<std::unique_ptr<EncodeSession>> free_encode_;
   std::vector<std::unique_ptr<DecodeSession>> free_decode_;
 };

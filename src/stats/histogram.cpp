@@ -40,17 +40,6 @@ double Histogram::density(std::size_t i) const {
   return static_cast<double>(counts_[i]) / (static_cast<double>(in_range) * bin_width());
 }
 
-double Histogram::fraction_between(double a, double b) const {
-  const std::size_t in_range = total_ - underflow_ - overflow_;
-  if (in_range == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double c = bin_center(i);
-    if (c >= a && c <= b) acc += static_cast<double>(counts_[i]);
-  }
-  return acc / static_cast<double>(in_range);
-}
-
 std::string Histogram::ascii(std::size_t height) const {
   std::size_t max_count = 1;
   for (auto c : counts_) max_count = std::max(max_count, c);

@@ -29,9 +29,6 @@ class Histogram {
   /// Normalised density of bin i (integrates to ~1 over the range).
   double density(std::size_t i) const;
 
-  /// Fraction of in-range samples inside [a, b].
-  double fraction_between(double a, double b) const;
-
   /// Render a vertical-bar ASCII chart `width` rows tall.
   std::string ascii(std::size_t height = 12) const;
 

@@ -12,6 +12,7 @@
 #include "sz/huffman.hpp"
 #include "tensor/bytes.hpp"
 #include "tensor/parallel.hpp"
+#include "tensor/sched.hpp"
 
 namespace ebct::sz {
 
@@ -236,7 +237,7 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   // merge in chunk order. Integer counts make the merged histogram (and
   // hence the table and the output bytes) independent of the thread count,
   // and no step touches the whole alphabet.
-  const std::size_t hw = static_cast<std::size_t>(tensor::hardware_threads());
+  const std::size_t hw = static_cast<std::size_t>(tensor::sched::num_threads());
   const std::size_t workers =
       cfg_.num_threads == 0 ? hw : std::min<std::size_t>(cfg_.num_threads, hw);
   const std::size_t nchunks = std::min(num_blocks, std::max<std::size_t>(workers, 1));

@@ -47,7 +47,6 @@ class HuffmanCodec {
   /// other than the caller's `alphabet` is rejected before allocating.
   void deserialize_table(std::span<const std::uint8_t> bytes, std::size_t alphabet);
 
-  std::size_t alphabet_size() const { return lengths_.size(); }
   /// Code length of `symbol`; 0 when it has no code or is outside the alphabet.
   unsigned code_length(std::uint32_t symbol) const {
     return symbol < lengths_.size() ? lengths_[symbol] : 0;

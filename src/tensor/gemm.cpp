@@ -67,9 +67,7 @@ void portable_tile(const float* ap, const float* bp, std::size_t kc, float* c,
     for (std::size_t r = 0; r < MR; ++r) {
       const float av = arow[r];
       float* crow = acc + r * NR;
-#ifdef _OPENMP
 #pragma omp simd
-#endif
       for (std::size_t c2 = 0; c2 < NR; ++c2) crow[c2] += av * brow[c2];
     }
   }

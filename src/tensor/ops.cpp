@@ -162,9 +162,7 @@ void col2im(const float* cols, std::size_t channels, std::size_t height,
             if (len == 0) continue;
             float* d = dstrow + static_cast<std::ptrdiff_t>(lo) + shift;
             const float* s = src + oy * out_w + lo;
-#ifdef _OPENMP
 #pragma omp simd
-#endif
             for (std::size_t ox = 0; ox < len; ++ox) d[ox] += s[ox];
             continue;
           }

@@ -22,10 +22,6 @@
 
 namespace ebct::tensor {
 
-/// Number of worker threads the runtime will use for parallel regions
-/// (the scheduler pool, including the calling thread).
-inline int hardware_threads() { return sched::num_threads(); }
-
 /// Minimum iteration count below which parallel_for runs serially.
 inline constexpr std::size_t kParallelGrain = 4096;
 

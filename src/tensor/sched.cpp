@@ -657,8 +657,6 @@ StealStats drain_steal_stats() {
   return s;
 }
 
-void reset_steal_stats() { (void)drain_steal_stats(); }
-
 namespace detail {
 void run_range(std::size_t n, std::size_t grain, unsigned max_workers,
                void (*body)(void*, std::size_t, std::size_t), void* ctx) {

@@ -132,13 +132,12 @@ struct StealStats {
 StealStats steal_stats();
 
 /// Atomically drain the histogram: returns everything recorded since the
-/// previous drain/reset and zeroes the counters in the same per-bucket
-/// exchange, so two consumers (or two bench runs in one long-lived process)
-/// can never double-count or lose an episode between a snapshot and a
-/// reset. Benches bracket their timed section with a discarded drain before
-/// and a reported drain after.
+/// previous drain and zeroes the counters in the same per-bucket exchange,
+/// so two consumers (or two bench runs in one long-lived process) can never
+/// double-count or lose an episode between a snapshot and a reset. Benches
+/// bracket their timed section with a discarded drain before and a
+/// reported drain after.
 StealStats drain_steal_stats();
-void reset_steal_stats();
 
 namespace detail {
 /// Type-erased core. Executes body(ctx, begin, end) over disjoint

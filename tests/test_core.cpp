@@ -138,9 +138,9 @@ TEST(SzCodecTest, PerLayerBoundsIndependent) {
   EXPECT_LT(loose.bytes.size(), tight.bytes.size());
 }
 
-// --- PagedStore's async-encode pipeline (the retired AsyncCodecStore's
-// --- double buffering, folded onto the work-stealing pool) must be
-// --- observationally equivalent to the synchronous CodecStore.
+// --- PagedStore's async-encode pipeline (double buffering on the
+// --- work-stealing pool) must be observationally equivalent to the
+// --- pager's synchronous encode path.
 
 memory::PagerConfig async_pager_cfg(std::size_t window = 2) {
   memory::PagerConfig pc;
@@ -154,7 +154,7 @@ TEST(AsyncStoreTest, RoundtripMatchesSynchronousStore) {
   cfg.error_bound = 1e-3;
   auto codec_sync = std::make_shared<SzActivationCodec>(cfg);
   auto codec_async = std::make_shared<SzActivationCodec>(cfg);
-  nn::CodecStore sync(codec_sync);
+  memory::PagedStore sync(memory::PagerConfig{}, codec_sync);
   memory::PagedStore async(async_pager_cfg(), codec_async);
 
   std::vector<nn::StashHandle> hs, ha;
@@ -182,13 +182,13 @@ TEST(AsyncStoreTest, StatsAggregateAfterDrain) {
   const auto h1 = store.stash("a", testutil::relu_like_tensor(Shape::nchw(1, 8, 32, 32), 910, 0.5));
   const auto h2 = store.stash("a", testutil::relu_like_tensor(Shape::nchw(1, 8, 32, 32), 911, 0.5));
   store.drain();
-  const auto st = store.stats();
-  ASSERT_EQ(st.count("a"), 1u);
-  EXPECT_EQ(st.at("a").stashed_tensors, 2u);
-  EXPECT_EQ(st.at("a").original_bytes, 2u * 8 * 32 * 32 * sizeof(float));
-  EXPECT_GT(st.at("a").compression_ratio(), 1.0);
-  // After drain every stash is encoded: held bytes are compressed bytes only.
-  EXPECT_EQ(store.held_bytes(), st.at("a").stored_bytes);
+  const auto c = store.pager().counters();
+  // After drain every stash is encoded: held bytes are compressed bytes
+  // only, and below the raw bytes of the two stashes.
+  EXPECT_EQ(c.raw_bytes, 0u);
+  EXPECT_EQ(c.compressed_bytes, store.held_bytes());
+  EXPECT_GT(c.compressed_bytes, 0u);
+  EXPECT_LT(c.compressed_bytes, 2u * 8 * 32 * 32 * sizeof(float));
   (void)store.retrieve(h1);
   (void)store.retrieve(h2);
   EXPECT_EQ(store.held_bytes(), 0u);

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 
 #include "baselines/jpegact.hpp"
 #include "baselines/lossless.hpp"
@@ -62,6 +64,29 @@ TEST(MemoryAccounting, MaxBatchGrowsWithCompression) {
   const std::size_t comp = memory::max_batch(*net, 32, dev, 11.0);
   EXPECT_GT(base, 0u);
   EXPECT_GT(comp, base);
+}
+
+TEST(MemoryAccounting, ExpandingRatioRaisesPeakAndShrinksBatch) {
+  // A ratio below 1 is a codec that expands the stash: it must cost memory,
+  // not read as the raw baseline.
+  auto net = models::make_resnet18(small_cfg());
+  const auto b = memory::analyze(*net, 32, 16);
+  EXPECT_GT(b.peak_bytes(0.5), b.peak_bytes(1.0));
+  const memory::DeviceModel dev{"toy", 256ull << 20};
+  EXPECT_LT(memory::max_batch(*net, 32, dev, 0.5), memory::max_batch(*net, 32, dev, 1.0));
+}
+
+TEST(MemoryAccounting, NonPositiveOrNanRatioThrows) {
+  auto net = models::make_resnet18(small_cfg());
+  const auto b = memory::analyze(*net, 32, 1);
+  const memory::DeviceModel dev{"toy", 256ull << 20};
+  for (const double r : {0.0, -1.0, std::nan("")}) {
+    EXPECT_THROW((void)b.peak_bytes(r), std::invalid_argument) << r;
+    EXPECT_THROW((void)memory::max_batch(*net, 32, dev, r), std::invalid_argument) << r;
+  }
+  // Finite but tiny: the stash no longer fits in size_t, and no batch fits.
+  EXPECT_THROW((void)b.peak_bytes(1e-300), std::overflow_error);
+  EXPECT_EQ(memory::max_batch(*net, 32, dev, 1e-300), 0u);
 }
 
 TEST(MemoryAccounting, MaxBatchRespectsCapacity) {

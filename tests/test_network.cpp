@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/lossless.hpp"
+#include "memory/pager.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/network.hpp"
@@ -110,19 +111,8 @@ TEST(RawStoreTest, UnknownHandleThrows) {
   EXPECT_THROW(store.retrieve(99), std::logic_error);
 }
 
-TEST(RawStoreTest, StatsAccumulatePerLayer) {
-  RawStore store;
-  store.retrieve(store.stash("conv1", Tensor(Shape{100})));
-  store.retrieve(store.stash("conv1", Tensor(Shape{100})));
-  const auto stats = store.stats();
-  EXPECT_EQ(stats.at("conv1").stashed_tensors, 2u);
-  EXPECT_EQ(stats.at("conv1").original_bytes, 800u);
-  EXPECT_DOUBLE_EQ(stats.at("conv1").compression_ratio(), 1.0);
-}
-
 TEST(CodecStoreTest, LosslessRoundtripThroughStore) {
-  auto codec = std::make_shared<baselines::LosslessCodec>();
-  CodecStore store(codec);
+  memory::PagedStore store(memory::PagerConfig{}, std::make_shared<baselines::LosslessCodec>());
   Tensor t = testutil::relu_like_tensor(Shape::nchw(2, 8, 16, 16), 103, 0.6);
   Tensor orig = t.clone();
   const auto h = store.stash("conv1", std::move(t));
@@ -212,8 +202,8 @@ TEST(TrainingLoop, CompressedStoreTrainsAsWellAsRaw) {
   // store — losses must be bit-for-bit comparable (lossless!).
   auto net_a = tiny_cnn(106);
   auto net_b = tiny_cnn(106);
-  auto codec = std::make_shared<baselines::LosslessCodec>();
-  CodecStore codec_store(codec);
+  memory::PagedStore codec_store(memory::PagerConfig{},
+                                 std::make_shared<baselines::LosslessCodec>());
   net_b->set_store(&codec_store);
 
   Sgd sgd_a(SgdOptions{0.9, 0.0}), sgd_b(SgdOptions{0.9, 0.0});

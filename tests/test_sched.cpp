@@ -182,7 +182,7 @@ TEST_F(SchedThreads, ManyAsyncTasksAllComplete) {
 
 TEST_F(SchedStress, StealStatsRecordUnderContention) {
   sched::set_num_threads(4);
-  sched::reset_steal_stats();
+  (void)sched::drain_steal_stats();
   const auto empty = sched::steal_stats();
   EXPECT_EQ(empty.recorded, 0u);
   // Steal-heavy fork/join: grain 1 floods the submitter's deque, and each

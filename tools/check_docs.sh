@@ -4,7 +4,7 @@
 #
 #   tools/check_docs.sh
 #
-# Six gates, all stdlib-only (bash + python3, no packages):
+# Seven gates, all stdlib-only (bash + python3, no packages):
 #
 #  1. Link check — every relative markdown link in README.md and docs/*.md
 #     must resolve to an existing file or directory. External links
@@ -36,6 +36,11 @@
 #     name literal in its body: iterations, phase, pager, ...) must equal the
 #     families named in the first column of docs/OBSERVABILITY.md's
 #     metrics table. A deleted metric cannot leave its row behind.
+#
+#  7. CMake-option guard — both directions for the build options: every
+#     `option(EBCT_...)` or `set(EBCT_... CACHE ...)` in CMakeLists.txt
+#     needs a row in docs/CONFIG.md's "CMake options" table, and every row
+#     there must name an option that still exists.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -172,6 +177,29 @@ for f in sorted(documented - emitted):
     print(f"STALE  metrics family '{f}' (documented, but metrics() no longer emits it)")
     ok = False
 print(f"checked {len(emitted)} emitted families against {len(documented)} documented")
+sys.exit(0 if ok else 1)
+EOF
+
+echo "== CMake option guard =="
+python3 - <<'EOF' || fail=1
+import re, sys
+
+cmake = open("CMakeLists.txt", encoding="utf-8").read()
+options = set(re.findall(r"^\s*option\(\s*(EBCT_\w+)", cmake, re.M))
+options |= set(re.findall(r"^\s*set\(\s*(EBCT_\w+)\s[^)]*?\bCACHE\b", cmake, re.M))
+
+doc = open("docs/CONFIG.md", encoding="utf-8").read()
+table = re.search(r"## CMake options\n(.*?)(?:\n## |\Z)", doc, re.S).group(1)
+rows = set(re.findall(r"^\| `(EBCT_\w+)` \|", table, re.M))
+
+ok = True
+for o in sorted(options - rows):
+    print(f"UNDOCUMENTED  CMake option {o} (no row in docs/CONFIG.md)")
+    ok = False
+for o in sorted(rows - options):
+    print(f"STALE  CMake option {o} (documented, but not in CMakeLists.txt)")
+    ok = False
+print(f"checked {len(options)} options against {len(rows)} rows")
 sys.exit(0 if ok else 1)
 EOF
 
