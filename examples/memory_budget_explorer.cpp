@@ -32,29 +32,36 @@ int main(int argc, char** argv) {
   std::printf("=== memory-budget explorer (EBCT ratio = %.1fx, overhead 17%%) ===\n\n",
               framework_ratio);
 
-  for (const auto& device :
-       {memory::DeviceModel::v100_16gb(), memory::DeviceModel::v100_32gb()}) {
-    std::printf("--- device: %s (%s) ---\n", device.name.c_str(),
-                memory::human_bytes(device.capacity_bytes).c_str());
-    for (const auto& name : models::model_names()) {
-      models::ModelConfig cfg;
-      cfg.input_hw = 224;
-      cfg.num_classes = 1000;
-      auto net = models::find_model(name)(cfg);
+  // A ratio this small can make the stash overflow size_t in peak_bytes;
+  // that is a bad argument too, not a crash.
+  try {
+    for (const auto& device :
+         {memory::DeviceModel::v100_16gb(), memory::DeviceModel::v100_32gb()}) {
+      std::printf("--- device: %s (%s) ---\n", device.name.c_str(),
+                  memory::human_bytes(device.capacity_bytes).c_str());
+      for (const auto& name : models::model_names()) {
+        models::ModelConfig cfg;
+        cfg.input_hw = 224;
+        cfg.num_classes = 1000;
+        auto net = models::find_model(name)(cfg);
 
-      const auto rows = baselines::compare_strategies(
-          *net, 224, device, framework_ratio, /*framework_overhead=*/0.17,
-          /*baseline_step_seconds=*/0.35);
-      std::printf("\n%s @224, batch-32 accounting:\n", name.c_str());
-      memory::Table table({"strategy", "peak @b32", "max batch", "overhead"});
-      for (const auto& r : rows) {
-        table.add_row({r.name, memory::human_bytes(r.peak_bytes),
-                       memory::fmt("%zu", r.max_batch),
-                       memory::fmt("%.0f%%", 100.0 * r.overhead_fraction)});
+        const auto rows = baselines::compare_strategies(
+            *net, 224, device, framework_ratio, /*framework_overhead=*/0.17,
+            /*baseline_step_seconds=*/0.35);
+        std::printf("\n%s @224, batch-32 accounting:\n", name.c_str());
+        memory::Table table({"strategy", "peak @b32", "max batch", "overhead"});
+        for (const auto& r : rows) {
+          table.add_row({r.name, memory::human_bytes(r.peak_bytes),
+                         memory::fmt("%zu", r.max_batch),
+                         memory::fmt("%.0f%%", 100.0 * r.overhead_fraction)});
+        }
+        table.print();
       }
-      table.print();
+      std::puts("");
     }
-    std::puts("");
+  } catch (const std::overflow_error& e) {
+    std::fprintf(stderr, "memory_budget_explorer: %s\n", e.what());
+    return 2;
   }
 
   std::puts("Reading guide: EBCT dominates lossless/JPEG-ACT on max batch at a");

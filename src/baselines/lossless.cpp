@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/codec_registry.hpp"
-#include "nn/streaming.hpp"
 #include "sz/bitstream.hpp"
 #include "sz/huffman.hpp"
 
@@ -14,10 +13,11 @@ using nn::EncodedActivation;
 using tensor::Tensor;
 
 namespace {
-constexpr std::size_t kPlaneAlphabet = 256;  // one byte plane of a float
-}  // namespace
 
-void LosslessCodec::encode_span(std::span<const float> data, std::vector<std::uint8_t>& out) {
+constexpr std::size_t kPlaneAlphabet = 256;  // one byte plane of a float
+
+/// The whole transform, span-to-bytes — appended to `out`.
+void encode_span(std::span<const float> data, std::vector<std::uint8_t>& out) {
   // Stream 1: alternating zero-run / nonzero-run lengths.
   sz::BitWriter rle;
   std::vector<float> packed;
@@ -71,12 +71,14 @@ void LosslessCodec::encode_span(std::span<const float> data, std::vector<std::ui
   out.insert(out.end(), plane_payload.begin(), plane_payload.end());
 }
 
-void LosslessCodec::decode_span(const std::uint8_t* payload, std::size_t payload_len,
-                                std::size_t numel, std::vector<float>& out) {
+}  // namespace
+
+void LosslessCodec::decode_span(std::span<const std::uint8_t> payload, std::span<float> out) {
   constexpr std::size_t kHeaderBytes = 8 * 11;  // numel, packed, rle_size, 8 plane sizes
-  if (payload_len < kHeaderBytes)
+  if (payload.size() < kHeaderBytes)
     throw std::runtime_error("lossless decode: payload shorter than header");
-  const std::uint8_t* p = payload;
+  const std::size_t numel = out.size();
+  const std::uint8_t* p = payload.data();
   auto get_u64 = [&p]() {
     std::uint64_t v;
     std::memcpy(&v, p, 8);
@@ -98,8 +100,8 @@ void LosslessCodec::decode_span(const std::uint8_t* payload, std::size_t payload
                              std::to_string(numel));
   // Validate each declared size against the bytes actually left, never by
   // summing: the sizes are untrusted u64s and a sum can wrap past
-  // payload_len.
-  std::uint64_t remaining = payload_len - kHeaderBytes;
+  // the payload size.
+  std::uint64_t remaining = payload.size() - kHeaderBytes;
   if (rle_size > remaining)
     throw std::runtime_error("lossless decode: payload truncated");
   remaining -= rle_size;
@@ -133,7 +135,7 @@ void LosslessCodec::decode_span(const std::uint8_t* payload, std::size_t payload
     std::memcpy(&packed[k], &bits, 4);
   }
 
-  out.assign(numel, 0.0f);
+  // Every element is written by a zero run or a nonzero run, or we throw.
   sz::BitReader r(rle_bytes);
   std::size_t oi = 0, pi = 0;
   while (oi < numel) {
@@ -141,6 +143,10 @@ void LosslessCodec::decode_span(const std::uint8_t* payload, std::size_t payload
     for (std::uint64_t k = 0; k < zrun && oi < numel; ++k) out[oi++] = 0.0f;
     if (oi >= numel) break;
     const std::uint64_t nzrun = r.get_varint();
+    // A valid stream never emits a (0, 0) pair while elements remain; an
+    // exhausted (or forged) run stream yields exactly that forever.
+    if (zrun == 0 && nzrun == 0)
+      throw std::runtime_error("lossless decode: empty run pair before numel reached");
     for (std::uint64_t k = 0; k < nzrun && oi < numel; ++k) {
       if (pi >= packed.size())
         throw std::runtime_error("lossless decode: nonzero runs exceed packed count");
@@ -168,40 +174,9 @@ std::map<std::string, double> LosslessCodec::last_ratios() const {
 }
 
 Tensor LosslessCodec::decode(const EncodedActivation& enc) {
-  std::vector<float> vals;
-  decode_span(enc.bytes.data(), enc.bytes.size(), enc.shape.numel(), vals);
   Tensor out(enc.shape);
-  std::memcpy(out.data(), vals.data(), vals.size() * sizeof(float));
+  decode_span(enc.bytes, out.span());
   return out;
-}
-
-namespace {
-
-class LosslessWindowEncoder final : public nn::WindowEncoder {
- public:
-  void encode_window(const float* data, std::size_t n,
-                     std::vector<std::uint8_t>& out) override {
-    out.clear();
-    LosslessCodec::encode_span({data, n}, out);
-  }
-};
-
-class LosslessWindowDecoder final : public nn::WindowDecoder {
- public:
-  void decode_window(const std::uint8_t* payload, std::size_t payload_len,
-                     std::size_t numel, std::vector<float>& out) override {
-    LosslessCodec::decode_span(payload, payload_len, numel, out);
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<nn::WindowEncoder> LosslessCodec::make_window_encoder() {
-  return std::make_unique<LosslessWindowEncoder>();
-}
-
-std::unique_ptr<nn::WindowDecoder> LosslessCodec::make_window_decoder() {
-  return std::make_unique<LosslessWindowDecoder>();
 }
 
 }  // namespace ebct::baselines

@@ -32,22 +32,10 @@ class LosslessCodec : public nn::ActivationCodec {
     return true;
   }
 
-  /// Native streaming products (nn/streaming.hpp): the transform below is
-  /// stateless over a float span, so the window products share the exact
-  /// encode_span/decode_span bodies the one-shot path uses.
-  std::unique_ptr<nn::WindowEncoder> make_window_encoder() override;
-  std::unique_ptr<nn::WindowDecoder> make_window_decoder() override;
-
-  /// The whole transform, span-to-bytes — appended to `out`. Shared by the
-  /// one-shot encode() and the streaming window product so both produce
-  /// byte-identical payloads by construction.
-  static void encode_span(std::span<const float> data, std::vector<std::uint8_t>& out);
-
-  /// Inverse of encode_span: decodes `numel` floats into `out` (resized).
-  /// Throws std::runtime_error when the payload is malformed or disagrees
-  /// with `numel`.
-  static void decode_span(const std::uint8_t* payload, std::size_t payload_len,
-                          std::size_t numel, std::vector<float>& out);
+  /// The inverse transform, bytes-to-span: decodes the payload into every
+  /// element of `out`. Throws std::runtime_error when the payload is
+  /// malformed or declares a different element count than out.size().
+  static void decode_span(std::span<const std::uint8_t> payload, std::span<float> out);
 
  private:
   mutable std::mutex mu_;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/env.hpp"
-#include "nn/streaming.hpp"
 
 namespace ebct::core {
 
@@ -157,28 +156,6 @@ std::vector<CodecInfo> CodecRegistry::list() const {
 
 namespace {
 
-/// Streaming products for "none": the payload IS the raw float bytes, so
-/// the window transform is a memcpy in each direction.
-class NoneWindowEncoder final : public nn::WindowEncoder {
- public:
-  void encode_window(const float* data, std::size_t n,
-                     std::vector<std::uint8_t>& out) override {
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
-    out.assign(bytes, bytes + n * sizeof(float));
-  }
-};
-
-class NoneWindowDecoder final : public nn::WindowDecoder {
- public:
-  void decode_window(const std::uint8_t* payload, std::size_t payload_len,
-                     std::size_t numel, std::vector<float>& out) override {
-    if (payload_len != numel * sizeof(float))
-      throw std::runtime_error("none codec: streamed payload size does not match numel");
-    out.resize(numel);
-    std::memcpy(out.data(), payload, payload_len);
-  }
-};
-
 class NoneCodec : public nn::ActivationCodec {
  public:
   nn::EncodedActivation encode(const std::string& layer,
@@ -206,13 +183,6 @@ class NoneCodec : public nn::ActivationCodec {
   /// across layer names (lets shared-stash dedup engage on none routes).
   bool encoding_layer_invariant(const std::string&, const std::string&) const override {
     return true;
-  }
-
-  std::unique_ptr<nn::WindowEncoder> make_window_encoder() override {
-    return std::make_unique<NoneWindowEncoder>();
-  }
-  std::unique_ptr<nn::WindowDecoder> make_window_decoder() override {
-    return std::make_unique<NoneWindowDecoder>();
   }
 };
 

@@ -1,50 +1,13 @@
 #include "core/sz_codec.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "core/codec_registry.hpp"
-#include "nn/streaming.hpp"
 
 namespace ebct::core {
 
 using nn::EncodedActivation;
 using tensor::Tensor;
-
-namespace {
-
-class SzWindowEncoder final : public nn::WindowEncoder {
- public:
-  explicit SzWindowEncoder(sz::Config cfg) : comp_(cfg) {}
-
-  void encode_window(const float* data, std::size_t n,
-                     std::vector<std::uint8_t>& out) override {
-    sz::CompressedBuffer buf = comp_.compress({data, n});
-    out = std::move(buf.bytes);
-  }
-
- private:
-  sz::Compressor comp_;
-};
-
-class SzWindowDecoder final : public nn::WindowDecoder {
- public:
-  explicit SzWindowDecoder(sz::Config cfg) : comp_(cfg) {}
-
-  void decode_window(const std::uint8_t* payload, std::size_t payload_len,
-                     std::size_t numel, std::vector<float>& out) override {
-    sz::CompressedBuffer buf;
-    buf.bytes.assign(payload, payload + payload_len);
-    buf.num_elements = numel;
-    out.resize(numel);
-    comp_.decompress(buf, {out.data(), numel});
-  }
-
- private:
-  sz::Compressor comp_;
-};
-
-}  // namespace
 
 SzActivationCodec::SzActivationCodec(sz::Config base_config) : base_(base_config) {}
 
@@ -81,25 +44,9 @@ EncodedActivation SzActivationCodec::encode(const std::string& layer, const Tens
 }
 
 Tensor SzActivationCodec::decode(const EncodedActivation& enc) {
-  sz::CompressedBuffer buf;
-  buf.bytes = enc.bytes;  // copy: the store still owns its entry
-  buf.num_elements = enc.shape.numel();
-  sz::Compressor comp(base_);
   Tensor out(enc.shape);
-  comp.decompress(buf, out.span());
+  sz::Compressor(base_).decompress(std::span<const std::uint8_t>(enc.bytes), out.span());
   return out;
-}
-
-std::unique_ptr<nn::WindowEncoder> SzActivationCodec::make_window_encoder() {
-  sz::Config cfg = base_;
-  cfg.error_bound = layer_bound(nn::kStreamLayer);
-  return std::make_unique<SzWindowEncoder>(cfg);
-}
-
-std::unique_ptr<nn::WindowDecoder> SzActivationCodec::make_window_decoder() {
-  sz::Config cfg = base_;
-  cfg.error_bound = layer_bound(nn::kStreamLayer);
-  return std::make_unique<SzWindowDecoder>(cfg);
 }
 
 void detail::register_sz_codec(CodecRegistry& reg) {

@@ -50,14 +50,6 @@ class SzActivationCodec : public nn::ActivationCodec, public nn::ErrorBoundedCod
     return layer_bound(a) == layer_bound(b);
   }
 
-  /// Native streaming products: run sz::Compressor directly on the window
-  /// span — encode() above only moves the compressor's bytes out, so the
-  /// payload is byte-identical while skipping the Tensor staging copy the
-  /// generic fallback pays. The product snapshots the config (with the
-  /// bound in force for nn::kStreamLayer) at creation.
-  std::unique_ptr<nn::WindowEncoder> make_window_encoder() override;
-  std::unique_ptr<nn::WindowDecoder> make_window_decoder() override;
-
   const sz::Config& base_config() const { return base_; }
 
  private:

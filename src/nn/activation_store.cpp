@@ -2,15 +2,7 @@
 
 #include <stdexcept>
 
-#include "nn/streaming.hpp"
-
 namespace ebct::nn {
-
-// Default: no native streaming capability — StreamingEncoder/Decoder use the
-// block-buffering fallback through encode()/decode(). Out-of-line so TUs that
-// only see activation_store.hpp never instantiate unique_ptr<incomplete>.
-std::unique_ptr<WindowEncoder> ActivationCodec::make_window_encoder() { return nullptr; }
-std::unique_ptr<WindowDecoder> ActivationCodec::make_window_decoder() { return nullptr; }
 
 StashHandle ActivationStore::stash_exact(const std::string& layer, tensor::Tensor&&) {
   throw std::logic_error("ActivationStore::stash_exact(" + layer +

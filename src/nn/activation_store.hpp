@@ -32,9 +32,6 @@
 
 namespace ebct::nn {
 
-class WindowEncoder;  // streaming.hpp — per-window streaming capability
-class WindowDecoder;
-
 /// Opaque ticket for a stashed activation.
 using StashHandle = std::uint64_t;
 
@@ -116,19 +113,6 @@ class ActivationCodec {
                                         const std::string& /*b*/) const {
     return false;
   }
-
-  /// Streaming capability hooks (nn/streaming.hpp). A codec that can encode
-  /// or decode fixed float windows without materialising a Tensor returns a
-  /// fresh product object; the defaults return nullptr and
-  /// StreamingEncoder/StreamingDecoder fall back to block-buffering through
-  /// encode()/decode(). A native product MUST produce payload bytes
-  /// byte-identical to the one-shot encode()/decode() path for the same
-  /// window (layer name nn::kStreamLayer) — test_serve asserts this.
-  /// Products are used from a single thread but may outlive concurrent use
-  /// of the codec by other sessions, so they must not share mutable codec
-  /// state.
-  virtual std::unique_ptr<WindowEncoder> make_window_encoder();
-  virtual std::unique_ptr<WindowDecoder> make_window_decoder();
 };
 
 /// Capability sub-interface of ActivationCodec: a codec whose per-element

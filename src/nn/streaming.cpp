@@ -6,7 +6,6 @@
 
 #include "tensor/bytes.hpp"
 #include "tensor/shape.hpp"
-#include "tensor/tensor.hpp"
 
 namespace ebct::nn {
 
@@ -22,55 +21,14 @@ using tensor::put_u16;
 using tensor::put_u32;
 using tensor::put_u64;
 
-/// Fallback WindowEncoder: copies the window into a Tensor and runs the
-/// codec's one-shot encode(). Correct for every codec by construction;
-/// native hooks exist to skip exactly this copy.
-class BufferedWindowEncoder final : public WindowEncoder {
- public:
-  explicit BufferedWindowEncoder(std::shared_ptr<ActivationCodec> codec)
-      : codec_(std::move(codec)) {}
-
-  void encode_window(const float* data, std::size_t n,
-                     std::vector<std::uint8_t>& out) override {
-    tensor::Tensor t(tensor::Shape::nchw(1, 1, 1, n));
-    std::memcpy(t.data(), data, n * sizeof(float));
-    EncodedActivation enc = codec_->encode(kStreamLayer, t);
-    out = std::move(enc.bytes);
-  }
-
- private:
-  std::shared_ptr<ActivationCodec> codec_;
-};
-
-/// Fallback WindowDecoder: rebuilds the EncodedActivation a one-shot encode
-/// of the window would have produced and runs codec->decode().
-class BufferedWindowDecoder final : public WindowDecoder {
- public:
-  explicit BufferedWindowDecoder(std::shared_ptr<ActivationCodec> codec)
-      : codec_(std::move(codec)) {}
-
-  void decode_window(const std::uint8_t* payload, std::size_t payload_len,
-                     std::size_t numel, std::vector<float>& out) override {
-    EncodedActivation enc;
-    enc.bytes.assign(payload, payload + payload_len);
-    enc.shape = tensor::Shape::nchw(1, 1, 1, numel);
-    enc.layer = kStreamLayer;
-    tensor::Tensor t = codec_->decode(enc);
-    if (t.numel() != numel)
-      throw std::runtime_error("streaming decode: codec returned " +
-                               std::to_string(t.numel()) + " elems, block declared " +
-                               std::to_string(numel));
-    out.resize(numel);
-    std::memcpy(out.data(), t.data(), numel * sizeof(float));
-  }
-
- private:
-  std::shared_ptr<ActivationCodec> codec_;
-};
-
 std::size_t clamp_window(std::size_t w) {
   if (w == 0) return kDefaultWindowElems;
   return std::clamp(w, kMinWindowElems, kMaxWindowElems);
+}
+
+/// Largest block payload a window of `w` floats may declare.
+std::size_t max_block_bytes(std::size_t w) {
+  return 4 * w * sizeof(float) + (std::size_t{1} << 20);
 }
 
 }  // namespace
@@ -80,17 +38,29 @@ std::size_t clamp_window(std::size_t w) {
 
 StreamingEncoder::StreamingEncoder(std::shared_ptr<ActivationCodec> codec,
                                    std::string spec, std::size_t window_elems,
-                                   ByteSink sink)
-    : codec_(std::move(codec)),
-      spec_(std::move(spec)),
-      window_elems_(clamp_window(window_elems)),
-      sink_(std::move(sink)) {
-  if (!codec_) throw std::invalid_argument("StreamingEncoder: null codec");
-  if (!sink_) throw std::invalid_argument("StreamingEncoder: null sink");
-  if (spec_.size() > 0xffff) throw std::invalid_argument("StreamingEncoder: spec too long");
-  window_encoder_ = codec_->make_window_encoder();
-  if (!window_encoder_) window_encoder_ = std::make_unique<BufferedWindowEncoder>(codec_);
-  window_.reserve(window_elems_);
+                                   ByteSink sink) {
+  rebind(std::move(codec), std::move(spec), window_elems, std::move(sink));
+}
+
+void StreamingEncoder::rebind(std::shared_ptr<ActivationCodec> codec, std::string spec,
+                              std::size_t window_elems, ByteSink sink) {
+  if (!codec) throw std::invalid_argument("StreamingEncoder: null codec");
+  if (!sink) throw std::invalid_argument("StreamingEncoder: null sink");
+  if (spec.size() > 0xffff) throw std::invalid_argument("StreamingEncoder: spec too long");
+  codec_ = std::move(codec);
+  spec_ = std::move(spec);
+  sink_ = std::move(sink);
+  const std::size_t w = clamp_window(window_elems);
+  if (w != window_elems_) {
+    window_ = tensor::Tensor(tensor::Shape::nchw(1, 1, 1, w));
+    window_elems_ = w;
+  }
+  staged_ = 0;
+  byte_carry_len_ = 0;
+  header_emitted_ = false;
+  finished_ = false;
+  floats_in_ = 0;
+  bytes_out_ = 0;
 }
 
 void StreamingEncoder::sink_bytes(const void* data, std::size_t n) {
@@ -112,30 +82,42 @@ void StreamingEncoder::emit_header() {
 }
 
 void StreamingEncoder::flush_window() {
-  if (window_.empty()) return;
-  encoded_.clear();
-  window_encoder_->encode_window(window_.data(), window_.size(), encoded_);
+  if (staged_ == 0) return;
+  EncodedActivation enc;
+  if (staged_ == window_elems_) {
+    enc = codec_->encode(kStreamLayer, window_);
+  } else {
+    tensor::Tensor tail(tensor::Shape::nchw(1, 1, 1, staged_));
+    std::memcpy(tail.data(), window_.data(), staged_ * sizeof(float));
+    enc = codec_->encode(kStreamLayer, tail);
+  }
   std::vector<std::uint8_t> frame;
   frame.reserve(8);
-  put_u32(frame, static_cast<std::uint32_t>(encoded_.size()));
-  put_u32(frame, static_cast<std::uint32_t>(window_.size()));
+  put_u32(frame, static_cast<std::uint32_t>(enc.bytes.size()));
+  put_u32(frame, static_cast<std::uint32_t>(staged_));
   sink_bytes(frame.data(), frame.size());
-  sink_bytes(encoded_.data(), encoded_.size());
-  window_.clear();
+  sink_bytes(enc.bytes.data(), enc.bytes.size());
+  staged_ = 0;
 }
 
-void StreamingEncoder::feed(const float* data, std::size_t n) {
+void StreamingEncoder::stage(const void* floats, std::size_t n) {
   if (finished_) throw std::logic_error("StreamingEncoder::feed after finish");
   if (!header_emitted_) emit_header();
   floats_in_ += n;
+  // memcpy, not float loads: feed_bytes passes pipe buffers that need not
+  // be float-aligned.
+  const auto* src = static_cast<const std::uint8_t*>(floats);
   while (n > 0) {
-    const std::size_t take = std::min(n, window_elems_ - window_.size());
-    window_.insert(window_.end(), data, data + take);
-    data += take;
+    const std::size_t take = std::min(n, window_elems_ - staged_);
+    std::memcpy(window_.data() + staged_, src, take * sizeof(float));
+    src += take * sizeof(float);
     n -= take;
-    if (window_.size() == window_elems_) flush_window();
+    staged_ += take;
+    if (staged_ == window_elems_) flush_window();
   }
 }
+
+void StreamingEncoder::feed(const float* data, std::size_t n) { stage(data, n); }
 
 void StreamingEncoder::feed_bytes(const std::uint8_t* bytes, std::size_t n) {
   // Complete a split float left over from the previous call first.
@@ -145,25 +127,12 @@ void StreamingEncoder::feed_bytes(const std::uint8_t* bytes, std::size_t n) {
       --n;
     }
     if (byte_carry_len_ == 4) {
-      float f;
-      std::memcpy(&f, byte_carry_, 4);
-      feed(&f, 1);
+      stage(byte_carry_, 1);
       byte_carry_len_ = 0;
     }
   }
   const std::size_t whole = n / 4;
-  if (whole > 0) {
-    // The byte stream may be unaligned (pipe buffers); stage through memcpy.
-    const std::size_t chunk = 4096;
-    float tmp[chunk];
-    std::size_t done = 0;
-    while (done < whole) {
-      const std::size_t take = std::min(chunk, whole - done);
-      std::memcpy(tmp, bytes + done * 4, take * 4);
-      feed(tmp, take);
-      done += take;
-    }
-  }
+  if (whole > 0) stage(bytes, whole);
   const std::size_t rem = n % 4;
   if (rem > 0) {
     std::memcpy(byte_carry_, bytes + whole * 4, rem);
@@ -187,160 +156,137 @@ void StreamingEncoder::finish() {
   finished_ = true;
 }
 
-void StreamingEncoder::reset() {
-  window_.clear();
-  encoded_.clear();
-  byte_carry_len_ = 0;
-  header_emitted_ = false;
-  finished_ = false;
-  floats_in_ = 0;
-  bytes_out_ = 0;
-}
-
-void StreamingEncoder::rebind(std::shared_ptr<ActivationCodec> codec, std::string spec,
-                              std::size_t window_elems, ByteSink sink) {
-  if (!codec) throw std::invalid_argument("StreamingEncoder::rebind: null codec");
-  if (!sink) throw std::invalid_argument("StreamingEncoder::rebind: null sink");
-  if (spec.size() > 0xffff) throw std::invalid_argument("StreamingEncoder::rebind: spec too long");
-  codec_ = std::move(codec);
-  spec_ = std::move(spec);
-  window_elems_ = clamp_window(window_elems);
-  sink_ = std::move(sink);
-  window_encoder_ = codec_->make_window_encoder();
-  if (!window_encoder_) window_encoder_ = std::make_unique<BufferedWindowEncoder>(codec_);
-  window_.reserve(window_elems_);
-  reset();
-}
-
 // ---------------------------------------------------------------------------
 // StreamingDecoder
 
 StreamingDecoder::StreamingDecoder(CodecFactory factory, FloatSink sink)
-    : factory_(std::move(factory)), sink_(std::move(sink)) {
+    : factory_(std::move(factory)) {
   if (!factory_) throw std::invalid_argument("StreamingDecoder: null codec factory");
-  if (!sink_) throw std::invalid_argument("StreamingDecoder: null sink");
-}
-
-void StreamingDecoder::feed(const std::uint8_t* bytes, std::size_t n) {
-  if (state_ == State::kDone && n > 0)
-    throw std::runtime_error("streaming decode: trailing bytes after trailer");
-  staging_.insert(staging_.end(), bytes, bytes + n);
-  advance();
-}
-
-void StreamingDecoder::advance() {
-  while (staging_.size() >= need_) {
-    switch (state_) {
-      case State::kMagic: {
-        // magic + version + reserved + spec_len
-        if (std::memcmp(staging_.data(), kMagic, 4) != 0)
-          throw std::runtime_error("streaming decode: bad magic (not an EBCS stream)");
-        if (staging_[4] != kVersion)
-          throw std::runtime_error("streaming decode: unsupported EBCS version " +
-                                   std::to_string(staging_[4]));
-        const std::uint16_t spec_len = get_u16(staging_.data() + 6);
-        state_ = State::kHeader;
-        need_ = std::size_t{8} + spec_len + 4;  // rest of header incl. window_elems
-        break;
-      }
-      case State::kHeader: {
-        const std::uint16_t spec_len = get_u16(staging_.data() + 6);
-        spec_.assign(reinterpret_cast<const char*>(staging_.data() + 8), spec_len);
-        window_elems_ = get_u32(staging_.data() + 8 + spec_len);
-        if (window_elems_ < kMinWindowElems || window_elems_ > kMaxWindowElems)
-          throw std::runtime_error("streaming decode: window_elems " +
-                                   std::to_string(window_elems_) + " out of range");
-        codec_ = factory_(spec_);
-        if (!codec_)
-          throw std::runtime_error("streaming decode: unknown codec spec '" + spec_ + "'");
-        window_decoder_ = codec_->make_window_decoder();
-        if (!window_decoder_)
-          window_decoder_ = std::make_unique<BufferedWindowDecoder>(codec_);
-        staging_.erase(staging_.begin(), staging_.begin() + static_cast<std::ptrdiff_t>(need_));
-        state_ = State::kBlockHeader;
-        need_ = 8;
-        break;
-      }
-      case State::kBlockHeader: {
-        block_payload_len_ = get_u32(staging_.data());
-        block_numel_ = get_u32(staging_.data() + 4);
-        if (block_payload_len_ == 0 && block_numel_ == 0) {
-          // Terminator: keep the 8 bytes consumed, expect the u64 trailer.
-          staging_.erase(staging_.begin(), staging_.begin() + 8);
-          state_ = State::kTrailer;
-          need_ = 8;
-          break;
-        }
-        if (block_numel_ == 0 || block_numel_ > window_elems_)
-          throw std::runtime_error("streaming decode: block numel " +
-                                   std::to_string(block_numel_) + " exceeds window " +
-                                   std::to_string(window_elems_));
-        if (block_payload_len_ > max_block_bytes())
-          throw std::runtime_error("streaming decode: block payload " +
-                                   std::to_string(block_payload_len_) +
-                                   " bytes exceeds cap " + std::to_string(max_block_bytes()));
-        staging_.erase(staging_.begin(), staging_.begin() + 8);
-        state_ = State::kBlockPayload;
-        need_ = block_payload_len_;
-        break;
-      }
-      case State::kBlockPayload: {
-        window_decoder_->decode_window(staging_.data(), block_payload_len_, block_numel_,
-                                       decoded_);
-        sink_(decoded_.data(), decoded_.size());
-        floats_out_ += decoded_.size();
-        staging_.erase(staging_.begin(),
-                       staging_.begin() + static_cast<std::ptrdiff_t>(block_payload_len_));
-        state_ = State::kBlockHeader;
-        need_ = 8;
-        break;
-      }
-      case State::kTrailer: {
-        const std::uint64_t declared = get_u64(staging_.data());
-        if (declared != floats_out_)
-          throw std::runtime_error("streaming decode: trailer declares " +
-                                   std::to_string(declared) + " elems, decoded " +
-                                   std::to_string(floats_out_));
-        staging_.erase(staging_.begin(), staging_.begin() + 8);
-        state_ = State::kDone;
-        need_ = 1;  // any further byte is an error, caught in feed()
-        if (!staging_.empty())
-          throw std::runtime_error("streaming decode: trailing bytes after trailer");
-        return;
-      }
-      case State::kDone:
-        return;
-    }
-  }
-}
-
-void StreamingDecoder::finish() {
-  if (state_ != State::kDone)
-    throw std::runtime_error("streaming decode: truncated stream (ended mid-" +
-                             std::string(state_ == State::kMagic || state_ == State::kHeader
-                                             ? "header"
-                                             : state_ == State::kTrailer ? "trailer" : "block") +
-                             ", " + std::to_string(staging_.size()) + " bytes buffered)");
+  rebind(std::move(sink));
 }
 
 void StreamingDecoder::rebind(FloatSink sink) {
-  if (!sink) throw std::invalid_argument("StreamingDecoder::rebind: null sink");
+  if (!sink) throw std::invalid_argument("StreamingDecoder: null sink");
   sink_ = std::move(sink);
-  reset();
-}
-
-void StreamingDecoder::reset() {
   codec_.reset();
-  window_decoder_.reset();
   spec_.clear();
   window_elems_ = 0;
   state_ = State::kMagic;
   staging_.clear();
   need_ = 8;
-  block_payload_len_ = 0;
-  block_numel_ = 0;
-  decoded_.clear();
+  block_.bytes.clear();
+  block_.layer = kStreamLayer;
   floats_out_ = 0;
+}
+
+std::size_t StreamingDecoder::resident_cap_bytes() const {
+  const std::size_t w = window_elems_ > 0 ? window_elems_ : kDefaultWindowElems;
+  return max_block_bytes(w) + w * sizeof(float);
+}
+
+void StreamingDecoder::feed(const std::uint8_t* bytes, std::size_t n) {
+  // Each state gathers exactly need_ bytes — a block's payload straight
+  // into block_.bytes, every other field into staging_ — and step()
+  // consumes them whole, so each input byte is copied once and nothing is
+  // ever shifted.
+  while (state_ != State::kDone) {
+    std::vector<std::uint8_t>& buf = state_ == State::kBlockPayload ? block_.bytes : staging_;
+    const std::size_t take = std::min(n, need_ - buf.size());
+    tensor::append_bytes(buf, bytes, take);
+    bytes += take;
+    n -= take;
+    if (buf.size() < need_) return;
+    step(buf);
+  }
+  if (n > 0) throw std::runtime_error("streaming decode: trailing bytes after trailer");
+}
+
+void StreamingDecoder::step(const std::vector<std::uint8_t>& buf) {
+  switch (state_) {
+    case State::kMagic: {
+      // magic + version + reserved + spec_len
+      if (std::memcmp(buf.data(), kMagic, 4) != 0)
+        throw std::runtime_error("streaming decode: bad magic (not an EBCS stream)");
+      if (buf[4] != kVersion)
+        throw std::runtime_error("streaming decode: unsupported EBCS version " +
+                                 std::to_string(buf[4]));
+      state_ = State::kHeader;
+      need_ = std::size_t{get_u16(buf.data() + 6)} + 4;  // spec bytes + window_elems
+      break;
+    }
+    case State::kHeader: {
+      const std::size_t spec_len = need_ - 4;
+      spec_.assign(reinterpret_cast<const char*>(buf.data()), spec_len);
+      window_elems_ = get_u32(buf.data() + spec_len);
+      if (window_elems_ < kMinWindowElems || window_elems_ > kMaxWindowElems)
+        throw std::runtime_error("streaming decode: window_elems " +
+                                 std::to_string(window_elems_) + " out of range");
+      codec_ = factory_(spec_);
+      if (!codec_)
+        throw std::runtime_error("streaming decode: unknown codec spec '" + spec_ + "'");
+      state_ = State::kBlockHeader;
+      need_ = 8;
+      break;
+    }
+    case State::kBlockHeader: {
+      const std::uint32_t payload_len = get_u32(buf.data());
+      const std::uint32_t numel = get_u32(buf.data() + 4);
+      if (payload_len == 0 && numel == 0) {  // terminator; the u64 trailer follows
+        state_ = State::kTrailer;
+        need_ = 8;
+        break;
+      }
+      if (numel == 0 || numel > window_elems_)
+        throw std::runtime_error("streaming decode: block numel " + std::to_string(numel) +
+                                 " exceeds window " + std::to_string(window_elems_));
+      if (payload_len > max_block_bytes(window_elems_))
+        throw std::runtime_error("streaming decode: block payload " +
+                                 std::to_string(payload_len) + " bytes exceeds cap " +
+                                 std::to_string(max_block_bytes(window_elems_)));
+      block_.shape = tensor::Shape::nchw(1, 1, 1, numel);
+      block_.bytes.clear();
+      state_ = State::kBlockPayload;
+      need_ = payload_len;
+      break;
+    }
+    case State::kBlockPayload: {
+      const tensor::Tensor t = codec_->decode(block_);
+      if (t.numel() != block_.shape.numel())
+        throw std::runtime_error("streaming decode: codec returned " +
+                                 std::to_string(t.numel()) + " elems, block declared " +
+                                 std::to_string(block_.shape.numel()));
+      sink_(t.data(), t.numel());
+      floats_out_ += t.numel();
+      block_.bytes.clear();
+      state_ = State::kBlockHeader;
+      need_ = 8;
+      break;
+    }
+    case State::kTrailer: {
+      const std::uint64_t declared = get_u64(buf.data());
+      if (declared != floats_out_)
+        throw std::runtime_error("streaming decode: trailer declares " +
+                                 std::to_string(declared) + " elems, decoded " +
+                                 std::to_string(floats_out_));
+      state_ = State::kDone;
+      break;
+    }
+    case State::kDone:
+      break;
+  }
+  staging_.clear();
+}
+
+void StreamingDecoder::finish() {
+  if (state_ != State::kDone)
+    throw std::runtime_error(
+        "streaming decode: truncated stream (ended mid-" +
+        std::string(state_ == State::kMagic || state_ == State::kHeader ? "header"
+                    : state_ == State::kTrailer                         ? "trailer"
+                                                                        : "block") +
+        ", " +
+        std::to_string(state_ == State::kBlockPayload ? block_.bytes.size() : staging_.size()) +
+        " bytes buffered)");
 }
 
 // ---------------------------------------------------------------------------

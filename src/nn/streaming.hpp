@@ -33,12 +33,12 @@
 /// window's encoded bytes (and the codec's own scratch); a decoder holds at
 /// most one framed block plus its decoded floats. Both expose the cap.
 ///
-/// Codecs may accelerate the per-window transform through the
-/// WindowEncoder/WindowDecoder capability hooks on ActivationCodec
-/// (activation_store.hpp): a native implementation skips the fallback's
-/// tensor copy and reuses compressor scratch across windows, but must
-/// produce byte-identical payloads to the one-shot encode()/decode() —
-/// tests/test_serve.cpp asserts this for every in-tree codec.
+/// There is one codec path: every window goes through the codec's one-shot
+/// encode()/decode(). The encoder stages floats straight into a
+/// window-sized tensor and encodes it in place (only a partial tail window
+/// is copied into a tail-sized tensor); the decoder receives each block's
+/// payload straight into the EncodedActivation it decodes and sinks the
+/// decoded tensor.
 
 #include <cstdint>
 #include <functional>
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "nn/activation_store.hpp"
+#include "tensor/tensor.hpp"
 
 namespace ebct::nn {
 
@@ -56,29 +57,6 @@ using ByteSink = std::function<void(const std::uint8_t*, std::size_t)>;
 
 /// Destination for decoded floats, same lifetime rules as ByteSink.
 using FloatSink = std::function<void(const float*, std::size_t)>;
-
-/// Capability product: encodes one window of floats to the codec's payload
-/// bytes. encode_window(data, n, out) must leave `out` holding exactly
-/// ActivationCodec::encode("stream", T) .bytes for a tensor T of shape
-/// nchw(1,1,1,n) containing data[0..n) — the streamed and one-shot paths
-/// stay bitwise interchangeable. Implementations may keep scratch across
-/// calls (that is the point of the hook); they are used from one thread.
-class WindowEncoder {
- public:
-  virtual ~WindowEncoder() = default;
-  virtual void encode_window(const float* data, std::size_t n,
-                             std::vector<std::uint8_t>& out) = 0;
-};
-
-/// Capability product: decodes one window's payload bytes back to floats.
-/// Must reproduce ActivationCodec::decode() of the matching
-/// EncodedActivation bit-for-bit.
-class WindowDecoder {
- public:
-  virtual ~WindowDecoder() = default;
-  virtual void decode_window(const std::uint8_t* payload, std::size_t payload_len,
-                             std::size_t numel, std::vector<float>& out) = 0;
-};
 
 /// Layer name every streamed window is encoded under. Constant so container
 /// bytes are a pure function of (spec, window_elems, payload).
@@ -94,8 +72,7 @@ inline constexpr std::size_t kDefaultWindowElems = 64 * 1024;
 /// Push-style streaming encoder. Feed float data in any granularity;
 /// complete windows are encoded and framed into the ByteSink as they fill.
 /// finish() flushes the tail window (if any), the terminator and the
-/// element-count trailer. reset() rearms for a new payload, retaining
-/// buffer capacity — serve sessions reuse one encoder across requests.
+/// element-count trailer.
 class StreamingEncoder {
  public:
   /// `spec` is recorded verbatim in the container header (a decoder
@@ -116,12 +93,10 @@ class StreamingEncoder {
   /// std::invalid_argument if buffered bytes do not form whole floats.
   void finish();
 
-  /// Rearm for a new payload through the same sink (capacity retained).
-  void reset();
-
-  /// Re-target the encoder at a different codec/spec/window/sink, keeping
-  /// the staging buffers' capacity — how pooled serve sessions reuse one
-  /// encoder across requests with different specs.
+  /// Rearm for a new payload with a different codec/spec/window/sink,
+  /// keeping the staged window's storage when the window size is unchanged
+  /// — how the serve layer's SessionPool reuses one encoder across
+  /// requests. Validates exactly as the constructor does.
   void rebind(std::shared_ptr<ActivationCodec> codec, std::string spec,
               std::size_t window_elems, ByteSink sink);
 
@@ -136,16 +111,16 @@ class StreamingEncoder {
 
  private:
   void emit_header();
+  void stage(const void* floats, std::size_t n);  ///< copy n floats into window_
   void flush_window();
   void sink_bytes(const void* data, std::size_t n);
 
   std::shared_ptr<ActivationCodec> codec_;
-  std::unique_ptr<WindowEncoder> window_encoder_;  ///< native or fallback
   std::string spec_;
-  std::size_t window_elems_;
+  std::size_t window_elems_ = 0;
   ByteSink sink_;
-  std::vector<float> window_;          ///< staged floats, < window_elems_
-  std::vector<std::uint8_t> encoded_;  ///< per-window payload scratch
+  tensor::Tensor window_;   ///< window_elems_ floats; the first staged_ are live
+  std::size_t staged_ = 0;  ///< < window_elems_ between calls
   std::uint8_t byte_carry_[4] = {0, 0, 0, 0};
   std::size_t byte_carry_len_ = 0;
   bool header_emitted_ = false;
@@ -170,42 +145,42 @@ class StreamingDecoder {
 
   void feed(const std::uint8_t* bytes, std::size_t n);
   void finish();
-  void reset();
 
-  /// Re-target at a new sink (pooled reuse), keeping buffer capacity.
+  /// Rearm for a new container through a new sink (pooled reuse), keeping
+  /// buffer capacity. Validates exactly as the constructor does.
   void rebind(FloatSink sink);
 
   /// Spec recorded in the header (empty until the header has been parsed).
   const std::string& spec() const { return spec_; }
   std::size_t window_elems() const { return window_elems_; }
   std::uint64_t floats_out() const { return floats_out_; }
-  bool done() const { return state_ == State::kDone; }
 
-  /// Bytes kept resident: at most one framed block plus its decoded floats.
-  /// A block payload is capped at 4x the raw window + 1 MiB (codecs can
-  /// expand incompressible data, but not unboundedly) — larger frames fail
-  /// loudly as malformed.
-  std::size_t max_block_bytes() const {
-    return 4 * window_elems_ * sizeof(float) + (std::size_t{1} << 20);
-  }
+  /// Bytes kept resident: one framed block plus its decoded floats. A block
+  /// payload is capped at 4x the raw window + 1 MiB (codecs can expand
+  /// incompressible data, but not unboundedly) — larger frames fail loudly
+  /// as malformed. The window is known only once the header has parsed;
+  /// before that this reports the bound for a default-window stream. The
+  /// serve layer charges that floor at admission and re-charges the actual
+  /// cap against the tenant budget once the header arrives (429 mid-stream
+  /// on overrun).
+  std::size_t resident_cap_bytes() const;
 
  private:
   enum class State { kMagic, kHeader, kBlockHeader, kBlockPayload, kTrailer, kDone };
 
-  void advance();  ///< consume as much of staging_ as the state allows
+  /// Consume the need_ bytes gathered in `buf` for the current state and
+  /// move to the next one.
+  void step(const std::vector<std::uint8_t>& buf);
 
   CodecFactory factory_;
   FloatSink sink_;
   std::shared_ptr<ActivationCodec> codec_;
-  std::unique_ptr<WindowDecoder> window_decoder_;
   std::string spec_;
   std::size_t window_elems_ = 0;
   State state_ = State::kMagic;
-  std::vector<std::uint8_t> staging_;  ///< unconsumed input prefix
-  std::size_t need_ = 8;               ///< bytes required to advance
-  std::uint32_t block_payload_len_ = 0;
-  std::uint32_t block_numel_ = 0;
-  std::vector<float> decoded_;  ///< per-window float scratch
+  std::vector<std::uint8_t> staging_;  ///< the current header/frame field
+  std::size_t need_ = 8;               ///< bytes the current state consumes
+  EncodedActivation block_;            ///< current block; payload lands in block_.bytes
   std::uint64_t floats_out_ = 0;
 };
 

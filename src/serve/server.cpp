@@ -214,8 +214,8 @@ void Server::handle_request(int fd) {
   const bool encode = req.op == Op::kEncode;
   obs::trace::Span span(encode ? "serve.encode" : "serve.decode", obs::trace::Cat::kServe);
 
-  std::unique_ptr<EncodeSession> enc;
-  std::unique_ptr<DecodeSession> dec;
+  std::unique_ptr<nn::StreamingEncoder> enc;
+  std::unique_ptr<nn::StreamingDecoder> dec;
   std::atomic<std::size_t>& tenant_bytes = tenant_charge(req.tenant);
   std::size_t charged = 0;
   std::uint64_t bytes_in = 0;
@@ -239,8 +239,8 @@ void Server::handle_request(int fd) {
       tenant_bytes.fetch_sub(charged, std::memory_order_relaxed);
       charged = 0;
     }
-    if (enc) pool_.release_encode(std::move(enc));
-    if (dec) pool_.release_decode(std::move(dec));
+    pool_.release(std::move(enc));
+    pool_.release(std::move(dec));
   };
 
   try {
@@ -252,11 +252,12 @@ void Server::handle_request(int fd) {
       } catch (const std::invalid_argument& e) {
         throw ServerError(kErrUnknownSpec, e.what());
       }
-      enc = pool_.acquire_encode();
-      enc->begin(std::move(codec), req.spec, window, sink);
+      enc = pool_.acquire_encoder(std::move(codec), req.spec, window, sink);
     } else {
-      dec = pool_.acquire_decode();
-      dec->begin(sink);
+      // The decoder produces floats; the client is sent their raw bytes.
+      dec = pool_.acquire_decoder([sink](const float* data, std::size_t n) {
+        sink(reinterpret_cast<const std::uint8_t*>(data), n * sizeof(float));
+      });
     }
 
     // Budget admission: charge the session's resident cap, then check.
@@ -313,8 +314,8 @@ void Server::handle_request(int fd) {
         case FrameType::kData: {
           bytes_in += frame.payload.size();
           busy.swap(frame.payload);
-          EncodeSession* e = enc.get();
-          DecodeSession* d = dec.get();
+          nn::StreamingEncoder* e = enc.get();
+          nn::StreamingDecoder* d = dec.get();
           const std::uint8_t* data = busy.data();
           const std::size_t n = busy.size();
           in_flight = tensor::sched::async([e, d, data, n] {
@@ -322,7 +323,7 @@ void Server::handle_request(int fd) {
             if (e)
               e->feed_bytes(data, n);
             else
-              d->feed_bytes(data, n);
+              d->feed(data, n);
           });
           break;
         }

@@ -2,65 +2,50 @@
 
 namespace ebct::serve {
 
-void EncodeSession::begin(std::shared_ptr<nn::ActivationCodec> codec, const std::string& spec,
-                          std::size_t window_elems, nn::ByteSink sink) {
-  if (enc_) {
-    enc_->rebind(std::move(codec), spec, window_elems, std::move(sink));
-  } else {
-    enc_ = std::make_unique<nn::StreamingEncoder>(std::move(codec), spec, window_elems,
-                                                  std::move(sink));
-  }
+namespace {
+
+template <class T>
+std::unique_ptr<T> pop(std::mutex& mu, std::vector<std::unique_ptr<T>>& free) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (free.empty()) return nullptr;
+  auto obj = std::move(free.back());
+  free.pop_back();
+  return obj;
 }
 
-void DecodeSession::begin(nn::ByteSink sink) {
-  // The decoder produces floats; requests ship raw bytes. Adapt here so the
-  // connection handler deals in one sink type.
-  nn::FloatSink fsink = [s = std::move(sink)](const float* data, std::size_t n) {
-    s(reinterpret_cast<const std::uint8_t*>(data), n * sizeof(float));
-  };
-  if (dec_) {
-    dec_->rebind(std::move(fsink));
-  } else {
-    dec_ = std::make_unique<nn::StreamingDecoder>(factory_, std::move(fsink));
-  }
+template <class T>
+void push(std::mutex& mu, std::vector<std::unique_ptr<T>>& free, std::unique_ptr<T> obj) {
+  if (!obj) return;
+  std::lock_guard<std::mutex> lock(mu);
+  free.push_back(std::move(obj));
 }
 
-std::size_t DecodeSession::resident_cap_bytes() const {
-  const std::size_t w =
-      (dec_ && dec_->window_elems() > 0) ? dec_->window_elems() : nn::kDefaultWindowElems;
-  return 4 * w * sizeof(float) + (std::size_t{1} << 20) + w * sizeof(float);
+}  // namespace
+
+std::unique_ptr<nn::StreamingEncoder> SessionPool::acquire_encoder(
+    std::shared_ptr<nn::ActivationCodec> codec, std::string spec, std::size_t window_elems,
+    nn::ByteSink sink) {
+  auto enc = pop(mu_, free_encoders_);
+  if (!enc)
+    return std::make_unique<nn::StreamingEncoder>(std::move(codec), std::move(spec),
+                                                  window_elems, std::move(sink));
+  enc->rebind(std::move(codec), std::move(spec), window_elems, std::move(sink));
+  return enc;
 }
 
-std::unique_ptr<EncodeSession> SessionPool::acquire_encode() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!free_encode_.empty()) {
-    auto s = std::move(free_encode_.back());
-    free_encode_.pop_back();
-    return s;
-  }
-  return std::make_unique<EncodeSession>();
+std::unique_ptr<nn::StreamingDecoder> SessionPool::acquire_decoder(nn::FloatSink sink) {
+  auto dec = pop(mu_, free_decoders_);
+  if (!dec) return std::make_unique<nn::StreamingDecoder>(factory_, std::move(sink));
+  dec->rebind(std::move(sink));
+  return dec;
 }
 
-void SessionPool::release_encode(std::unique_ptr<EncodeSession> s) {
-  if (!s) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  free_encode_.push_back(std::move(s));
+void SessionPool::release(std::unique_ptr<nn::StreamingEncoder> enc) {
+  push(mu_, free_encoders_, std::move(enc));
 }
 
-std::unique_ptr<DecodeSession> SessionPool::acquire_decode() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!free_decode_.empty()) {
-    auto s = std::move(free_decode_.back());
-    free_decode_.pop_back();
-    return s;
-  }
-  return std::make_unique<DecodeSession>(factory_);
-}
-
-void SessionPool::release_decode(std::unique_ptr<DecodeSession> s) {
-  if (!s) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  free_decode_.push_back(std::move(s));
+void SessionPool::release(std::unique_ptr<nn::StreamingDecoder> dec) {
+  push(mu_, free_decoders_, std::move(dec));
 }
 
 }  // namespace ebct::serve

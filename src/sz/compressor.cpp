@@ -306,16 +306,16 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   return out;
 }
 
-void Compressor::decompress(const CompressedBuffer& buf, std::span<float> out) const {
-  if (buf.bytes.size() < sizeof(Header))
+void Compressor::decompress(std::span<const std::uint8_t> bytes, std::span<float> out) const {
+  if (bytes.size() < sizeof(Header))
     throw std::runtime_error("Compressor::decompress: truncated buffer");
-  const std::uint8_t* p = buf.bytes.data();
+  const std::uint8_t* p = bytes.data();
   const Header h = read_pod<Header>(p);
   if (h.magic != kMagic) throw std::runtime_error("Compressor::decompress: bad magic");
   // Each untrusted length is checked against the bytes that remain, never
   // summed up front: summing unchecked uint64 fields could wrap and slip a
   // crafted header past the guard.
-  std::size_t remaining = buf.bytes.size() - sizeof(Header);
+  std::size_t remaining = bytes.size() - sizeof(Header);
   if (h.table_bytes > remaining)
     throw std::runtime_error("Compressor::decompress: corrupt header (table)");
   remaining -= static_cast<std::size_t>(h.table_bytes);

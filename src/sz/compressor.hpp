@@ -93,8 +93,13 @@ class Compressor {
 
   CompressedBuffer compress(std::span<const float> data) const;
 
-  /// Reconstruct into `out` (must have buf.num_elements elements).
-  void decompress(const CompressedBuffer& buf, std::span<float> out) const;
+  /// Reconstruct the compressed `bytes` into `out` (must have the element
+  /// count the header declares).
+  void decompress(std::span<const std::uint8_t> bytes, std::span<float> out) const;
+
+  void decompress(const CompressedBuffer& buf, std::span<float> out) const {
+    decompress(std::span<const std::uint8_t>(buf.bytes), out);
+  }
 
   std::vector<float> decompress(const CompressedBuffer& buf) const;
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -174,7 +175,7 @@ TEST(LosslessCodecTest, MaliciousHeaderFieldsRejectedBeforeAnyReadOrAlloc) {
   Tensor t = testutil::relu_like_tensor(Shape::nchw(1, 1, 8, 8), 143, 0.5);
   const auto enc = codec.encode("l", t);
   ASSERT_GE(enc.bytes.size(), 88u);  // 11-field u64 header
-  std::vector<float> out;
+  std::vector<float> out(t.numel());
 
   // Overwrite u64 header field `field` (0 numel, 1 packed_count, 2 rle_size,
   // 3..10 plane table/body sizes) and expect a loud reject.
@@ -185,7 +186,7 @@ TEST(LosslessCodecTest, MaliciousHeaderFieldsRejectedBeforeAnyReadOrAlloc) {
   };
   const auto expect_reject = [&out, &t](const std::vector<std::uint8_t>& bytes) {
     EXPECT_THROW(
-        baselines::LosslessCodec::decode_span(bytes.data(), bytes.size(), t.numel(), out),
+        baselines::LosslessCodec::decode_span(bytes, out),
         std::runtime_error);
   };
 
@@ -208,9 +209,22 @@ TEST(LosslessCodecTest, MaliciousHeaderFieldsRejectedBeforeAnyReadOrAlloc) {
   // Honest truncation is still caught.
   expect_reject({enc.bytes.begin(), enc.bytes.end() - 1});
   // And the untouched payload still round-trips.
-  baselines::LosslessCodec::decode_span(enc.bytes.data(), enc.bytes.size(), t.numel(), out);
-  ASSERT_EQ(out.size(), t.numel());
+  baselines::LosslessCodec::decode_span(enc.bytes, out);
   for (std::size_t i = 0; i < t.numel(); ++i) EXPECT_EQ(out[i], t[i]);
+}
+
+TEST(LosslessCodecTest, RunStreamOfEmptyPairsIsRejected) {
+  // An exhausted or forged zero-run stream reads as (0, 0) run pairs, which
+  // advance no element: decode must throw instead of looping forever.
+  baselines::LosslessCodec codec;
+  auto enc = codec.encode("z", Tensor(Shape::nchw(1, 1, 8, 8)));  // all zeros
+  std::uint64_t rle_size = 0;
+  std::memcpy(&rle_size, enc.bytes.data() + 16, 8);  // u64 header field 2
+  ASSERT_GT(rle_size, 0u);
+  ASSERT_GE(enc.bytes.size(), 88 + rle_size);
+  std::fill(enc.bytes.begin() + 88, enc.bytes.begin() + 88 + static_cast<std::ptrdiff_t>(rle_size),
+            std::uint8_t{0});
+  EXPECT_THROW(codec.decode(enc), std::runtime_error);
 }
 
 TEST(JpegActCodecTest, RoundtripApproximate) {

@@ -982,7 +982,8 @@ TEST(Compressor, ErrorDistributionIsUniform) {
 // --- Output byte identity -----------------------------------------------------
 //
 // FNV-1a over the compressed bytes and the reconstruction of a seeded config
-// sweep, and over sz / lossless / jpeg-act streaming containers. The
+// sweep, over sz / lossless / jpeg-act / none streaming containers and over
+// the floats streaming_decode_all reconstructs from each. The
 // expected values were computed before the coded-symbols-only Huffman
 // build, so they pin that change (and any later one) to identical output.
 
@@ -1027,14 +1028,26 @@ std::uint64_t compress_sweep_hash() {
   return h;
 }
 
-std::uint64_t container_hash(const std::string& spec) {
+std::vector<std::uint8_t> golden_container(const std::string& spec) {
   tensor::Rng rng(2025);
   std::vector<float> payload(3 * 4096 + 123);
   rng.fill_relu_like({payload.data(), payload.size()}, 0.35, 1.0f);
-  const auto bytes =
-      nn::streaming_encode_all(core::CodecRegistry::instance().create(spec), spec,
-                               payload.data(), payload.size(), 4096);
+  return nn::streaming_encode_all(core::CodecRegistry::instance().create(spec), spec,
+                                  payload.data(), payload.size(), 4096);
+}
+
+std::uint64_t container_hash(const std::string& spec) {
+  const auto bytes = golden_container(spec);
   return fnv1a(kFnvBasis, bytes.data(), bytes.size());
+}
+
+// Hash of the floats streaming_decode_all reconstructs from the container.
+std::uint64_t decoded_hash(const std::string& spec) {
+  const auto bytes = golden_container(spec);
+  const auto floats = nn::streaming_decode_all(
+      [](const std::string& s) { return core::CodecRegistry::instance().create(s); },
+      bytes.data(), bytes.size());
+  return fnv1a(kFnvBasis, floats.data(), floats.size() * sizeof(float));
 }
 
 TEST(Compressor, OutputBytesMatchGoldenHashes) {
@@ -1047,6 +1060,11 @@ TEST(Compressor, OutputBytesMatchGoldenHashes) {
   EXPECT_EQ(container_hash("sz:eb=1e-3"), 0xae3dbbb49c8b740dULL);
   EXPECT_EQ(container_hash("lossless"), 0x9f5c4c5fd485e6fcULL);
   EXPECT_EQ(container_hash("jpeg-act:quality=50"), 0x3458281a4d31c710ULL);
+  EXPECT_EQ(container_hash("none"), 0x5ad6cc574401c714ULL);
+  EXPECT_EQ(decoded_hash("sz:eb=1e-3"), 0xf31dd42c9a1fe9a0ULL);
+  EXPECT_EQ(decoded_hash("lossless"), 0x606703009a7e263dULL);
+  EXPECT_EQ(decoded_hash("jpeg-act:quality=50"), 0x3a6008e5db2a15cfULL);
+  EXPECT_EQ(decoded_hash("none"), 0x606703009a7e263dULL);
 }
 
 TEST(Compressor, NonFiniteValuesRoundTripBitExactly) {

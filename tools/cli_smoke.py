@@ -14,6 +14,9 @@ Checks (stdlib only; registered as the `cli_smoke` CTest):
     output file is left untouched.
  3. A malformed `--window=` value exits non-zero.
  4. The retired positional form `c <in> <out> <eb>` exits non-zero.
+ 5. stdio round trips of the other registry codecs: `none` and
+    `lossless` restore the input bit for bit, and `jpeg-act:quality=50`
+    exits 0 and restores the input's length.
 
 Exit code 0 = pass, 1 = any failed check (each printed).
 """
@@ -105,6 +108,17 @@ def main() -> int:
     # 4. Retired positional error-bound form.
     old = run([cli, "c", path("sine.f32"), path("old.ebct"), "1e-3"])
     check(old.returncode != 0, f"positional 'c in out 1e-3' exits non-zero (exit {old.returncode})")
+
+    # 5. Every other codec through the same streaming path, over stdio.
+    for codec, exact in (("none", True), ("lossless", True), ("jpeg-act:quality=50", False)):
+        enc = run([cli, "c", "-", "-", f"--codec={codec}"], stdin=payload)
+        dec = run([cli, "d", "-", "-"], stdin=enc.stdout) if enc.returncode == 0 else enc
+        check(dec.returncode == 0, f"{codec}: stdio c/d exit 0")
+        if exact:
+            check(dec.returncode == 0 and dec.stdout == payload, f"{codec}: round trip bit-exact")
+        else:
+            check(dec.returncode == 0 and len(dec.stdout) == len(payload),
+                  f"{codec}: round trip keeps the input's length")
 
     if errors:
         print(f"cli_smoke: {len(errors)} check(s) failed", file=sys.stderr)
