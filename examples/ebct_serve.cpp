@@ -7,9 +7,10 @@
 // Flags override the EBCT_SERVE_* environment (docs/CONFIG.md), which
 // overrides built-in defaults. The daemon multiplexes concurrent streaming
 // encode/decode requests over an AF_UNIX socket (protocol in
-// docs/SERVING.md), dispatching window codec work onto the process-wide
-// work-stealing pool and enforcing per-tenant byte budgets with 429-style
-// backpressure.
+// docs/SERVING.md), running each request's codec work on its connection's
+// handler thread (--threads sizes the work-stealing pool that the SZ
+// codec's block-parallel stages use) and enforcing per-tenant byte budgets
+// with 429-style backpressure.
 //
 // Lifecycle: prints "ebct_serve ready on <socket>" once accepting (CI waits
 // for this line), then blocks until SIGTERM/SIGINT. On signal it drains —

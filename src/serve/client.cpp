@@ -15,14 +15,6 @@ namespace ebct::serve {
 
 namespace {
 
-/// RAII fd.
-struct Fd {
-  int fd = -1;
-  ~Fd() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
 int connect_unix(const std::string& path) {
   if (path.size() >= sizeof(sockaddr_un{}.sun_path))
     throw std::invalid_argument("ebct_client: socket path too long for AF_UNIX: " + path);
@@ -39,95 +31,126 @@ int connect_unix(const std::string& path) {
     throw std::runtime_error("ebct_client: connect(" + path +
                              ") failed: " + std::strerror(err));
   }
+  // The pump services reads and writes in one loop.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
+    const int err = errno;
+    ::close(fd);
+    throw std::runtime_error(std::string("ebct_client: fcntl failed: ") + std::strerror(err));
+  }
   return fd;
 }
 
-/// Incremental frame parser over the pump's receive buffer. Consumes
-/// complete frames from the front of `buf`; returns true when one was
-/// extracted into `out`.
-bool take_frame(std::vector<std::uint8_t>& buf, Frame& out) {
-  if (buf.size() < 5) return false;
-  const std::uint32_t len = get_u32(buf.data());
-  if (buf.size() < 5 + static_cast<std::size_t>(len)) return false;
-  const std::uint8_t type = buf[4];
-  if (type < static_cast<std::uint8_t>(FrameType::kOpen) ||
-      type > static_cast<std::uint8_t>(FrameType::kError))
-    throw std::runtime_error("ebct_client: server sent unknown frame type " +
-                             std::to_string(type));
-  out.type = static_cast<FrameType>(type);
-  out.payload.assign(buf.begin() + 5, buf.begin() + 5 + len);
-  buf.erase(buf.begin(), buf.begin() + 5 + len);
-  return true;
+[[noreturn]] void throw_error_frame(const std::uint8_t* payload, std::size_t len) {
+  if (len < 2) throw std::runtime_error("ebct_client: malformed ERROR frame from server");
+  throw ServerError(get_u16(payload),
+                    std::string(reinterpret_cast<const char*>(payload) + 2, len - 2));
 }
 
-[[noreturn]] void throw_error_frame(const Frame& f) {
-  if (f.payload.size() < 2)
-    throw std::runtime_error("ebct_client: malformed ERROR frame from server");
-  const std::uint16_t code = get_u16(f.payload.data());
-  throw ServerError(code, std::string(f.payload.begin() + 2, f.payload.end()));
+[[noreturn]] void throw_unexpected(FrameType type, const char* when) {
+  throw std::runtime_error("ebct_client: unexpected frame type " +
+                           std::to_string(static_cast<int>(type)) + " " + when);
 }
 
 }  // namespace
+
+struct Client::Connection {
+  explicit Connection(int socket) : fd(socket) {}
+  ~Connection() { ::close(fd); }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  int fd;
+  std::vector<std::uint8_t> out;  ///< wire bytes to send; only ever grows
+  std::vector<std::uint8_t> in;   ///< wire bytes received; only ever grows
+};
 
 Client::Client(std::string socket_path) : socket_path_(std::move(socket_path)) {
   if (socket_path_.empty())
     throw std::invalid_argument("ebct_client: socket path must be non-empty");
 }
 
+Client::~Client() { delete idle_.exchange(nullptr); }
+
+Client::Client(Client&& other) noexcept
+    : socket_path_(std::move(other.socket_path_)),
+      idle_(other.idle_.exchange(nullptr)) {}
+
+Client& Client::operator=(Client&& other) noexcept {
+  if (this != &other) {
+    socket_path_ = std::move(other.socket_path_);
+    delete idle_.exchange(other.idle_.exchange(nullptr));
+  }
+  return *this;
+}
+
+std::unique_ptr<Client::Connection> Client::take_connection() {
+  // The exchange hands the kept connection to one request only; a second
+  // thread sharing this Client finds the slot empty and connects its own.
+  std::unique_ptr<Connection> conn(idle_.exchange(nullptr));
+  if (conn) {
+    // Between requests the server sends nothing, so a kept socket that is
+    // readable (EOF after a server stop or restart) or hung up is stale.
+    struct pollfd pfd {};
+    pfd.fd = conn->fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, 0) == 0) return conn;
+    conn.reset();
+  }
+  return std::make_unique<Connection>(connect_unix(socket_path_));
+}
+
+void Client::keep_connection(std::unique_ptr<Connection> conn) {
+  // Another thread's request may have kept one meanwhile; keep the newer.
+  delete idle_.exchange(conn.release());
+}
+
 TransferStats Client::run(const OpenRequest& open, const PullReader& reader,
                           const PushWriter& writer) {
-  Fd sock{connect_unix(socket_path_)};
-  const int fd = sock.fd;
+  std::unique_ptr<Connection> conn = take_connection();
+  const TransferStats stats = transfer(*conn, open, reader, writer);  // throws: conn closes
+  keep_connection(std::move(conn));
+  return stats;
+}
 
-  // OPEN/OPEN_OK handshake runs blocking: both frames are tiny and the
-  // server replies before any bulk data moves.
+TransferStats Client::transfer(Connection& conn, const OpenRequest& open,
+                               const PullReader& reader, const PushWriter& writer) {
+  const int fd = conn.fd;
+  std::vector<std::uint8_t>& out = conn.out;
+  std::vector<std::uint8_t>& in = conn.in;
+
+  // OPEN goes out before the reader is asked for data, and nothing waits
+  // for OPEN_OK: the server's verdict on it arrives through the same pump
+  // as the output. Between requests the server's receive buffer is empty,
+  // so this write does not block.
   {
-    const auto payload = serialize_open(open);
+    const std::vector<std::uint8_t> payload = serialize_open(open);
     write_frame(fd, FrameType::kOpen, payload.data(), payload.size());
   }
-  TransferStats stats;
-  {
-    Frame f;
-    if (!read_frame(fd, f, kDefaultMaxFrame))
-      throw std::runtime_error("ebct_client: server closed during handshake");
-    if (f.type == FrameType::kError) throw_error_frame(f);
-    if (f.type != FrameType::kOpenOk)
-      throw std::runtime_error("ebct_client: expected OPEN_OK, got frame type " +
-                               std::to_string(static_cast<int>(f.type)));
-    if (f.payload.size() >= 4) stats.window_elems = get_u32(f.payload.data());
-  }
 
-  // Bulk transfer: non-blocking duplex pump.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
-    throw std::runtime_error(std::string("ebct_client: fcntl failed: ") +
-                             std::strerror(errno));
-
-  std::vector<std::uint8_t> outbuf;   // wire bytes queued to send
-  std::size_t out_at = 0;             // send offset into outbuf
-  std::vector<std::uint8_t> inbuf;    // wire bytes received, unparsed
-  std::vector<std::uint8_t> chunk(kIoChunk);
+  if (out.size() < 5 + kIoChunk) out.resize(5 + kIoChunk);
+  std::size_t out_at = 0;   // send offset into out
+  std::size_t out_end = 0;  // end of the queued bytes in out
+  std::size_t in_end = 0;   // end of the received, unparsed bytes in in
   bool input_done = false;  // reader hit EOF and FINISH is queued
-  bool done = false;        // server sent DONE
-
+  TransferStats stats;
+  bool opened = false;  // OPEN_OK received
+  bool done = false;    // DONE received
   while (!done) {
-    // Refill the send queue from the reader once drained.
-    if (!input_done && out_at == outbuf.size()) {
-      outbuf.clear();
+    // Refill the send buffer from the reader once drained: DATA pulled
+    // straight into it, or FINISH once the reader reports EOF.
+    if (!input_done && out_at == out_end) {
+      const std::size_t n = reader(out.data() + 5, kIoChunk);
+      store_frame_header(out.data(), n > 0 ? FrameType::kData : FrameType::kFinish, n);
       out_at = 0;
-      const std::size_t n = reader(chunk.data(), chunk.size());
-      if (n > 0) {
-        append_frame(outbuf, FrameType::kData, chunk.data(), n);
-      } else {
-        append_frame(outbuf, FrameType::kFinish, nullptr, 0);
-        input_done = true;
-      }
+      out_end = 5 + n;
+      input_done = n == 0;
     }
 
     struct pollfd pfd {};
     pfd.fd = fd;
     pfd.events = POLLIN;
-    if (out_at < outbuf.size()) pfd.events |= POLLOUT;
+    if (out_at < out_end) pfd.events |= POLLOUT;
     const int pr = ::poll(&pfd, 1, 1000);
     if (pr < 0) {
       if (errno == EINTR) continue;
@@ -136,15 +159,15 @@ TransferStats Client::run(const OpenRequest& open, const PullReader& reader,
     }
 
     if (pfd.revents & POLLOUT) {
-      // MSG_NOSIGNAL: EPIPE (server closed after an error frame we have not
-      // drained yet), not SIGPIPE. The pending error frame in inbuf still
-      // gets parsed, so the caller sees the ServerError, not the EPIPE.
-      const ssize_t n =
-          ::send(fd, outbuf.data() + out_at, outbuf.size() - out_at, MSG_NOSIGNAL);
+      // MSG_NOSIGNAL: EPIPE (server closed after an ERROR frame we have not
+      // drained yet), not SIGPIPE. A server that closes with our input still
+      // unread resets the connection, so ECONNRESET means the same. The
+      // pending ERROR frame still gets read, so the caller sees the
+      // ServerError, not the broken pipe.
+      const ssize_t n = ::send(fd, out.data() + out_at, out_end - out_at, MSG_NOSIGNAL);
       if (n < 0) {
-        if (errno == EPIPE) {
-          outbuf.clear();  // stop writing; drain the server's verdict
-          out_at = 0;
+        if (errno == EPIPE || errno == ECONNRESET) {
+          out_at = out_end = 0;  // stop writing; drain the server's verdict
           input_done = true;
         } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
           throw std::runtime_error(std::string("ebct_client: write failed: ") +
@@ -156,38 +179,59 @@ TransferStats Client::run(const OpenRequest& open, const PullReader& reader,
     }
 
     if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
-      const ssize_t n = ::read(fd, chunk.data(), chunk.size());
+      if (in.size() < in_end + kIoChunk) in.resize(in_end + kIoChunk);
+      const ssize_t n = ::read(fd, in.data() + in_end, kIoChunk);
       if (n < 0) {
         if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
           throw std::runtime_error(std::string("ebct_client: read failed: ") +
                                    std::strerror(errno));
-      } else if (n == 0) {
-        throw std::runtime_error("ebct_client: server closed connection mid-request");
-      } else {
-        inbuf.insert(inbuf.end(), chunk.data(), chunk.data() + n);
-        Frame f;
-        while (take_frame(inbuf, f)) {
-          switch (f.type) {
-            case FrameType::kData:
-              writer(f.payload.data(), f.payload.size());
-              break;
-            case FrameType::kDone:
-              if (f.payload.size() >= 16) {
-                stats.bytes_in = get_u64(f.payload.data());
-                stats.bytes_out = get_u64(f.payload.data() + 8);
-              }
-              done = true;
-              break;
-            case FrameType::kError:
-              throw_error_frame(f);
-            default:
-              throw std::runtime_error("ebct_client: unexpected frame type " +
-                                       std::to_string(static_cast<int>(f.type)) +
-                                       " mid-request");
-          }
-          if (done) break;
+        continue;
+      }
+      if (n == 0) throw std::runtime_error("ebct_client: server closed connection mid-request");
+      in_end += static_cast<std::size_t>(n);
+
+      // Consume every complete frame by offset; the writer sees DATA
+      // payloads in place. A partial frame moves to the front once.
+      std::size_t at = 0;
+      while (!done && in_end - at >= 5) {
+        const std::size_t len = get_u32(in.data() + at);
+        if (in_end - at - 5 < len) break;
+        const std::uint8_t raw_type = in[at + 4];
+        if (raw_type < static_cast<std::uint8_t>(FrameType::kOpen) ||
+            raw_type > static_cast<std::uint8_t>(FrameType::kError))
+          throw std::runtime_error("ebct_client: server sent unknown frame type " +
+                                   std::to_string(raw_type));
+        const auto type = static_cast<FrameType>(raw_type);
+        const std::uint8_t* payload = in.data() + at + 5;
+        at += 5 + len;
+        if (type == FrameType::kError) throw_error_frame(payload, len);
+        if (!opened) {
+          if (type != FrameType::kOpenOk) throw_unexpected(type, "before OPEN_OK");
+          if (len >= 4) stats.window_elems = get_u32(payload);
+          opened = true;
+          continue;
+        }
+        switch (type) {
+          case FrameType::kData:
+            writer(payload, len);
+            break;
+          case FrameType::kDone:
+            if (len >= 16) {
+              stats.bytes_in = get_u64(payload);
+              stats.bytes_out = get_u64(payload + 8);
+            }
+            done = true;
+            break;
+          default:
+            throw_unexpected(type, "mid-request");
         }
       }
+      // DONE answers FINISH, and nothing follows it: a kept connection with
+      // input unsent or a byte unread would corrupt the next request.
+      if (done && (!input_done || out_at != out_end || at != in_end))
+        throw std::runtime_error("ebct_client: server sent DONE out of turn");
+      std::memmove(in.data(), in.data() + at, in_end - at);
+      in_end -= at;
     }
   }
   return stats;

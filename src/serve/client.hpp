@@ -1,19 +1,29 @@
 #pragma once
 
 /// \file client.hpp
-/// Client library for the ebct_serve daemon. One connection per request;
-/// input is pulled from a reader callback and output pushed to a writer
-/// callback, so arbitrarily large payloads stream through in constant
-/// memory (the CLI wires these straight to stdin/stdout).
+/// Client library for the ebct_serve daemon. Input is pulled from a reader
+/// callback and output pushed to a writer callback, so arbitrarily large
+/// payloads stream through in constant memory (the CLI wires these
+/// straight to stdin/stdout).
 ///
 /// The transfer runs as a poll-based duplex pump: the socket is
 /// non-blocking and the client services reads and writes in one loop, so a
 /// server blocked writing output can never deadlock against a client
 /// blocked writing input — the failure mode a naive write-all-then-read
-/// client hits as soon as a payload exceeds the socket buffers.
+/// client hits as soon as a payload exceeds the socket buffers. OPEN goes
+/// out ahead of the first DATA frame without waiting for OPEN_OK; the pump
+/// reads the server's verdict (OPEN_OK, or an ERROR) as it streams.
+///
+/// A Client keeps its connection, with its buffers, after a request ends
+/// in DONE and sends the next request on it. A kept connection that the
+/// server has since closed (stop(), restart) is noticed before use and
+/// replaced; any failure closes the connection. Threads may share one
+/// Client: each request takes the kept connection or opens its own.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +46,12 @@ struct TransferStats {
 class Client {
  public:
   explicit Client(std::string socket_path);
+  ~Client();
+
+  Client(Client&& other) noexcept;
+  Client& operator=(Client&& other) noexcept;
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
 
   /// Stream an encode request: float32 bytes from `reader`, EBCS container
   /// bytes to `writer`. Throws ServerError on server-reported failures
@@ -61,10 +77,17 @@ class Client {
   static constexpr std::size_t kIoChunk = 256 * 1024;
 
  private:
+  struct Connection;  ///< a socket plus its send/receive buffers
+
   TransferStats run(const OpenRequest& open, const PullReader& reader,
                     const PushWriter& writer);
+  std::unique_ptr<Connection> take_connection();
+  void keep_connection(std::unique_ptr<Connection> conn);
+  static TransferStats transfer(Connection& conn, const OpenRequest& open,
+                                const PullReader& reader, const PushWriter& writer);
 
   std::string socket_path_;
+  std::atomic<Connection*> idle_{nullptr};  ///< owned; kept after a clean DONE
 };
 
 }  // namespace ebct::serve

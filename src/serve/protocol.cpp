@@ -5,9 +5,16 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace ebct::serve {
+
+void store_frame_header(std::uint8_t* at, FrameType type, std::size_t len) {
+  const auto len32 = static_cast<std::uint32_t>(len);
+  for (int i = 0; i < 4; ++i) at[i] = static_cast<std::uint8_t>((len32 >> (8 * i)) & 0xff);
+  at[4] = static_cast<std::uint8_t>(type);
+}
 
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,
                   const std::uint8_t* payload, std::size_t len) {
@@ -16,21 +23,34 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType type,
   if (len > 0) out.insert(out.end(), payload, payload + len);
 }
 
-void write_all(int fd, const std::uint8_t* data, std::size_t len,
-               const std::function<bool()>* poll_stop) {
-  while (len > 0) {
+namespace {
+
+/// Sends every byte of iov[0, n), advancing the entries past what went out.
+void send_all(int fd, iovec* iov, std::size_t n, const std::function<bool()>* poll_stop) {
+  while (n > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n;
     // MSG_NOSIGNAL: a peer that vanished mid-request must surface as EPIPE
     // (an exception the handler reports), not a process-killing SIGPIPE.
     // MSG_DONTWAIT: a peer that stopped *reading* (full socket buffer) must
     // surface as EAGAIN so we fall through to the poll slice below and give
     // poll_stop a chance to abandon the drain — mirroring read_exact.
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n > 0) {
-      data += n;
-      len -= static_cast<std::size_t>(n);
+    const ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (sent > 0) {
+      auto left = static_cast<std::size_t>(sent);
+      while (n > 0 && left >= iov->iov_len) {
+        left -= iov->iov_len;
+        ++iov;
+        --n;
+      }
+      if (n > 0) {
+        iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + left;
+        iov->iov_len -= left;
+      }
       continue;
     }
-    if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)
+    if (sent < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)
       throw std::runtime_error(std::string("ebct_serve: socket write failed: ") +
                                std::strerror(errno));
     struct pollfd pfd {};
@@ -47,12 +67,57 @@ void write_all(int fd, const std::uint8_t* data, std::size_t len,
   }
 }
 
+/// Blocking exact read. Returns false on EOF before the first byte (clean
+/// close); throws on EOF mid-buffer or error. Reads first and polls only
+/// when nothing is waiting, in 100 ms slices, so a draining server can
+/// abandon the wait via `poll_stop`.
+bool read_exact(int fd, std::uint8_t* data, std::size_t len, bool eof_ok,
+                const std::function<bool()>* poll_stop) {
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::recv(fd, data + got, len - got, MSG_DONTWAIT);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n == 0) {
+      if (got == 0 && eof_ok) return false;
+      throw std::runtime_error("ebct_serve: connection closed mid-frame");
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK)
+      throw std::runtime_error(std::string("ebct_serve: socket read failed: ") +
+                               std::strerror(errno));
+    struct pollfd pfd {};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    const int pr = ::poll(&pfd, 1, 100);
+    if (pr < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("ebct_serve: poll failed: ") +
+                               std::strerror(errno));
+    }
+    if (pr == 0 && poll_stop && (*poll_stop)())
+      throw std::runtime_error("ebct_serve: read abandoned (server draining)");
+  }
+  return true;
+}
+
+}  // namespace
+
+void write_all(int fd, const std::uint8_t* data, std::size_t len,
+               const std::function<bool()>* poll_stop) {
+  iovec iov{const_cast<std::uint8_t*>(data), len};
+  send_all(fd, &iov, len > 0 ? 1 : 0, poll_stop);
+}
+
 void write_frame(int fd, FrameType type, const std::uint8_t* payload, std::size_t len,
                  const std::function<bool()>* poll_stop) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(5 + len);
-  append_frame(buf, type, payload, len);
-  write_all(fd, buf.data(), buf.size(), poll_stop);
+  // Header and payload go out in one sendmsg, with no copy of the payload.
+  std::uint8_t header[5];
+  store_frame_header(header, type, len);
+  iovec iov[2] = {{header, sizeof(header)}, {const_cast<std::uint8_t*>(payload), len}};
+  send_all(fd, iov, len > 0 ? 2 : 1, poll_stop);
 }
 
 void write_error_frame(int fd, std::uint16_t code, const std::string& message,
@@ -66,46 +131,6 @@ void write_error_frame(int fd, std::uint16_t code, const std::string& message,
     // Teardown path: the peer may already be gone; nothing more to report.
   }
 }
-
-namespace {
-
-/// Blocking exact read. Returns false on EOF before the first byte (clean
-/// close); throws on EOF mid-buffer or error. Polls in 100 ms slices so a
-/// draining server can abandon the wait via `poll_stop`.
-bool read_exact(int fd, std::uint8_t* data, std::size_t len, bool eof_ok,
-                const std::function<bool()>* poll_stop) {
-  std::size_t got = 0;
-  while (got < len) {
-    struct pollfd pfd {};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int pr = ::poll(&pfd, 1, 100);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("ebct_serve: poll failed: ") +
-                               std::strerror(errno));
-    }
-    if (pr == 0) {
-      if (poll_stop && (*poll_stop)())
-        throw std::runtime_error("ebct_serve: read abandoned (server draining)");
-      continue;
-    }
-    const ssize_t n = ::read(fd, data + got, len - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("ebct_serve: socket read failed: ") +
-                               std::strerror(errno));
-    }
-    if (n == 0) {
-      if (got == 0 && eof_ok) return false;
-      throw std::runtime_error("ebct_serve: connection closed mid-frame");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 bool read_frame(int fd, Frame& out, std::size_t max_payload,
                 const std::function<bool()>* poll_stop) {

@@ -9,7 +9,11 @@
 ///
 ///   u32 payload_len | u8 type | payload[payload_len]
 ///
-/// One request per connection. Client-to-server frames:
+/// A connection carries requests back to back: OPEN, DATA..., FINISH from
+/// the client, answered by OPEN_OK, DATA..., DONE, after which the next
+/// OPEN may follow on the same connection. A client may send DATA right
+/// after OPEN without waiting for OPEN_OK; a rejected OPEN is answered
+/// with ERROR. Client-to-server frames:
 ///
 ///   kOpen    payload: u8 op (0 = encode, 1 = decode)
 ///            | u16 tenant_len | tenant bytes
@@ -23,7 +27,8 @@
 ///
 /// Server-to-client frames:
 ///
-///   kOpenOk  payload: u32 window_elems in force (the budget-admission ack)
+///   kOpenOk  payload: u32 window_elems in force (the budget-admission ack);
+///            always the first frame of a reply that is not an ERROR
 ///   kData    payload: output bytes (EBCS container for encode, raw floats
 ///            for decode)
 ///   kDone    payload: u64 bytes_in | u64 bytes_out — request complete.
@@ -31,7 +36,8 @@
 ///            400 malformed frame/stream, 404 unknown codec spec,
 ///            413 frame exceeds the size cap, 429 tenant over byte budget
 ///            (backpressure — retry later), 500 internal error.
-///            After kError the server closes the connection.
+///            After kError the server closes the connection, whatever
+///            input the client still had in flight.
 
 #include <cstdint>
 #include <functional>
@@ -90,6 +96,9 @@ using tensor::get_u64;
 using tensor::put_u16;
 using tensor::put_u32;
 using tensor::put_u64;
+
+/// Write the 5-byte frame header (u32 payload_len | u8 type) at `at`.
+void store_frame_header(std::uint8_t* at, FrameType type, std::size_t len);
 
 /// Serialise a frame header+payload into `out` (appended).
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,

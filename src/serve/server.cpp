@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -16,7 +15,6 @@
 #include "core/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/sched.hpp"
 
 namespace ebct::serve {
 
@@ -99,8 +97,8 @@ void Server::stop() {
     listen_fd_ = -1;
   }
   // In-flight requests finish (their reads and writes poll stopping_ and
-  // give up after drain_grace_ms of silence); idle connections see the
-  // abandoned read and close. Join everything.
+  // give up after drain_grace_ms of silence); connections waiting for their
+  // next request close at the first poll slice. Join everything.
   std::vector<Conn> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -167,48 +165,64 @@ void Server::accept_loop() {
 
 void Server::handle_connection(int fd) {
   active_conns_.fetch_add(1, std::memory_order_relaxed);
-  obs::ServeMetrics::instance().on_session_open();
+  Frame frame;  // one read buffer for every request on the connection
   try {
-    handle_request(fd);
+    while (handle_request(fd, frame)) {
+    }
   } catch (...) {
     // handle_request reports its own errors; nothing useful left to do.
   }
   ::close(fd);
-  obs::ServeMetrics::instance().on_session_close();
   active_conns_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Server::handle_request(int fd) {
+bool Server::handle_request(int fd, Frame& frame) {
   auto& metrics = obs::ServeMetrics::instance();
-  const std::uint64_t t0 = obs::trace::detail::now_ns();
 
   // Reads AND writes poll this so a draining server abandons sockets that
-  // go silent (or stop reading). In-flight requests get drain_grace_ms of
-  // patience from the stop signal; connections idle at a frame boundary
-  // drop out at the first poll slice. Atomic because the sink's writes run
-  // on a pool thread concurrently with the handler's reads.
-  auto grace_left_ms = std::make_shared<std::atomic<std::int64_t>>(cfg_.drain_grace_ms);
-  std::function<bool()> poll_stop = [this, grace_left_ms]() {
+  // go silent (or stop reading). A connection waiting for its next request
+  // leaves at the first poll slice after stop(); a request in flight gets
+  // drain_grace_ms of patience from the stop signal.
+  bool in_request = false;
+  std::int64_t grace_left_ms = cfg_.drain_grace_ms;
+  const std::function<bool()> poll_stop = [this, &in_request, &grace_left_ms]() {
     if (!stopping_.load(std::memory_order_acquire)) return false;
-    // one poll slice burned waiting
-    return grace_left_ms->fetch_sub(100, std::memory_order_acq_rel) - 100 <= 0;
+    if (!in_request) return true;
+    grace_left_ms -= 100;  // one poll slice burned waiting
+    return grace_left_ms <= 0;
   };
 
-  Frame frame;
+  try {
+    if (!read_frame(fd, frame, cfg_.max_frame, &poll_stop)) return false;  // EOF between requests
+  } catch (const ServerError& e) {
+    metrics.on_error();
+    write_error_frame(fd, e.code(), e.what(), &poll_stop);
+    return false;
+  } catch (const std::exception& e) {
+    if (stopping_.load(std::memory_order_acquire)) return false;  // idle through a drain
+    metrics.on_error();
+    write_error_frame(fd, kErrInternal, e.what(), &poll_stop);
+    return false;
+  }
+  in_request = true;
+  const std::uint64_t t0 = obs::trace::detail::now_ns();
+  metrics.on_session_open();
+  bool session_open = true;
+  auto close_session = [&]() {
+    if (session_open) metrics.on_session_close();
+    session_open = false;
+  };
+
   OpenRequest req;
   try {
-    if (!read_frame(fd, frame, cfg_.max_frame, &poll_stop)) return;  // connected, said nothing
     if (frame.type != FrameType::kOpen)
       throw ServerError(kErrMalformed, "expected OPEN as the first frame");
     req = parse_open(frame.payload);
   } catch (const ServerError& e) {
     metrics.on_error();
     write_error_frame(fd, e.code(), e.what(), &poll_stop);
-    return;
-  } catch (const std::exception& e) {
-    metrics.on_error();
-    write_error_frame(fd, kErrInternal, e.what(), &poll_stop);
-    return;
+    close_session();
+    return false;
   }
 
   const bool encode = req.op == Op::kEncode;
@@ -221,16 +235,33 @@ void Server::handle_request(int fd) {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
 
-  // Output sink: frames bytes back to the client. Runs on the pool thread
-  // executing the current window task; the handler never writes the socket
-  // while a task is in flight, so writes stay ordered.
-  auto sink = [this, fd, &bytes_out, &poll_stop](const std::uint8_t* data, std::size_t n) {
-    while (n > 0) {
-      const std::size_t take = std::min(n, cfg_.max_frame);
-      write_frame(fd, FrameType::kData, data, take, &poll_stop);
-      data += take;
-      n -= take;
-      bytes_out += take;
+  // Output sink: frames bytes back to the client from inside feed()/finish()
+  // on this thread. `sink_failed` tells a failed socket write apart from a
+  // codec error thrown through the same call.
+  bool sink_failed = false;
+  auto sink = [this, fd, &bytes_out, &poll_stop, &sink_failed](const std::uint8_t* data,
+                                                               std::size_t n) {
+    try {
+      while (n > 0) {
+        const std::size_t take = std::min(n, cfg_.max_frame);
+        write_frame(fd, FrameType::kData, data, take, &poll_stop);
+        data += take;
+        n -= take;
+        bytes_out += take;
+      }
+    } catch (...) {
+      sink_failed = true;
+      throw;
+    }
+  };
+  // Whatever the decoder throws while parsing or decoding the client's
+  // container is the client's fault (400); a failed write stays transport.
+  auto decoding = [&sink_failed](auto&& step) {
+    try {
+      step();
+    } catch (const std::exception& e) {
+      if (sink_failed) throw;
+      throw ServerError(kErrMalformed, e.what());
     }
   };
 
@@ -263,15 +294,21 @@ void Server::handle_request(int fd) {
     // Budget admission: charge the session's resident cap, then check.
     // add-then-check keeps the race window closed against concurrent
     // admissions of the same tenant (the later add sees the sum of both).
-    const std::size_t cap = encode ? enc->resident_cap_bytes() : dec->resident_cap_bytes();
-    const std::size_t total = tenant_bytes.fetch_add(cap, std::memory_order_relaxed) + cap;
-    charged = cap;
-    if (cfg_.tenant_budget_bytes != 0 && total > cfg_.tenant_budget_bytes) {
-      throw ServerError(kErrOverBudget,
-                        "tenant '" + req.tenant + "' over byte budget (" +
-                            std::to_string(cfg_.tenant_budget_bytes) +
-                            "); retry when sessions drain");
-    }
+    // A decode re-runs this once the EBCS header (in the first DATA frame)
+    // has fixed window_elems, so a client-chosen large window bounces with
+    // a 429 mid-stream instead of bypassing the tenant budget.
+    auto charge = [&](std::size_t cap, const char* what) {
+      if (cap <= charged) return;
+      const std::size_t delta = cap - charged;
+      const std::size_t total = tenant_bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
+      charged = cap;
+      if (cfg_.tenant_budget_bytes != 0 && total > cfg_.tenant_budget_bytes) {
+        throw ServerError(kErrOverBudget, "tenant '" + req.tenant + "' over byte budget (" +
+                                              std::to_string(cfg_.tenant_budget_bytes) + ")" +
+                                              what + "; retry when sessions drain");
+      }
+    };
+    charge(encode ? enc->resident_cap_bytes() : dec->resident_cap_bytes(), "");
 
     {
       std::vector<std::uint8_t> ok;
@@ -279,52 +316,19 @@ void Server::handle_request(int fd) {
       write_frame(fd, FrameType::kOpenOk, ok.data(), ok.size(), &poll_stop);
     }
 
-    // Double-buffered ingest: while the pool runs the feed task for chunk
-    // k, the handler blocks in read_frame for chunk k+1. wait() rethrows
-    // codec/protocol errors from the task. `busy` is declared before the
-    // Future so unwinding waits for the task before freeing its input.
-    std::vector<std::uint8_t> busy;  // chunk owned by the in-flight task
-    tensor::sched::Future in_flight;
-    bool finished = false;
-    while (!finished) {
+    for (bool finished = false; !finished;) {
       if (!read_frame(fd, frame, cfg_.max_frame, &poll_stop))
         throw ServerError(kErrMalformed, "client disconnected mid-request");
-      if (in_flight.valid()) in_flight.wait();
-      // Decode admission was charged before any container bytes arrived, so
-      // it used the default-window floor — the EBCS header (which fixes
-      // window_elems, hence the real resident cap) ships inside the first
-      // data frame. Re-charge the delta once the header has parsed and
-      // re-run the budget check, so a client-chosen large window bounces
-      // with a 429 mid-stream instead of bypassing the tenant budget.
-      if (dec) {
-        const std::size_t cap = dec->resident_cap_bytes();
-        if (cap > charged) {
-          const std::size_t delta = cap - charged;
-          const std::size_t total = tenant_bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
-          charged = cap;
-          if (cfg_.tenant_budget_bytes != 0 && total > cfg_.tenant_budget_bytes) {
-            throw ServerError(kErrOverBudget,
-                              "tenant '" + req.tenant + "' over byte budget (" +
-                                  std::to_string(cfg_.tenant_budget_bytes) +
-                                  ") for declared window; retry when sessions drain");
-          }
-        }
-      }
       switch (frame.type) {
         case FrameType::kData: {
           bytes_in += frame.payload.size();
-          busy.swap(frame.payload);
-          nn::StreamingEncoder* e = enc.get();
-          nn::StreamingDecoder* d = dec.get();
-          const std::uint8_t* data = busy.data();
-          const std::size_t n = busy.size();
-          in_flight = tensor::sched::async([e, d, data, n] {
-            obs::trace::Span wspan("serve.window", obs::trace::Cat::kServe);
-            if (e)
-              e->feed_bytes(data, n);
-            else
-              d->feed(data, n);
-          });
+          obs::trace::Span wspan("serve.window", obs::trace::Cat::kServe);
+          if (encode) {
+            enc->feed_bytes(frame.payload.data(), frame.payload.size());
+          } else {
+            decoding([&] { dec->feed(frame.payload.data(), frame.payload.size()); });
+            charge(dec->resident_cap_bytes(), " for declared window");
+          }
           break;
         }
         case FrameType::kFinish:
@@ -337,36 +341,35 @@ void Server::handle_request(int fd) {
     if (encode)
       enc->finish();
     else
-      dec->finish();
+      decoding([&] { dec->finish(); });
 
-    // Commit metrics and release the budget charge BEFORE the DONE frame:
-    // once the client sees DONE the request is complete, so a snapshot taken
-    // then must already include it (and a follow-up request by the same
-    // tenant must not bounce off a charge we are about to drop anyway).
+    // Commit metrics, the session gauge and the budget charge BEFORE the
+    // DONE frame: once the client sees DONE the request is complete, so a
+    // snapshot taken then must already include it (and a follow-up request
+    // by the same tenant must not bounce off a charge we are about to drop).
     metrics.on_bytes_in(bytes_in);
     metrics.on_bytes_out(bytes_out);
     metrics.on_request_done(obs::trace::detail::now_ns() - t0);
     release();
+    close_session();
     std::vector<std::uint8_t> done;
     put_u64(done, bytes_in);
     put_u64(done, bytes_out);
     write_frame(fd, FrameType::kDone, done.data(), done.size(), &poll_stop);
+    return true;
   } catch (const ServerError& e) {
     if (e.code() == kErrOverBudget)
       metrics.on_reject();
     else
       metrics.on_error();
     write_error_frame(fd, e.code(), e.what(), &poll_stop);
-    release();
   } catch (const std::exception& e) {
     metrics.on_error();
-    // A malformed EBCS container surfaces as a streaming-decode failure out
-    // of the feed task — that is the client's fault, not the server's.
-    const bool client_fault =
-        std::string_view(e.what()).find("streaming decode:") != std::string_view::npos;
-    write_error_frame(fd, client_fault ? kErrMalformed : kErrInternal, e.what(), &poll_stop);
-    release();
+    write_error_frame(fd, kErrInternal, e.what(), &poll_stop);
   }
+  release();
+  close_session();
+  return false;
 }
 
 }  // namespace ebct::serve

@@ -6,15 +6,15 @@
 ///
 /// Architecture (docs/SERVING.md has the operator-facing description):
 ///
-///  - One accept thread; one handler thread per connection (requests are
-///    long-lived streams, so thread-per-connection is the right shape —
-///    the CPU-heavy work is NOT on these threads).
-///  - Per-window codec work is dispatched onto the process-wide
-///    work-stealing pool (tensor/sched.hpp) with one task in flight per
-///    request: the handler reads frame k+1 from the socket while the pool
-///    encodes window k (double buffering), so concurrent requests share
-///    the pool fairly and a single request still overlaps I/O with codec
-///    compute.
+///  - One accept thread; one handler thread per connection. A connection
+///    carries requests back to back, so a client that keeps its connection
+///    pays the accept and the thread spawn once, not per request.
+///  - Codec work runs on the handler thread: each DATA frame is fed to the
+///    request's StreamingEncoder/StreamingDecoder from the frame's own
+///    buffer, and output frames are written from inside that call. Requests
+///    run in parallel across connections; handing each window to the
+///    work-stealing pool cost more in cross-thread hops than its overlap of
+///    socket I/O with compute won back.
 ///  - Per-tenant byte budgets: each tenant owns one atomic count of
 ///    charged bytes; a session's resident-byte cap is charged at admission
 ///    (add -> check -> rollback on overflow), and a tenant over budget gets
@@ -22,8 +22,9 @@
 ///    sessions release their charge.
 ///  - SIGTERM drain: stop() closes the listener, lets in-flight requests
 ///    complete (bounded by drain_grace_ms), wakes idle reads AND writes
-///    (a peer that stopped reading cannot wedge shutdown), joins every
-///    handler, then releases pooled sessions. The daemon wrapper
+///    (a peer that stopped reading cannot wedge shutdown; a connection
+///    waiting for its next request leaves within one poll slice), joins
+///    every handler, then releases pooled sessions. The daemon wrapper
 ///    (examples/ebct_serve.cpp) translates the signal into stop().
 ///  - Observability: every request runs under an obs::trace span
 ///    (cat "serve") and feeds the obs::ServeMetrics serve_* counters.
@@ -80,7 +81,7 @@ class Server {
   /// Bytes currently charged to a tenant (creates it on first use) — test hook.
   std::size_t tenant_charged_bytes(const std::string& tenant);
 
-  /// Number of connections currently being handled.
+  /// Number of connections currently open (busy or between requests).
   std::size_t active_connections() const {
     return active_conns_.load(std::memory_order_relaxed);
   }
@@ -105,7 +106,9 @@ class Server {
   void accept_loop();
   void reap_finished_locked();  ///< join+erase done conns; conns_mu_ held
   void handle_connection(int fd);
-  void handle_request(int fd);
+  /// Serves one request; true only after DONE, when the connection may
+  /// carry the next one. `frame` is the connection's reused read buffer.
+  bool handle_request(int fd, Frame& frame);
   std::atomic<std::size_t>& tenant_charge(const std::string& tenant);
 
   ServerConfig cfg_;

@@ -157,6 +157,15 @@ std::vector<float> as_floats(const std::vector<std::uint8_t>& b) {
   return v;
 }
 
+// Polls `cond` every millisecond for up to 10 s; a condition that never
+// holds falls through to the caller's assertions instead of hanging.
+template <class Cond>
+void wait_until(const Cond& cond) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!cond() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
 // --- The streaming API itself (no server): feed-granularity matrix. ----------
 
 TEST(StreamingCodecTest, ChunkSizeInvisibleInContainerBytesForEverySpec) {
@@ -357,9 +366,15 @@ TEST(ServeTest, FourConcurrentSessionsStayBitwiseAndPeakGaugeSeesThem) {
   ServerFixture fx;
   constexpr int kClients = 4;
 
-  // Gate every client's first data read until all four sessions have been
-  // admitted (OPEN_OK received), so the peak-sessions gauge provably hits 4.
-  std::atomic<int> admitted{0};
+  // Gate every client's first data read until the server has had all four
+  // sessions open at once, so the peak-sessions gauge provably hits 4. OPEN
+  // goes out ahead of the data, so a client cannot wait for its own
+  // OPEN_OK; the peak latches, where the first client through the gate
+  // may finish before a slower one samples the live count.
+  const auto all_open = [] {
+    return obs::ServeMetrics::instance().snapshot().peak_sessions >=
+           static_cast<std::uint64_t>(kClients);
+  };
   std::vector<std::thread> threads;
   std::vector<std::string> failures(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -380,9 +395,7 @@ TEST(ServeTest, FourConcurrentSessionsStayBitwiseAndPeakGaugeSeesThem) {
         PullReader reader = [&](std::uint8_t* buf, std::size_t cap) {
           if (!gated) {
             gated = true;
-            admitted.fetch_add(1);
-            while (admitted.load() < kClients)
-              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            wait_until(all_open);
           }
           return inner(buf, cap);
         };
@@ -420,7 +433,6 @@ TEST(ServeTest, TenantOverBudgetGetsBackpressureNotQueueing) {
   // First session: admitted, then parked on a gated reader so it holds its
   // budget charge while the second request arrives.
   std::atomic<bool> release{false};
-  std::atomic<bool> holder_admitted{false};
   std::string holder_error;
   std::thread holder([&] {
     try {
@@ -428,7 +440,6 @@ TEST(ServeTest, TenantOverBudgetGetsBackpressureNotQueueing) {
       std::size_t cursor = 0;
       PullReader inner = chunked_reader(raw, 0, &cursor);
       PullReader reader = [&](std::uint8_t* buf, std::size_t cap) {
-        holder_admitted.store(true);
         while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
         return inner(buf, cap);
       };
@@ -438,7 +449,9 @@ TEST(ServeTest, TenantOverBudgetGetsBackpressureNotQueueing) {
       holder_error = e.what();
     }
   });
-  while (!holder_admitted.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // OPEN goes out ahead of the data, so the holder's admission shows on the
+  // server's ledger, not in its reader.
+  wait_until([&] { return fx.server->tenant_charged_bytes("acme") > 0; });
 
   // Same tenant: 429. The charge is held by the running session.
   try {
@@ -548,9 +561,10 @@ TEST(ServeTest, MalformedFramesRejectedWith400) {
     Frame ok;
     ASSERT_TRUE(read_frame(fd, ok, kDefaultMaxFrame));
     ASSERT_EQ(ok.type, FrameType::kOpenOk);
+    // The verdict follows the DATA frame at once (the server then closes,
+    // so a FINISH written after it would race that close).
     const std::uint8_t junk[16] = {'N', 'O', 'P', 'E'};
     write_frame(fd, FrameType::kData, junk, sizeof(junk));
-    write_frame(fd, FrameType::kFinish, nullptr, 0);
     EXPECT_EQ(read_error_code(fd), kErrMalformed);
     ::close(fd);
   }
@@ -596,11 +610,13 @@ TEST(ServeTest, MidStreamDisconnectReleasesTheSessionAndItsBudget) {
   EXPECT_EQ(fx.server->tenant_charged_bytes("acme"), 0u);
 
   // The same tenant's budget is free again (a leaked charge would 429 here).
-  Client client = fx.client();
-  const std::vector<float> payload = make_payload(kTestWindow, 49);
-  const std::vector<std::uint8_t> out =
-      client.encode_bytes("acme", "lossless", kTestWindow, as_bytes(payload));
-  EXPECT_EQ(out, reference_container("lossless", payload));
+  {  // scoped: a kept connection would hold quiesce() below
+    Client client = fx.client();
+    const std::vector<float> payload = make_payload(kTestWindow, 49);
+    const std::vector<std::uint8_t> out =
+        client.encode_bytes("acme", "lossless", kTestWindow, as_bytes(payload));
+    EXPECT_EQ(out, reference_container("lossless", payload));
+  }
 
   fx.quiesce();
   const obs::ServeSnapshot s = obs::ServeMetrics::instance().snapshot();
@@ -631,8 +647,9 @@ TEST(ServeTest, DecodeBudgetRechargedOnceHeaderDeclaresItsWindow) {
   Frame ok;
   ASSERT_TRUE(read_frame(fd, ok, kDefaultMaxFrame));
   ASSERT_EQ(ok.type, FrameType::kOpenOk);
+  // The 429 follows the header's DATA frame at once, before any FINISH
+  // (the server then closes, so a FINISH written after it would race that).
   write_frame(fd, FrameType::kData, header.data(), header.size());
-  write_frame(fd, FrameType::kFinish, nullptr, 0);
   EXPECT_EQ(read_error_code(fd), kErrOverBudget);
   ::close(fd);
 
@@ -731,6 +748,194 @@ TEST(ServeTest, StopDrainsAndReleasesEverything) {
   fx->server->stop();  // idempotent
   fx.reset();
   EXPECT_NE(::access(path.c_str(), F_OK), 0);  // socket file removed
+}
+
+TEST(ServeTest, CorruptBlockInAClientContainerIs400) {
+  // One block of kTestWindow - 1 floats; flipping bit 0 of its numel field
+  // (4095 -> 4094) passes the container checks and fails inside the codec,
+  // whose own header still declares 4095. The client's data is at fault.
+  ServerFixture fx;
+  const std::vector<float> payload = make_payload(kTestWindow - 1, 54);
+  std::vector<std::uint8_t> bad = reference_container("lossless", payload);
+  const std::size_t numel_at = 4 + 1 + 1 + 2 + std::string("lossless").size() + 4 + 4;
+  ASSERT_EQ(get_u32(bad.data() + numel_at), kTestWindow - 1);
+  bad[numel_at] ^= 0x01;
+  {
+    Client client = fx.client();
+    try {
+      (void)client.decode_bytes("t", bad);
+      FAIL() << "expected a 400 reject";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.code(), kErrMalformed) << e.what();
+    }
+  }
+  fx.quiesce();
+  EXPECT_EQ(obs::ServeMetrics::instance().snapshot().errors, 1u);
+}
+
+// --- Connection reuse and pipelined OPEN. ------------------------------------
+
+TEST(ServeTest, OneClientKeepsOneConnectionAcrossRequests) {
+  ServerFixture fx;
+  Client client = fx.client();
+  for (int i = 0; i < 20; ++i) {
+    const std::string& spec = all_specs()[static_cast<std::size_t>(i) % all_specs().size()];
+    const std::vector<float> payload =
+        make_payload(kTestWindow / 2 + 97 * static_cast<std::size_t>(i), 200 + i);
+    const std::vector<std::uint8_t> out =
+        client.encode_bytes("t", spec, kTestWindow, as_bytes(payload));
+    ASSERT_EQ(out, reference_container(spec, payload)) << spec << " request " << i;
+  }
+  EXPECT_EQ(fx.server->tracked_connections(), 1u);
+  EXPECT_EQ(fx.server->active_connections(), 1u);
+  // The session gauges count requests in flight, not the kept connection.
+  const obs::ServeSnapshot s = obs::ServeMetrics::instance().snapshot();
+  EXPECT_EQ(s.requests, 20u);
+  EXPECT_EQ(s.active_sessions, 0u);
+  EXPECT_EQ(s.peak_sessions, 1u);
+}
+
+TEST(ServeTest, StopWithAnIdleKeptConnectionIsPrompt) {
+  // Only a request in flight gets drain_grace_ms; a connection waiting for
+  // its next request leaves at the first poll slice.
+  ServerFixture fx;
+  ASSERT_EQ(fx.server->config().drain_grace_ms, 5000);
+  Client client = fx.client();
+  const std::vector<float> payload = make_payload(kTestWindow, 55);
+  (void)client.encode_bytes("t", "none", kTestWindow, as_bytes(payload));
+  ASSERT_EQ(fx.server->active_connections(), 1u);
+  const auto t0 = std::chrono::steady_clock::now();
+  fx.server->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(obs::ServeMetrics::instance().snapshot().errors, 0u);
+}
+
+TEST(ServeTest, ClientReconnectsAfterAServerRestart) {
+  ServerFixture fx;
+  Client client = fx.client();
+  const std::vector<float> payload = make_payload(kTestWindow + 300, 56);
+  const std::vector<std::uint8_t> ref = reference_container("lossless", payload);
+  EXPECT_EQ(client.encode_bytes("t", "lossless", kTestWindow, as_bytes(payload)), ref);
+
+  // The restart closes the kept connection; the client notices before use.
+  const ServerConfig cfg = fx.server->config();
+  fx.server->stop();
+  fx.server = std::make_unique<Server>(cfg);
+  fx.server->start();
+  EXPECT_EQ(client.encode_bytes("t", "lossless", kTestWindow, as_bytes(payload)), ref);
+  EXPECT_EQ(client.encode_bytes("t", "lossless", kTestWindow, as_bytes(payload)), ref);
+  EXPECT_EQ(fx.server->tracked_connections(), 1u);
+}
+
+TEST(ServeTest, TwoThreadsShareOneClient) {
+  ServerFixture fx;
+  Client client = fx.client();
+  std::vector<std::string> failures(2);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      std::string tenant = "t";
+      tenant += std::to_string(t);
+      try {
+        for (int i = 0; i < 12; ++i) {
+          const std::string& spec =
+              all_specs()[static_cast<std::size_t>(t + i) % all_specs().size()];
+          const std::vector<float> payload = make_payload(
+              kTestWindow + 131 * static_cast<std::size_t>(i), 300 + 50 * t + i);
+          const std::vector<std::uint8_t> ref = reference_container(spec, payload);
+          const std::vector<std::uint8_t> out =
+              client.encode_bytes(tenant, spec, kTestWindow, as_bytes(payload));
+          if (out != ref) throw std::runtime_error(spec + " encode diverged");
+          const std::vector<std::uint8_t> back = client.decode_bytes(tenant, out);
+          if (as_floats(back) != reference_roundtrip(spec, payload))
+            throw std::runtime_error(spec + " decode diverged");
+        }
+      } catch (const std::exception& e) {
+        failures[static_cast<std::size_t>(t)] = e.what();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures[0], "");
+  EXPECT_EQ(failures[1], "");
+  // The Client keeps one connection; any other it opened has been closed.
+  wait_until([&] { return fx.server->active_connections() <= 1; });
+  EXPECT_EQ(fx.server->active_connections(), 1u);
+}
+
+TEST(ServeTest, PipelinedOpenStillGetsTheServersVerdictOnALargePayload) {
+  // 4 MiB is far past the AF_UNIX socket buffers, so the client is still
+  // sending when the server rejects OPEN and closes: the caller must see
+  // the ERROR frame, never a broken pipe or reset.
+  const std::vector<float> big = make_payload((4u << 20) / sizeof(float), 57);
+  const std::vector<std::uint8_t> raw = as_bytes(big);
+  const std::vector<float> small = make_payload(1024, 58);
+  {
+    ServerFixture fx;
+    Client client = fx.client();
+    try {
+      (void)client.encode_bytes("t", "no-such-codec", kTestWindow, raw);
+      FAIL() << "expected a 404 reject";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.code(), kErrUnknownSpec);
+    }
+    // The failed request closed its connection; the next one reconnects.
+    EXPECT_EQ(client.encode_bytes("t", "none", kTestWindow, as_bytes(small)),
+              reference_container("none", small));
+  }
+  {
+    ServerConfig cfg;
+    cfg.tenant_budget_bytes = 1024;  // below any session's resident cap
+    ServerFixture fx(cfg);
+    Client client = fx.client();
+    try {
+      (void)client.encode_bytes("t", "lossless", kTestWindow, raw);
+      FAIL() << "expected a 429 reject";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.code(), kErrOverBudget);
+    }
+    const std::vector<std::uint8_t> container = reference_container("none", big);
+    try {
+      (void)client.decode_bytes("t", container);
+      FAIL() << "expected a 429 reject";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.code(), kErrOverBudget);
+    }
+    EXPECT_EQ(obs::ServeMetrics::instance().snapshot().rejects, 2u);
+  }
+}
+
+TEST(ServeTest, RawClientWithOneRequestPerConnectionStillWorks) {
+  // A client that waits for OPEN_OK before sending and closes after DONE,
+  // as every client did before connections were kept, is served as before.
+  ServerFixture fx;
+  const std::vector<float> payload = make_payload(2 * kTestWindow + 77, 59);
+  const std::vector<std::uint8_t> raw = as_bytes(payload);
+  for (int i = 0; i < 2; ++i) {
+    const int fd = raw_connect(fx.server->config().socket_path);
+    const std::vector<std::uint8_t> open = serialize_open(
+        {Op::kEncode, "t", "lossless", static_cast<std::uint32_t>(kTestWindow)});
+    write_frame(fd, FrameType::kOpen, open.data(), open.size());
+    Frame f;
+    ASSERT_TRUE(read_frame(fd, f, kDefaultMaxFrame));
+    ASSERT_EQ(f.type, FrameType::kOpenOk);
+    write_frame(fd, FrameType::kData, raw.data(), raw.size());
+    write_frame(fd, FrameType::kFinish, nullptr, 0);
+    std::vector<std::uint8_t> out;
+    for (;;) {
+      ASSERT_TRUE(read_frame(fd, f, kDefaultMaxFrame));
+      if (f.type == FrameType::kDone) break;
+      ASSERT_EQ(f.type, FrameType::kData);
+      out.insert(out.end(), f.payload.begin(), f.payload.end());
+    }
+    EXPECT_EQ(out, reference_container("lossless", payload));
+    ::close(fd);
+  }
+  fx.quiesce();
+  EXPECT_EQ(fx.server->active_connections(), 0u);
+  const obs::ServeSnapshot s = obs::ServeMetrics::instance().snapshot();
+  EXPECT_EQ(s.requests, 2u);
+  EXPECT_EQ(s.errors, 0u);
 }
 
 }  // namespace
