@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/codec_registry.hpp"
 #include "core/session.hpp"
 #include "data/synthetic.hpp"
 #include "models/model_zoo.hpp"
@@ -299,8 +300,9 @@ void measure_phase_variance(bench::JsonReporter& report, int machine_threads) {
 }
 
 /// Per-call cost of each SZ stage on one 16 Ki-float activation window, the
-/// serve/stash unit where a call's fixed cost shows most. Informational
-/// only: the row has no "seconds" key, so the wall-clock gate ignores it.
+/// serve/stash unit where a call's fixed cost shows most, and of the
+/// lossless codec on the same window. Informational only: the rows have no
+/// "seconds" key, so the wall-clock gate ignores them.
 void time_sz_window(bench::JsonReporter& report) {
   constexpr std::size_t kWindow = 16384;
   std::vector<float> data(kWindow);
@@ -339,18 +341,26 @@ void time_sz_window(bench::JsonReporter& report) {
   const double encode_us = per_call_us([&] { body = codec.encode(symbols); });
   sz::HuffmanCodec parsed;
   const double parse_us = per_call_us([&] { parsed.deserialize_table(table, alphabet); });
+  std::vector<std::uint32_t> decoded;
+  const double huffman_decode_us = per_call_us([&] { decoded = parsed.decode(body, kWindow); });
+  std::vector<float> out(kWindow);
+  const std::span<const std::uint8_t> outlier_bytes{
+      reinterpret_cast<const std::uint8_t*>(outliers.data()), outliers.size() * sizeof(float)};
+  const double reconstruct_us = per_call_us([&] {
+    sz::detail::reconstruct_block_1d(decoded, outlier_bytes, cfg.error_bound, cfg.radius,
+                                     cfg.zero_mode == sz::ZeroMode::kRezero, out);
+  });
   const sz::Compressor comp(cfg);
   sz::CompressedBuffer buf;
   const double compress_us = per_call_us([&] { buf = comp.compress({data.data(), kWindow}); });
-  std::vector<float> out(kWindow);
   const double decompress_us =
       per_call_us([&] { comp.decompress(buf, {out.data(), out.size()}); });
 
   std::printf("%-24s %zu coded symbols; us/call: quantize %.1f  histogram %.1f  "
-              "table build %.1f  encode %.1f  table parse %.1f  compress %.1f  "
-              "decompress %.1f\n",
+              "table build %.1f  encode %.1f  table parse %.1f  huffman decode %.1f  "
+              "reconstruct %.1f  compress %.1f  decompress %.1f\n",
               "sz_window", coded.size(), quantize_us, histogram_us, build_us, encode_us,
-              parse_us, compress_us, decompress_us);
+              parse_us, huffman_decode_us, reconstruct_us, compress_us, decompress_us);
   report.add("sz_window", {{"elements", static_cast<double>(kWindow)},
                            {"coded_symbols", static_cast<double>(coded.size())},
                            {"quantize_us", quantize_us},
@@ -358,8 +368,23 @@ void time_sz_window(bench::JsonReporter& report) {
                            {"table_build_us", build_us},
                            {"encode_us", encode_us},
                            {"table_parse_us", parse_us},
+                           {"huffman_decode_us", huffman_decode_us},
+                           {"reconstruct_us", reconstruct_us},
                            {"compress_us", compress_us},
                            {"decompress_us", decompress_us}});
+
+  const auto lossless = core::CodecRegistry::instance().create("lossless");
+  tensor::Tensor act(tensor::Shape{kWindow});
+  std::copy(data.begin(), data.end(), act.data());
+  nn::EncodedActivation enc;
+  const double lossless_encode_us = per_call_us([&] { enc = lossless->encode("window", act); });
+  const double lossless_decode_us = per_call_us([&] { act = lossless->decode(enc); });
+  std::printf("%-24s %zu bytes; us/call: encode %.1f  decode %.1f\n", "lossless_window",
+              enc.bytes.size(), lossless_encode_us, lossless_decode_us);
+  report.add("lossless_window", {{"elements", static_cast<double>(kWindow)},
+                                 {"encoded_bytes", static_cast<double>(enc.bytes.size())},
+                                 {"encode_us", lossless_encode_us},
+                                 {"decode_us", lossless_decode_us}});
 }
 
 /// Rows of a previous BENCH_perf_smoke.json: name -> seconds. The format is

@@ -6,6 +6,7 @@
 #include "core/codec_registry.hpp"
 #include "sz/bitstream.hpp"
 #include "sz/huffman.hpp"
+#include "sz/zero_runs.hpp"
 
 namespace ebct::baselines {
 
@@ -21,18 +22,7 @@ void encode_span(std::span<const float> data, std::vector<std::uint8_t>& out) {
   // Stream 1: alternating zero-run / nonzero-run lengths.
   sz::BitWriter rle;
   std::vector<float> packed;
-  packed.reserve(data.size());
-  std::size_t i = 0;
-  while (i < data.size()) {
-    std::size_t z = i;
-    while (z < data.size() && data[z] == 0.0f) ++z;
-    rle.put_varint(z - i);
-    std::size_t nz = z;
-    while (nz < data.size() && data[nz] != 0.0f) ++nz;
-    rle.put_varint(nz - z);
-    for (std::size_t k = z; k < nz; ++k) packed.push_back(data[k]);
-    i = nz;
-  }
+  sz::split_zero_runs(data, rle, packed);
   auto rle_bytes = rle.finish();
 
   // Stream 2: per-byte-plane Huffman over the packed nonzero floats.
@@ -136,23 +126,7 @@ void LosslessCodec::decode_span(std::span<const std::uint8_t> payload, std::span
   }
 
   // Every element is written by a zero run or a nonzero run, or we throw.
-  sz::BitReader r(rle_bytes);
-  std::size_t oi = 0, pi = 0;
-  while (oi < numel) {
-    const std::uint64_t zrun = r.get_varint();
-    for (std::uint64_t k = 0; k < zrun && oi < numel; ++k) out[oi++] = 0.0f;
-    if (oi >= numel) break;
-    const std::uint64_t nzrun = r.get_varint();
-    // A valid stream never emits a (0, 0) pair while elements remain; an
-    // exhausted (or forged) run stream yields exactly that forever.
-    if (zrun == 0 && nzrun == 0)
-      throw std::runtime_error("lossless decode: empty run pair before numel reached");
-    for (std::uint64_t k = 0; k < nzrun && oi < numel; ++k) {
-      if (pi >= packed.size())
-        throw std::runtime_error("lossless decode: nonzero runs exceed packed count");
-      out[oi++] = packed[pi++];
-    }
-  }
+  sz::join_zero_runs(rle_bytes, packed, out, "lossless decode");
 }
 
 EncodedActivation LosslessCodec::encode(const std::string& layer, const Tensor& act) {

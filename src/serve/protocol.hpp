@@ -81,11 +81,16 @@ class ServerError : public std::runtime_error {
  public:
   ServerError(std::uint16_t code, const std::string& message)
       : std::runtime_error("ebct_serve error " + std::to_string(code) + ": " + message),
-        code_(code) {}
+        code_(code),
+        message_(message) {}
   std::uint16_t code() const { return code_; }
+  /// The message without what()'s "ebct_serve error <code>: " prefix: what
+  /// an ERROR frame carries, since the client adds the prefix back.
+  const std::string& message() const { return message_; }
 
  private:
   std::uint16_t code_;
+  std::string message_;
 };
 
 // --- frame (de)serialisation helpers -------------------------------------

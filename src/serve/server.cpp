@@ -196,7 +196,7 @@ bool Server::handle_request(int fd, Frame& frame) {
     if (!read_frame(fd, frame, cfg_.max_frame, &poll_stop)) return false;  // EOF between requests
   } catch (const ServerError& e) {
     metrics.on_error();
-    write_error_frame(fd, e.code(), e.what(), &poll_stop);
+    write_error_frame(fd, e.code(), e.message(), &poll_stop);
     return false;
   } catch (const std::exception& e) {
     if (stopping_.load(std::memory_order_acquire)) return false;  // idle through a drain
@@ -220,7 +220,7 @@ bool Server::handle_request(int fd, Frame& frame) {
     req = parse_open(frame.payload);
   } catch (const ServerError& e) {
     metrics.on_error();
-    write_error_frame(fd, e.code(), e.what(), &poll_stop);
+    write_error_frame(fd, e.code(), e.message(), &poll_stop);
     close_session();
     return false;
   }
@@ -362,7 +362,7 @@ bool Server::handle_request(int fd, Frame& frame) {
       metrics.on_reject();
     else
       metrics.on_error();
-    write_error_frame(fd, e.code(), e.what(), &poll_stop);
+    write_error_frame(fd, e.code(), e.message(), &poll_stop);
   } catch (const std::exception& e) {
     metrics.on_error();
     write_error_frame(fd, kErrInternal, e.what(), &poll_stop);

@@ -4,12 +4,14 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 
 #include "sz/bitstream.hpp"
 #include "sz/huffman.hpp"
+#include "sz/zero_runs.hpp"
 #include "tensor/bytes.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/sched.hpp"
@@ -19,13 +21,20 @@ namespace ebct::sz {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x455A4331;  // "EZC1"
+/// The predictor id written in the header: 1 = dual quantization (1-D
+/// Lorenzo over integer grid values). Id 0 was the float-chain predictor;
+/// no reader for it remains.
+constexpr std::uint8_t kPredictor = 1;
+/// Pass-1 marker for a value that escapes (never a grid value: those have
+/// |q| < 2^31).
+constexpr std::int32_t kEscape = std::numeric_limits<std::int32_t>::min();
 
 #pragma pack(push, 1)
 struct Header {
   std::uint32_t magic = kMagic;
   std::uint64_t num_elements = 0;
   double abs_eb = 0.0;
-  std::uint8_t predictor = 0;  // 0 = 1-D Lorenzo; other ids are reserved
+  std::uint8_t predictor = kPredictor;
   std::uint8_t zero_mode = 0;
   std::uint32_t radius = 0;
   std::uint32_t block_size = 0;
@@ -48,33 +57,75 @@ namespace detail {
 
 void quantize_block_1d(std::span<const float> block, double eb, std::uint32_t radius,
                        std::vector<std::uint32_t>& symbols, std::vector<float>& outliers) {
-  symbols.resize(block.size());
-  const double inv_step = 1.0 / (2.0 * eb);
-  float prev_recon = 0.0f;
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const float x = block[i];
-    const double diff = static_cast<double>(x) - static_cast<double>(prev_recon);
-    const double code_d = std::nearbyint(diff * inv_step);
-    // Negated so a NaN code (non-finite input or neighbour) escapes too.
-    bool outlier = !(std::fabs(code_d) < static_cast<double>(radius));
-    float recon = 0.0f;
-    if (!outlier) {
-      recon = static_cast<float>(static_cast<double>(prev_recon) +
-                                 code_d * 2.0 * eb);
-      // Float rounding can push the reconstruction past the bound; escape.
-      if (std::fabs(static_cast<double>(recon) - static_cast<double>(x)) > eb) {
-        outlier = true;
-      }
-    }
-    if (outlier) {
+  const std::size_t n = block.size();
+  symbols.resize(n);
+  const double step = 2.0 * eb;
+  const double inv_step = 1.0 / step;
+  // Pass 1, data-parallel: pre-quantize onto the step grid. Adding and
+  // subtracting 1.5 * 2^52 rounds half to even for |v| < 2^51; any larger
+  // v (and a NaN or infinite one) fails the |q| < 2^31 test, whatever the
+  // addition returns. The grid value is kept only if its reconstruction
+  // float(q * step) meets the bound; otherwise the slot holds kEscape.
+  constexpr double kRound = 6755399441055744.0;  // 1.5 * 2^52
+  constexpr double kQMax = 2147483648.0;         // 2^31
+  auto* q = reinterpret_cast<std::int32_t*>(symbols.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(block[i]);
+    const double qd = (x * inv_step + kRound) - kRound;
+    const double recon = static_cast<double>(static_cast<float>(qd * step));
+    // `&`, not `&&`: both tests always run, so the loop has no branch.
+    const bool ok = (std::fabs(qd) < kQMax) & (std::fabs(recon - x) <= eb);
+    const double in_range = ok ? qd : 0.0;  // the int cast is defined for it
+    q[i] = ok ? static_cast<std::int32_t>(in_range) : kEscape;
+  }
+  // Pass 2, integer only: Lorenzo deltas of the grid values. A delta of
+  // radius or more escapes too; an escaped value leaves `prev` alone, so
+  // the decoder's prefix sum skips it with a delta of 0.
+  std::int64_t prev = 0;
+  const auto r = static_cast<std::int64_t>(radius);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t qi = q[i];
+    const std::int64_t d = static_cast<std::int64_t>(qi) - prev;
+    if (qi == kEscape || d <= -r || d >= r) {
       symbols[i] = 0;
-      outliers.push_back(x);
-      prev_recon = x;
+      outliers.push_back(block[i]);
     } else {
-      symbols[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(code_d) +
-                                              static_cast<std::int64_t>(radius));
-      prev_recon = recon;
+      symbols[i] = static_cast<std::uint32_t>(d + r);
+      prev = qi;
     }
+  }
+}
+
+void reconstruct_block_1d(std::span<const std::uint32_t> symbols,
+                          std::span<const std::uint8_t> outliers, double eb,
+                          std::uint32_t radius, bool rezero, std::span<float> out) {
+  // Grid values are the prefix sum of the deltas (an escape adds 0),
+  // reconstructed with one multiply. Every symbol a table decodes is below
+  // 2 * radius, so each delta is at most 2^15 in magnitude and the int64
+  // sum cannot overflow short of 2^48 symbols, a forged stream included.
+  const double step = 2.0 * eb;
+  const auto r = static_cast<std::int64_t>(radius);
+  std::int64_t q = 0;
+  std::size_t escapes = 0;
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    const std::uint32_t s = symbols[i];
+    q += s != 0 ? static_cast<std::int64_t>(s) - r : 0;
+    escapes += s == 0;
+    out[i] = static_cast<float>(static_cast<double>(q) * step);
+  }
+  if (escapes * sizeof(float) != outliers.size())
+    throw std::runtime_error("Compressor::decompress: escape count does not match the index");
+  if (escapes == 0) return;
+  // Escapes are stored verbatim. Under grid reconstruction every q != 0
+  // lands beyond eb and q == 0 is exactly 0, so the paper's re-zero filter
+  // (|x| < eb -> 0, §4.4) can only change an escaped value.
+  const std::uint8_t* src = outliers.data();
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    if (symbols[i] != 0) continue;
+    float v;
+    std::memcpy(&v, src, sizeof(float));
+    src += sizeof(float);
+    out[i] = rezero && std::fabs(static_cast<double>(v)) < eb ? 0.0f : v;
   }
 }
 
@@ -197,18 +248,7 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   std::span<const float> payload = data;
   if (cfg_.zero_mode == ZeroMode::kExactRle) {
     BitWriter rle;
-    packed.reserve(data.size());
-    std::size_t i = 0;
-    while (i < data.size()) {
-      std::size_t z = i;
-      while (z < data.size() && data[z] == 0.0f) ++z;
-      rle.put_varint(z - i);
-      std::size_t nz = z;
-      while (nz < data.size() && data[nz] != 0.0f) ++nz;
-      rle.put_varint(nz - z);
-      for (std::size_t k = z; k < nz; ++k) packed.push_back(data[k]);
-      i = nz;
-    }
+    split_zero_runs(data, rle, packed);
     rle_bytes = rle.finish();
     payload = packed;
   }
@@ -326,7 +366,7 @@ void Compressor::decompress(std::span<const std::uint8_t> bytes, std::span<float
   if (h.num_blocks > remaining / kIndexEntry)
     throw std::runtime_error("Compressor::decompress: corrupt header (blocks)");
   remaining -= static_cast<std::size_t>(h.num_blocks) * kIndexEntry;
-  if (h.predictor != 0 || h.zero_mode > static_cast<std::uint8_t>(ZeroMode::kExactRle))
+  if (h.predictor != kPredictor || h.zero_mode > static_cast<std::uint8_t>(ZeroMode::kExactRle))
     throw std::runtime_error("Compressor::decompress: corrupt header (mode)");
   // num_quantized sizes the payload buffer and, for the non-RLE modes, is
   // copied verbatim into `out` — forging it must not move the write bounds.
@@ -379,65 +419,27 @@ void Compressor::decompress(std::span<const std::uint8_t> bytes, std::span<float
   const std::uint8_t* enc_base = p;
   const std::uint8_t* outlier_base = p + enc_off;
 
-  std::vector<float> payload(h.num_quantized);
-  const double eb = h.abs_eb;
-  const std::uint32_t radius = h.radius;
-
+  // The non-RLE modes reconstruct straight into `out`; RLE reconstructs the
+  // packed non-zero sequence, then expands it.
+  const auto zero_mode = static_cast<ZeroMode>(h.zero_mode);
+  std::vector<float> packed;
+  if (zero_mode == ZeroMode::kExactRle) packed.resize(h.num_quantized);
+  float* const payload = zero_mode == ZeroMode::kExactRle ? packed.data() : out.data();
   tensor::parallel_for_tasks(metas.size(), cfg_.num_threads, [&](std::size_t b) {
     const BlockMeta& m = metas[b];
     const auto symbols = codec.decode(
         {enc_base + m.encoded_off, static_cast<std::size_t>(m.encoded_bytes)},
         static_cast<std::size_t>(m.symbol_count));
-    std::vector<float> outliers(m.outlier_count);
-    if (m.outlier_count > 0) {
-      std::memcpy(outliers.data(), outlier_base + m.outlier_off * sizeof(float),
-                  m.outlier_count * sizeof(float));
-    }
-    float* dst = payload.data() + m.out_off;
-    std::size_t oi = 0;
-    float prev = 0.0f;
-    for (std::size_t i = 0; i < symbols.size(); ++i) {
-      if (symbols[i] == 0) {
-        // A corrupt symbol stream can claim more escapes than the block
-        // index promised; clamp rather than read out of bounds.
-        prev = oi < outliers.size() ? outliers[oi++] : 0.0f;
-      } else {
-        const auto code = static_cast<std::int64_t>(symbols[i]) -
-                          static_cast<std::int64_t>(radius);
-        prev = static_cast<float>(static_cast<double>(prev) +
-                                  static_cast<double>(code) * 2.0 * eb);
-      }
-      dst[i] = prev;
-    }
+    detail::reconstruct_block_1d(
+        symbols,
+        {outlier_base + m.outlier_off * sizeof(float),
+         static_cast<std::size_t>(m.outlier_count) * sizeof(float)},
+        h.abs_eb, h.radius, zero_mode == ZeroMode::kRezero,
+        {payload + m.out_off, symbols.size()});
   });
 
-  const auto zero_mode = static_cast<ZeroMode>(h.zero_mode);
-  if (zero_mode == ZeroMode::kExactRle) {
-    BitReader r(rle);
-    std::size_t oi = 0, pi = 0;
-    while (oi < out.size()) {
-      const std::uint64_t zrun = r.get_varint();
-      for (std::uint64_t k = 0; k < zrun && oi < out.size(); ++k) out[oi++] = 0.0f;
-      if (oi >= out.size()) break;
-      const std::uint64_t nzrun = r.get_varint();
-      // A valid stream never emits a (0, 0) pair while elements remain; an
-      // exhausted (corrupt) reader yields exactly that — stop instead of
-      // spinning.
-      if (zrun == 0 && nzrun == 0) break;
-      for (std::uint64_t k = 0; k < nzrun && oi < out.size() && pi < payload.size(); ++k)
-        out[oi++] = payload[pi++];
-    }
-    while (oi < out.size()) out[oi++] = 0.0f;  // corrupt-stream remainder
-  } else {
-    std::copy(payload.begin(), payload.end(), out.begin());
-    if (zero_mode == ZeroMode::kRezero) {
-      // The paper's decompression filter (§4.4): values under the bound are
-      // re-zeroed so ReLU-induced zeros survive exactly.
-      tensor::parallel_for(out.size(), [&](std::size_t i) {
-        if (std::fabs(static_cast<double>(out[i])) < eb) out[i] = 0.0f;
-      });
-    }
-  }
+  if (zero_mode == ZeroMode::kExactRle)
+    join_zero_runs(rle, packed, out, "Compressor::decompress");
 }
 
 std::vector<float> Compressor::decompress(const CompressedBuffer& buf) const {

@@ -2,33 +2,42 @@
 
 /// \file compressor.hpp
 /// SZ-style error-bounded lossy compressor for float32 tensors (the CPU
-/// stand-in for cuSZ). Pipeline: Lorenzo prediction -> linear-scaling
-/// quantization against the user error bound -> canonical Huffman coding,
-/// with unpredictable values escaped to a raw outlier stream.
+/// stand-in for cuSZ). Pipeline: dual quantization -> canonical Huffman
+/// coding, with unpredictable values escaped to a raw outlier stream.
 ///
-/// Zero handling reproduces both behaviours discussed in the paper (§4.4):
-///  - kNone        : zeros flow through prediction and may reconstruct as
-///                   small values within the bound (stock cuSZ behaviour),
-///  - kRezero      : the paper's fix — a decompression filter that re-zeros
-///                   any reconstructed value with |x| < eb. NOTE: for an
-///                   original value x with eb < |x| < 2*eb whose
-///                   reconstruction lands below eb, re-zeroing yields an
-///                   error of up to 2*eb; the effective worst-case bound in
-///                   this mode is therefore 2*eb (the paper accepts this:
-///                   such values are indistinguishable from noise),
+/// Dual quantization (cuSZ, Tian et al., PACT 2020) splits SZ's serial
+/// predict-then-quantize chain in two. Each value is first rounded onto
+/// the 2*eb grid, q = round(x * (1 / (2*eb))) in double, half to even; a
+/// data-parallel pass. The integer grid values are then 1-D Lorenzo
+/// predicted: the symbol is q - prev + radius. A value escapes (symbol 0,
+/// stored verbatim, prev unchanged) when float(q * 2*eb) misses x by more
+/// than eb, when |q| >= 2^31 (NaN and +-Inf included), or when
+/// |q - prev| >= radius. Decoding is an int64 prefix sum of the deltas
+/// (an escape adds 0), one multiply per value, then the escapes. The
+/// header's predictor id is 1; a stream with any other id is rejected.
+///
+/// Zero handling (§4.4):
+///  - kNone        : no filter. Grid reconstruction already returns exact
+///                   zeros as exactly 0 (stock SZ, whose float chain starts
+///                   off-grid after a non-zero value, perturbs them),
+///  - kRezero      : the paper's decompression filter, re-zeroing any
+///                   reconstructed value with |x| < eb. Every non-zero grid
+///                   value lies beyond eb, so only escaped values can be
+///                   re-zeroed, and those are under eb: the strict eb bound
+///                   holds,
 ///  - kExactRle    : our extension — exact zeros are run-length encoded in a
-///                   side stream and restored verbatim, preserving the
-///                   strict eb bound for all elements.
+///                   side stream (zero_runs.hpp) and restored verbatim.
 ///
-/// Non-finite inputs (NaN, +-Inf) cannot be predicted; they escape to the
-/// outlier stream and round-trip bit-exactly.
+/// The grid arithmetic is compiled without FMA contraction, so the bytes
+/// are identical at every SIMD level: spill files, EBCS containers and
+/// serve responses share this format.
 ///
 /// Cost: each compress/decompress call does work proportional to its
 /// elements plus the k distinct quantization codes it entropy-codes (a few
 /// thousand for activation windows), not to the 2*radius-symbol Huffman
 /// alphabet — the histogram is sparse and the Huffman table is built,
 /// serialized and parsed over the coded symbols only. The table bytes are
-/// those of the full per-symbol length array, so the format is unchanged.
+/// those of the full per-symbol length array.
 
 #include <cstdint>
 #include <span>
@@ -112,11 +121,20 @@ namespace detail {
 // Stages of Compressor::compress, exposed for stage-level timing
 // (perf_smoke, micro_compressor).
 
-/// 1-D Lorenzo prediction + linear quantization of one block: one symbol per
-/// element into `symbols` (0 = escaped, value appended to `outliers`; else
-/// code + radius).
+/// Dual quantization of one block (the rule in the file comment): one
+/// symbol per element into `symbols` (0 = escaped, value appended to
+/// `outliers`; else q - prev + radius).
 void quantize_block_1d(std::span<const float> block, double eb, std::uint32_t radius,
                        std::vector<std::uint32_t>& symbols, std::vector<float>& outliers);
+
+/// Inverse of quantize_block_1d: rebuild one block into `out` (symbols.size()
+/// floats) from its symbols and its escaped values (`outliers`, the raw
+/// float bytes in stream order). With `rezero`, an escaped value under eb
+/// in magnitude becomes 0. Throws std::runtime_error if the symbols hold a
+/// different number of escapes than `outliers` does.
+void reconstruct_block_1d(std::span<const std::uint32_t> symbols,
+                          std::span<const std::uint8_t> outliers, double eb,
+                          std::uint32_t radius, bool rezero, std::span<float> out);
 
 /// Symbol counts over an alphabet of at most 2 * kMaxRadius (every symbol
 /// added must be below it), read back sparse. The count table and a one-bit-per-symbol "seen" map live as long

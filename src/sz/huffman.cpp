@@ -101,18 +101,19 @@ void HuffmanCodec::build_sparse(std::span<const std::uint32_t> symbols,
     for (auto& v : f) v = (v + 1) / 2;
     max_depth = tree_depths(f, depth);
   }
+  alphabet_ = alphabet;
   coded_.assign(symbols.begin(), symbols.end());
-  lengths_.assign(alphabet, 0);
+  coded_len_.resize(coded_.size());
   for (std::size_t i = 0; i < coded_.size(); ++i)
-    lengths_[coded_[i]] = static_cast<std::uint8_t>(depth[i]);
+    coded_len_[i] = static_cast<std::uint8_t>(depth[i]);
   assign_canonical();
 }
 
 void HuffmanCodec::assign_canonical() {
   unsigned max_len = 0;
-  for (const std::uint32_t s : coded_) max_len = std::max<unsigned>(max_len, lengths_[s]);
+  for (const std::uint8_t len : coded_len_) max_len = std::max<unsigned>(max_len, len);
   count_.assign(max_len + 1, 0);
-  for (const std::uint32_t s : coded_) ++count_[lengths_[s]];
+  for (const std::uint8_t len : coded_len_) ++count_[len];
 
   first_code_.assign(max_len + 1, 0);
   offset_.assign(max_len + 1, 0);
@@ -125,13 +126,14 @@ void HuffmanCodec::assign_canonical() {
     off += count_[len];
   }
   // Symbols sorted by (length, symbol) get consecutive canonical codes.
-  codes_ = std::make_unique_for_overwrite<std::uint32_t[]>(lengths_.size());
+  enc_base_ = coded_.empty() ? 0 : coded_.front();
+  enc_.assign(coded_.empty() ? 0 : coded_.back() - enc_base_ + 1, Code{});
   std::vector<std::uint32_t> next = first_code_;
   sorted_symbols_.assign(off, 0);
-  for (const std::uint32_t s : coded_) {
-    const unsigned len = lengths_[s];
-    sorted_symbols_[offset_[len] + (next[len] - first_code_[len])] = s;
-    codes_[s] = next[len]++;
+  for (std::size_t i = 0; i < coded_.size(); ++i) {
+    const unsigned len = coded_len_[i];
+    sorted_symbols_[offset_[len] + (next[len] - first_code_[len])] = coded_[i];
+    enc_[coded_[i] - enc_base_] = {next[len]++, len};
   }
 
   // Decode LUT: every lut_bits_ window whose prefix is a code of length
@@ -139,59 +141,76 @@ void HuffmanCodec::assign_canonical() {
   // belong to longer codes and fall through to the canonical scan.
   lut_bits_ = std::min<unsigned>(kLutBits, max_len);
   lut_.assign(lut_bits_ > 0 ? (std::size_t{1} << lut_bits_) : 0, LutEntry{});
-  for (const std::uint32_t s : coded_) {
-    const unsigned len = lengths_[s];
-    if (len > lut_bits_) continue;
-    const std::size_t base = std::size_t{codes_[s]} << (lut_bits_ - len);
-    const std::size_t span = std::size_t{1} << (lut_bits_ - len);
-    for (std::size_t w = 0; w < span; ++w)
-      lut_[base + w] = {s, static_cast<std::uint8_t>(len)};
+  std::uint32_t k = 0;  // index into sorted_symbols_: codes in canonical order
+  for (unsigned len = 1; len <= lut_bits_; ++len) {
+    for (std::uint32_t j = 0; j < count_[len]; ++j, ++k) {
+      const std::size_t base = std::size_t{first_code_[len] + j} << (lut_bits_ - len);
+      const std::size_t span = std::size_t{1} << (lut_bits_ - len);
+      for (std::size_t w = 0; w < span; ++w)
+        lut_[base + w] = {sorted_symbols_[k], static_cast<std::uint8_t>(len)};
+    }
   }
 }
 
 std::vector<std::uint8_t> HuffmanCodec::encode(std::span<const std::uint32_t> symbols) const {
-  BitWriter w;
-  for (std::uint32_t s : symbols) {
-    const unsigned len = code_length(s);
-    if (len == 0) throw std::logic_error("HuffmanCodec::encode: symbol has no code");
-    w.put(codes_[s], len);
+  // The bytes are BitWriter's, but the state lives in locals: a BitWriter
+  // member would be reloaded after every byte store, which may alias it.
+  // The word at `dst` is always stored and `dst` advances once it is full,
+  // so the buffer holds every full word plus one.
+  const std::size_t max_len = count_.empty() ? 0 : count_.size() - 1;
+  std::vector<std::uint8_t> out((symbols.size() * max_len + 31) / 32 * 4 + 4);
+  std::uint8_t* dst = out.data();
+  std::uint64_t acc = 0;
+  unsigned fill = 0;  // live bits in acc, < 32 between symbols
+  const Code* table = enc_.data();
+  for (const std::uint32_t s : symbols) {
+    const std::size_t i = s - std::size_t{enc_base_};
+    if (s < enc_base_ || i >= enc_.size() || table[i].len == 0)
+      throw std::logic_error("HuffmanCodec::encode: symbol has no code");
+    acc = (acc << table[i].len) | table[i].bits;
+    fill += table[i].len;
+    const bool full = fill >= 32;
+    fill -= full ? 32 : 0;
+    detail::store_be32(dst, static_cast<std::uint32_t>(acc >> fill));
+    dst += full ? 4 : 0;
   }
-  return w.finish();
+  detail::store_be32(dst, static_cast<std::uint32_t>(acc << (32 - fill)));  // zero-padded tail
+  out.resize(static_cast<std::size_t>(dst - out.data()) + (fill + 7) / 8);
+  return out;
+}
+
+HuffmanCodec::LutEntry HuffmanCodec::decode_slow(std::uint64_t w) const {
+  const unsigned max_len = static_cast<unsigned>(count_.size()) - 1;
+  for (unsigned len = lut_bits_ + 1; len <= max_len; ++len) {
+    const auto code = static_cast<std::uint32_t>(w >> (64 - len));
+    if (count_[len] > 0 && code >= first_code_[len] && code - first_code_[len] < count_[len])
+      return {sorted_symbols_[offset_[len] + (code - first_code_[len])],
+              static_cast<std::uint8_t>(len)};
+  }
+  throw std::runtime_error("HuffmanCodec::decode: corrupt stream");
 }
 
 std::vector<std::uint32_t> HuffmanCodec::decode(std::span<const std::uint8_t> bytes,
                                                 std::size_t count) const {
-  std::vector<std::uint32_t> out;
-  out.reserve(count);
-  if (count > 0 && count_.empty())
-    throw std::runtime_error("HuffmanCodec::decode: no code table");
+  if (count == 0) return {};
+  if (lut_bits_ == 0) throw std::runtime_error("HuffmanCodec::decode: no code table");
+  std::vector<std::uint32_t> out(count);
   BitReader r(bytes);
-  const unsigned max_len = static_cast<unsigned>(count_.size()) - 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    // Fast path: one lut_bits_ peek resolves every code of that length or
-    // shorter with a single table load.
-    if (lut_bits_ > 0) {
-      const LutEntry e = lut_[r.peek(lut_bits_)];
-      if (e.len != 0) {
-        r.skip(e.len);
-        out.push_back(e.symbol);
-        continue;
-      }
+  const LutEntry* lut = lut_.data();
+  const unsigned top = 64 - lut_bits_;
+  // One refill stages at least 56 bits, enough for this many codes of the
+  // longest length: the table loads, not the refills, set the pace.
+  const std::size_t per_refill = 56 / (count_.size() - 1);
+  for (std::size_t i = 0; i < count;) {
+    r.refill();
+    const std::size_t end = std::min(count, i + per_refill);
+    for (; i < end; ++i) {
+      const std::uint64_t w = r.window();
+      LutEntry e = lut[w >> top];
+      if (e.len == 0) e = decode_slow(w);
+      out[i] = e.symbol;
+      r.skip(e.len);
     }
-    // Slow path (codes longer than lut_bits_, or an empty table): peek the
-    // maximal window once and scan the canonical first-code ranges.
-    const std::uint32_t window = r.peek(max_len);
-    unsigned len = lut_bits_ + 1;
-    for (; len <= max_len; ++len) {
-      const std::uint32_t code = window >> (max_len - len);
-      if (count_[len] > 0 && code >= first_code_[len] &&
-          code - first_code_[len] < count_[len]) {
-        out.push_back(sorted_symbols_[offset_[len] + (code - first_code_[len])]);
-        r.skip(len);
-        break;
-      }
-    }
-    if (len > max_len) throw std::runtime_error("HuffmanCodec::decode: corrupt stream");
   }
   return out;
 }
@@ -202,7 +221,7 @@ std::vector<std::uint8_t> HuffmanCodec::serialize_table() const {
   // after coded symbols is one zero run, and contiguous coded symbols of
   // equal length share a run.
   BitWriter w;
-  w.put_varint(lengths_.size());
+  w.put_varint(alphabet_);
   std::size_t pos = 0;  // first symbol not yet emitted
   for (std::size_t i = 0; i < coded_.size();) {
     const std::uint32_t s = coded_[i];
@@ -211,17 +230,16 @@ std::vector<std::uint8_t> HuffmanCodec::serialize_table() const {
       w.put_varint(s - pos);
     }
     std::size_t j = i + 1;
-    while (j < coded_.size() && coded_[j] == coded_[j - 1] + 1 &&
-           lengths_[coded_[j]] == lengths_[s])
+    while (j < coded_.size() && coded_[j] == coded_[j - 1] + 1 && coded_len_[j] == coded_len_[i])
       ++j;
-    w.put_varint(lengths_[s]);
+    w.put_varint(coded_len_[i]);
     w.put_varint(j - i);
     pos = std::size_t{coded_[j - 1]} + 1;
     i = j;
   }
-  if (pos < lengths_.size()) {
+  if (pos < alphabet_) {
     w.put_varint(0);
-    w.put_varint(lengths_.size() - pos);
+    w.put_varint(alphabet_ - pos);
   }
   return w.finish();
 }
@@ -232,8 +250,9 @@ void HuffmanCodec::deserialize_table(std::span<const std::uint8_t> bytes, std::s
   // be, so a forged one never reaches an allocation.
   if (r.get_varint() != alphabet)
     throw std::runtime_error("Huffman table: unexpected alphabet size");
-  lengths_.assign(alphabet, 0);
+  alphabet_ = alphabet;
   coded_.clear();
+  coded_len_.clear();
   // Kraft inequality: sum of 2^-len over coded symbols must not exceed 1,
   // or the lengths are not a prefix code and canonical code assignment
   // (and the decode-LUT fill) would run past its tables. build() always
@@ -257,8 +276,8 @@ void HuffmanCodec::deserialize_table(std::span<const std::uint8_t> bytes, std::s
       if (run > room) throw std::runtime_error("Huffman table: not a prefix code");
       kraft += run << (kMaxCodeLen - len);
       for (std::size_t k = 0; k < run; ++k) {
-        lengths_[i + k] = len;
         coded_.push_back(static_cast<std::uint32_t>(i + k));
+        coded_len_.push_back(len);
       }
     }
     i += static_cast<std::size_t>(run);

@@ -8,12 +8,19 @@
 /// Table build, serialization, parsing and canonical assignment all loop
 /// over the k symbols that have a code, not over the alphabet: an SZ window
 /// codes a few thousand of its 65,536 symbols, and a call's fixed cost is
-/// proportional to those. The serialized table is still the run-length
-/// encoding of the full per-symbol length array (gaps between coded symbols
-/// become zero runs), so the bytes do not depend on how it was built.
+/// proportional to those. The per-symbol code table spans only the coded
+/// range [lowest, highest coded symbol]. The serialized table is still the
+/// run-length encoding of the full per-symbol length array (gaps between
+/// coded symbols become zero runs), so the bytes do not depend on how it
+/// was built.
+///
+/// The bitstream moves whole words (bitstream.hpp): encode shifts each code
+/// into a 64-bit accumulator and stores a big-endian 32-bit word whenever
+/// 32 bits are ready; decode refills a 64-bit window with one 8-byte load
+/// per few symbols and resolves codes of up to kLutBits bits with one table
+/// load. The bytes are those of a bit-at-a-time MSB-first writer.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -49,32 +56,45 @@ class HuffmanCodec {
 
   /// Code length of `symbol`; 0 when it has no code or is outside the alphabet.
   unsigned code_length(std::uint32_t symbol) const {
-    return symbol < lengths_.size() ? lengths_[symbol] : 0;
+    const std::size_t i = symbol - std::size_t{enc_base_};
+    return symbol >= enc_base_ && i < enc_.size() ? enc_[i].len : 0;
   }
 
   /// Shannon-optimal size estimate in bits for the given frequencies.
   static double entropy_bits(std::span<const std::uint64_t> freqs);
 
   /// Width of the decode lookup table: one peek of this many bits resolves
-  /// any code of length <= kLutBits in a single table load. Longer (rare)
-  /// codes fall back to the canonical first-code scan.
-  static constexpr unsigned kLutBits = 11;
+  /// any code of length <= kLutBits in a single table load. Longer codes
+  /// (about 6% of an SZ activation window's symbols at eb = 1e-3) fall back
+  /// to the canonical first-code scan. 12 bits measured faster than 11 (20%
+  /// of symbols past the table) and than a second-level table per prefix.
+  static constexpr unsigned kLutBits = 12;
 
  private:
   void assign_canonical();
-
   /// LUT entry: the decoded symbol and its code length (0 = no code of
   /// length <= kLutBits has this prefix; take the slow path).
   struct LutEntry {
     std::uint32_t symbol = 0;
     std::uint8_t len = 0;
   };
+  /// The canonical first-code scan over the left-aligned window `w`, for
+  /// codes the LUT does not resolve: the symbol and its code length.
+  LutEntry decode_slow(std::uint64_t w) const;
 
-  std::vector<std::uint32_t> coded_;     // symbols with a code, ascending
-  std::vector<std::uint8_t> lengths_;    // per-symbol code length (0 = unused)
-  // Per-symbol canonical code, written only where lengths_ is nonzero (the
-  // rest is left uninitialized).
-  std::unique_ptr<std::uint32_t[]> codes_;
+  /// Encode-table entry: the canonical code and its length (0 = no code).
+  struct Code {
+    std::uint32_t bits = 0;
+    std::uint32_t len = 0;
+  };
+
+  std::size_t alphabet_ = 0;
+  std::vector<std::uint32_t> coded_;         // symbols with a code, ascending
+  std::vector<std::uint8_t> coded_len_;      // their code lengths
+  // Per-symbol codes over [enc_base_, coded_.back()] only: an SZ window
+  // codes a few thousand symbols of a 65,536-symbol alphabet.
+  std::uint32_t enc_base_ = 0;
+  std::vector<Code> enc_;
   // Canonical decode tables.
   std::vector<std::uint32_t> first_code_;    // per length
   std::vector<std::uint32_t> offset_;        // per length, into sorted_symbols_

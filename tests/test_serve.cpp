@@ -775,6 +775,28 @@ TEST(ServeTest, CorruptBlockInAClientContainerIs400) {
 
 // --- Connection reuse and pipelined OPEN. ------------------------------------
 
+TEST(ServeTest, ErrorMessageCarriesThePrefixOnce) {
+  // The ERROR frame carries the bare message; the client's ServerError adds
+  // "ebct_serve error <code>: " once.
+  ServerFixture fx;
+  {
+    Client client = fx.client();
+    try {
+      (void)client.encode_bytes("t", "no-such-codec", kTestWindow,
+                                as_bytes(make_payload(256, 59)));
+      FAIL() << "expected a 404 reject";
+    } catch (const ServerError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.code(), kErrUnknownSpec);
+      EXPECT_EQ(what.rfind("ebct_serve error 404: ", 0), 0u) << what;
+      EXPECT_EQ(what.find("ebct_serve error", 1), std::string::npos) << what;
+      EXPECT_NE(e.message().find("no-such-codec"), std::string::npos) << what;
+      EXPECT_EQ(e.message().find("ebct_serve error"), std::string::npos) << what;
+    }
+  }
+  fx.quiesce();
+}
+
 TEST(ServeTest, OneClientKeepsOneConnectionAcrossRequests) {
   ServerFixture fx;
   Client client = fx.client();
