@@ -9,7 +9,8 @@
 //   4. a conv forward+backward pair is bitwise identical across pool sizes
 //      (fixed-fanout gradient reduction riding the work-stealing pool).
 // It also times the reduced shapes (at the dispatched level, and GFLOP/s at
-// every supported level) and the stages of one SZ window, and emits
+// every supported level), each distinct conv of the benchmark's ResNet-50
+// at pool 1 and pool N, and the stages of one SZ window, and emits
 // BENCH_perf_smoke.json for trend tracking. Dedicated perf runners can opt
 // into a wall-clock gate: point EBCT_PERF_BASELINE at a previous
 // BENCH_perf_smoke.json and any timed row slower than
@@ -227,6 +228,87 @@ void time_reduced_shapes(bench::JsonReporter& report, TimingRows& timings,
                                {"p50_ns", ss.percentile_ns(0.5)},
                                {"p90_ns", ss.percentile_ns(0.9)},
                                {"p99_ns", ss.percentile_ns(0.99)}});
+}
+
+/// A RawStore that remembers the shape of each layer's stashed input.
+class ShapeStore : public nn::RawStore {
+ public:
+  nn::StashHandle stash(const std::string& layer, tensor::Tensor&& act) override {
+    shapes[layer] = act.shape();
+    return RawStore::stash(layer, std::move(act));
+  }
+  std::map<std::string, tensor::Shape> shapes;
+};
+
+/// Forward plus backward of each distinct conv shape of the benchmark's
+/// ResNet-50 (16 px, width 0.25, batch 16) at pool 1 and at the machine's
+/// pool, and the speedup between them, so a stage whose convs stop
+/// parallelising shows up layer by layer. The rows carry no "seconds" key,
+/// so the wall-clock gate ignores them.
+void time_resnet50_convs(bench::JsonReporter& report, int machine_threads) {
+  models::ModelConfig mcfg;
+  mcfg.input_hw = 16;
+  mcfg.num_classes = 4;
+  mcfg.width_multiplier = 0.25;
+  mcfg.seed = 1;
+  auto net = models::make_resnet50(mcfg);
+  ShapeStore store;
+  net->set_store(&store);
+  tensor::Rng rng(13);
+  tensor::Tensor x(tensor::Shape::nchw(16, 3, 16, 16));
+  rng.fill_normal(x.span(), 0.0f, 1.0f);
+  net->forward(x, true);
+
+  // Distinct conv shapes in network order, with how many layers share each.
+  struct ConvCase {
+    std::string name;
+    nn::Conv2dSpec spec;
+    tensor::Shape in;
+    int layers = 0;
+  };
+  std::vector<ConvCase> cases;
+  net->visit([&](nn::Layer& l) {
+    auto* conv = dynamic_cast<nn::Conv2d*>(&l);
+    if (conv == nullptr) return;
+    const nn::Conv2dSpec& s = conv->spec();
+    const tensor::Shape& in = store.shapes.at(conv->name());
+    char name[96];
+    std::snprintf(name, sizeof(name), "conv_c%zu_%zux%zu_k%zux%zu_s%zu_o%zu", in.c(), in.h(),
+                  in.w(), s.kh(), s.kw(), s.stride, s.out_channels);
+    for (ConvCase& c : cases) {
+      if (c.name == name) {
+        ++c.layers;
+        return;
+      }
+    }
+    cases.push_back({name, s, in, 1});
+  });
+
+  std::printf("%-24s %10s %10s %8s %7s\n", "resnet50_conv", "pool1 ms", "poolN ms", "speedup",
+              "layers");
+  for (const ConvCase& c : cases) {
+    nn::Conv2d conv("c", c.spec, rng);
+    nn::RawStore raw;
+    conv.set_store(&raw);
+    tensor::Tensor in(c.in);
+    rng.fill_normal(in.span(), 0.0f, 1.0f);
+    const tensor::Tensor gy(conv.output_shape(c.in), 0.1f);
+    auto fwd_bwd = [&] {
+      conv.forward(in, true);
+      conv.backward(gy);
+    };
+    set_threads(1);
+    const double t1 = bench::time_median(fwd_bwd, 5);
+    set_threads(machine_threads);
+    const double tn = bench::time_median(fwd_bwd, 5);
+    std::printf("  %-30s %10.3f %10.3f %7.2fx %7d\n", c.name.c_str(), t1 * 1e3, tn * 1e3,
+                t1 / tn, c.layers);
+    report.add(c.name, {{"pool1_ms", t1 * 1e3},
+                        {"pooln_ms", tn * 1e3},
+                        {"pool_n", static_cast<double>(machine_threads)},
+                        {"speedup", t1 / tn},
+                        {"layers", static_cast<double>(c.layers)}});
+  }
 }
 
 /// Per-phase iteration-to-iteration variance on a small framework training
@@ -452,6 +534,7 @@ int main() {
   check_gemm_determinism();
   check_conv_determinism();
   time_reduced_shapes(report, timings, machine_threads);
+  time_resnet50_convs(report, machine_threads);
   measure_phase_variance(report, machine_threads);
   time_sz_window(report);
   check_wallclock_gate(timings);

@@ -587,13 +587,17 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
   // and not-yet-written blobs still occupy RAM. Victim *selection* runs
   // against the settled projection (resident minus bytes already queued) so
   // no extra pages are evicted just because writes have not landed yet.
+  // Every queued victim must land before the return, as on the synchronous
+  // path: writes land out of order, and when a later, larger victim alone
+  // brings the bytes under target, returning early would leave the earlier
+  // one resident and the next put would record a higher peak.
   for (;;) {
     if (spill_error_) {
       std::exception_ptr err = spill_error_;
       spill_error_ = nullptr;
       std::rethrow_exception(err);  // the failed victim's payload stayed put
     }
-    if (resident() <= target_bytes) return;
+    if (resident() <= target_bytes && pending_spill_count_ == 0) return;
     if (resident() > target_bytes + pending_spill_bytes_ &&
         pending_spill_count_ < cfg_.write_window) {
       if (Page* victim = pick_victim()) {
@@ -609,7 +613,7 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
       }
       // Everything eligible is already mid-write: fall through and wait.
     }
-    // Over target with writes in flight (or at the window): wait for one to
+    // Over target or victims in flight (or at the window): wait for one to
     // land, then re-evaluate. spill_gen_ is bumped under mu_, which we hold
     // here, so a completion can never slip between this read and the wait.
     const std::uint64_t gen = spill_gen_.load(std::memory_order_acquire);

@@ -24,12 +24,25 @@ constexpr std::size_t kGradParts = 16;
 
 inline std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
-/// Samples per batched GEMM: the fewest whose G*ohow columns fill one GEMM
-/// C-tile width (kNc), spread evenly over the groups the batch allows (the
-/// last group may be short). A pure function of the shape. At ohow >= kNc it
-/// is 1, so large images keep per-sample column buffers.
-std::size_t group_size(std::size_t n, std::size_t ohow) {
-  const std::size_t fill = ceil_div(tensor::GemmBlocking::kNc, std::max<std::size_t>(ohow, 1));
+/// Columns a sample group's GEMMs aim for. Where filling a whole C-tile
+/// width (kNc) made the 4x4 and 2x2 stages one serial group, these split a
+/// batch into groups the pool runs side by side, and each call packs W
+/// once for all of them. Measured at 32, 64 and 96 as the conv time of a
+/// train_raw step (ResNet-50, 16 px, width 0.25, batch 16, pool 4 on a
+/// 4-vCPU AVX-512 VM; medians of 6 interleaved runs of 150 steps):
+///  - Forward: 32 is fastest (10.3 ms a step; 64: 11.7 ms, 96: 13.0 ms).
+///    Its bytes do not depend on the grouping.
+///  - Backward: 64 (19.7 ms; 32: 20.2 ms, 96: 20.3 ms). Each group adds one
+///    pass over its part's dW partial, and the groups set the dW partition.
+constexpr std::size_t kForwardGroupCols = 32;
+constexpr std::size_t kBackwardGroupCols = 64;
+
+/// Samples per batched GEMM: the fewest whose G*ohow columns reach `cols`,
+/// spread evenly over the groups the batch allows (the last group may be
+/// short). A pure function of the shape. At ohow >= cols it is 1, so large
+/// images keep per-sample column buffers.
+std::size_t group_size(std::size_t n, std::size_t ohow, std::size_t cols) {
+  const std::size_t fill = ceil_div(cols, std::max<std::size_t>(ohow, 1));
   const std::size_t groups = std::max<std::size_t>(1, n / fill);
   return std::max<std::size_t>(1, ceil_div(n, groups));
 }
@@ -60,6 +73,11 @@ std::vector<Param*> Conv2d::params() {
   return {&weight_};
 }
 
+bool Conv2d::pointwise() const {
+  return spec_.kh() == 1 && spec_.kw() == 1 && spec_.stride == 1 && spec_.ph() == 0 &&
+         spec_.pw() == 0;
+}
+
 Tensor Conv2d::compute(const Tensor& input) const {
   if (input.shape().c() != spec_.in_channels)
     throw std::invalid_argument(name_ + ": channel mismatch");
@@ -70,28 +88,35 @@ Tensor Conv2d::compute(const Tensor& input) const {
   const std::size_t ohow = out_shape.h() * out_shape.w();
   const std::size_t in_img = input.shape().c() * input.shape().h() * input.shape().w();
   const std::size_t out_img = cout * ohow;
-  const std::size_t g = group_size(n, ohow);
+  const std::size_t g = group_size(n, ohow, kForwardGroupCols);
+  // A pointwise conv's sample is already its [k, ohow] column matrix.
+  const bool in_place = g == 1 && pointwise();
 
   Tensor out(out_shape);
   // One GEMM per group of g samples: their columns sit side by side in one
-  // [k, g*ohow] matrix, so small images still give the GEMM a full C-tile
-  // of columns. Each output element keeps the k order of the per-sample
-  // GEMM, so the bytes match a per-sample loop exactly. Groups run as pool
+  // [k, g*ohow] matrix. Each output element keeps the k order of the
+  // per-sample GEMM, so the bytes match a per-sample loop exactly. W is
+  // packed once here and shared by every group's GEMM. Groups run as pool
   // tasks next to their GEMMs' tile tasks; the column and output buffers
   // come from the thread-local scratch arena and are reused across calls.
+  const tensor::PackedA wpack(weight_.value.data(), cout, k);
   tensor::parallel_for_tasks(ceil_div(n, g), 0, [&](std::size_t grp) {
     const std::size_t s0 = grp * g, gs = std::min(g, n - s0), w = gs * ohow;
-    tensor::ScratchBuffer cols(k * w);
+    tensor::ScratchBuffer cols(in_place ? 1 : k * w);
     tensor::ScratchBuffer ybuf(gs > 1 ? cout * w : 1);
     // Resolve the arena pointers before forking (see ScratchBuffer).
-    float* colp = cols.data();
+    float* colbuf = cols.data();
     float* y = gs > 1 ? ybuf.data() : out.data() + s0 * out_img;
-    tensor::parallel_for(gs, k * ohow, [&](std::size_t i) {
-      tensor::im2col(input.data() + (s0 + i) * in_img, spec_.in_channels, input.shape().h(),
-                     input.shape().w(), spec_.kh(), spec_.kw(), spec_.stride, spec_.ph(),
-                     colp + i * ohow, spec_.pw(), w);
-    });
-    tensor::gemm(weight_.value.data(), colp, y, cout, k, w);
+    const float* colp = input.data() + s0 * in_img;
+    if (!in_place) {
+      tensor::parallel_for(gs, k * ohow, [&](std::size_t i) {
+        tensor::im2col(input.data() + (s0 + i) * in_img, spec_.in_channels, input.shape().h(),
+                       input.shape().w(), spec_.kh(), spec_.kw(), spec_.stride, spec_.ph(),
+                       colbuf + i * ohow, spec_.pw(), w);
+      });
+      colp = colbuf;
+    }
+    tensor::gemm_packed(wpack, colp, y, w);
     // Scatter [cout, gs*ohow] back to NCHW, adding the bias on the way.
     tensor::parallel_for(gs, cout * ohow, [&](std::size_t i) {
       for (std::size_t oc = 0; oc < cout; ++oc) {
@@ -139,15 +164,15 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   Tensor grad_input(input_shape_);
   if (n == 0) return grad_input;
 
-  // The same sample groups as the forward. Weight/bias gradients reduce
-  // across the batch, so their partition is a function of the shape alone —
-  // never of the thread count — for byte-identical results at any
-  // parallelism level: each part accumulates its groups in order, and parts
-  // are folded into the grads in part order below. The partial buffers come
-  // from the calling thread's scratch arena (acquired here, filled by the
-  // tasks through raw pointers), so steady-state training allocates no
-  // weight-grad workspace.
-  const std::size_t g = group_size(n, ohow);
+  // Sample groups as in the forward, at the backward's width. Weight/bias
+  // gradients reduce across the batch, so their partition is a function of
+  // the shape alone — never of the thread count — for byte-identical
+  // results at any parallelism level: each part accumulates its groups in
+  // order, and parts are folded into the grads in part order below. The
+  // partial buffers come from the calling thread's scratch arena (acquired
+  // here, filled by the tasks through raw pointers), so steady-state
+  // training allocates no weight-grad workspace.
+  const std::size_t g = group_size(n, ohow, kBackwardGroupCols);
   const std::size_t groups = ceil_div(n, g);
   const std::size_t parts = std::min(groups, kGradParts);
   const std::size_t per_part = ceil_div(groups, parts);
@@ -163,12 +188,17 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   std::memset(wparts, 0, parts * wnumel * sizeof(float));
   std::memset(bparts, 0, parts * cout * sizeof(float));
 
+  // As in the forward, a pointwise conv with one sample per group reads the
+  // stashed input as its columns and writes dX straight into grad_input.
+  const bool in_place = g == 1 && pointwise();
+  const tensor::PackedA wtpack(weight_.value.data(), k, cout, /*transposed=*/true);
+
   tensor::parallel_for_tasks(parts, 0, [&](std::size_t part) {
     const std::size_t wmax = g * ohow;
-    tensor::ScratchBuffer cols(k * wmax);
-    tensor::ScratchBuffer cols_grad(k * wmax);
+    tensor::ScratchBuffer cols(in_place ? 1 : k * wmax);
+    tensor::ScratchBuffer cols_grad(in_place ? 1 : k * wmax);
     tensor::ScratchBuffer lbuf(g > 1 ? cout * wmax : 1);
-    float* colp = cols.data();
+    float* colbuf = cols.data();
     float* cgp = cols_grad.data();
     float* lbp = lbuf.data();
     float* wg = wparts + part * wnumel;
@@ -186,11 +216,15 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         });
         lg = lbp;
       }
-      tensor::parallel_for(gs, k * ohow, [&](std::size_t i) {
-        tensor::im2col(input.data() + (s0 + i) * in_img, spec_.in_channels, input_shape_.h(),
-                       input_shape_.w(), spec_.kh(), spec_.kw(), spec_.stride, spec_.ph(),
-                       colp + i * ohow, spec_.pw(), w);
-      });
+      const float* colp = input.data() + s0 * in_img;
+      if (!in_place) {
+        tensor::parallel_for(gs, k * ohow, [&](std::size_t i) {
+          tensor::im2col(input.data() + (s0 + i) * in_img, spec_.in_channels, input_shape_.h(),
+                         input_shape_.w(), spec_.kh(), spec_.kw(), spec_.stride, spec_.ph(),
+                         colbuf + i * ohow, spec_.pw(), w);
+        });
+        colp = colbuf;
+      }
       // Weight gradient: dW[oc, k] += L[oc, w] * cols^T[w, k].
       tensor::gemm_bt(lg, colp, wg, cout, w, k, /*accumulate=*/true);
       if (spec_.bias) {
@@ -202,11 +236,19 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         }
       }
       // Input gradient: cols_grad[k, w] = W^T[k, oc] * L[oc, w].
-      tensor::gemm_at(weight_.value.data(), lg, cgp, k, cout, w);
+      float* dx = grad_input.data() + s0 * in_img;
+      if (in_place) {
+        tensor::gemm_packed(wtpack, lg, dx, w);
+        // col2im's `0.0f +`: a fused kernel rounds a sum of underflowing
+        // products to -0, and the im2col path's bytes carry +0 there.
+        for (std::size_t i = 0; i < in_img; ++i) dx[i] = 0.0f + dx[i];
+        continue;
+      }
+      tensor::gemm_packed(wtpack, lg, cgp, w);
       tensor::parallel_for(gs, k * ohow, [&](std::size_t i) {
         tensor::col2im(cgp + i * ohow, spec_.in_channels, input_shape_.h(), input_shape_.w(),
-                       spec_.kh(), spec_.kw(), spec_.stride, spec_.ph(),
-                       grad_input.data() + (s0 + i) * in_img, spec_.pw(), w);
+                       spec_.kh(), spec_.kw(), spec_.stride, spec_.ph(), dx + i * in_img,
+                       spec_.pw(), w);
       });
     }
   });

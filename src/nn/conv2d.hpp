@@ -2,8 +2,15 @@
 
 /// \file conv2d.hpp
 /// 2-D convolution implemented as im2col + GEMM. Samples are batched into
-/// groups whose columns fill at least one GEMM C-tile width, one GEMM per
-/// group, so small feature maps still run wide GEMMs.
+/// groups of about 32 (forward) or 64 (backward) GEMM columns, one GEMM per
+/// group, and the groups run as pool tasks: small feature maps still run
+/// wide GEMMs, and a batch of them still splits into parallel work. The
+/// rule is a pure function of the shape, so the weight gradient, whose
+/// partition the backward groups set, is byte-identical at any pool size.
+/// Each call packs W (forward) or W^T (input gradient) once and shares the
+/// panels with every group. A 1x1, stride-1, unpadded conv with one sample
+/// per group reads its input tensor in place as the GEMM operand and writes
+/// dX straight into the input gradient, so it runs no im2col or col2im copy.
 /// This is the layer whose input activation the paper compresses: forward()
 /// stashes the input through the ActivationStore and backward() retrieves
 /// the (possibly lossily reconstructed) copy to form the weight gradient —
@@ -60,6 +67,9 @@ class Conv2d : public Layer {
  private:
   /// The im2col+GEMM+bias compute of forward(), with no member writes.
   tensor::Tensor compute(const tensor::Tensor& input) const;
+  /// 1x1, stride 1, unpadded: a sample's [C, H*W] plane is its own column
+  /// matrix, so one-sample groups skip im2col and col2im.
+  bool pointwise() const;
 
   Conv2dSpec spec_;
   Param weight_;

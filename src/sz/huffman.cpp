@@ -106,34 +106,58 @@ void HuffmanCodec::build_sparse(std::span<const std::uint32_t> symbols,
   coded_len_.resize(coded_.size());
   for (std::size_t i = 0; i < coded_.size(); ++i)
     coded_len_[i] = static_cast<std::uint8_t>(depth[i]);
-  assign_canonical();
+  assign_encode();
 }
 
-void HuffmanCodec::assign_canonical() {
+unsigned HuffmanCodec::code_length(std::uint32_t symbol) const {
+  const auto it = std::lower_bound(coded_.begin(), coded_.end(), symbol);
+  return it != coded_.end() && *it == symbol ? coded_len_[it - coded_.begin()] : 0;
+}
+
+void HuffmanCodec::assign_lengths() {
   unsigned max_len = 0;
   for (const std::uint8_t len : coded_len_) max_len = std::max<unsigned>(max_len, len);
   count_.assign(max_len + 1, 0);
   for (const std::uint8_t len : coded_len_) ++count_[len];
-
   first_code_.assign(max_len + 1, 0);
-  offset_.assign(max_len + 1, 0);
   std::uint32_t code = 0;
-  std::uint32_t off = 0;
   for (unsigned len = 1; len <= max_len; ++len) {
     first_code_[len] = code;
-    offset_[len] = off;
     code = (code + count_[len]) << 1;
+  }
+}
+
+void HuffmanCodec::assign_encode() {
+  assign_lengths();
+  lut_.clear();
+  lut_bits_ = 0;  // decode() on a table built here fails closed
+  // Symbols sorted by (length, symbol) get consecutive canonical codes;
+  // coded_ ascends, so each length's codes go out in symbol order.
+  std::vector<std::uint32_t> next = first_code_;
+  enc_base_ = coded_.empty() ? 0 : coded_.front();
+  enc_.assign(coded_.empty() ? 0 : coded_.back() - enc_base_ + 1, Code{});
+  for (std::size_t i = 0; i < coded_.size(); ++i) {
+    const unsigned len = coded_len_[i];
+    enc_[coded_[i] - enc_base_] = {next[len]++, len};
+  }
+}
+
+void HuffmanCodec::assign_decode() {
+  assign_lengths();
+  enc_.clear();  // encode() on a parsed table fails closed
+  const unsigned max_len = static_cast<unsigned>(count_.size()) - 1;
+  offset_.assign(max_len + 1, 0);
+  std::uint32_t off = 0;
+  for (unsigned len = 1; len <= max_len; ++len) {
+    offset_[len] = off;
     off += count_[len];
   }
   // Symbols sorted by (length, symbol) get consecutive canonical codes.
-  enc_base_ = coded_.empty() ? 0 : coded_.front();
-  enc_.assign(coded_.empty() ? 0 : coded_.back() - enc_base_ + 1, Code{});
   std::vector<std::uint32_t> next = first_code_;
   sorted_symbols_.assign(off, 0);
   for (std::size_t i = 0; i < coded_.size(); ++i) {
     const unsigned len = coded_len_[i];
-    sorted_symbols_[offset_[len] + (next[len] - first_code_[len])] = coded_[i];
-    enc_[coded_[i] - enc_base_] = {next[len]++, len};
+    sorted_symbols_[offset_[len] + (next[len]++ - first_code_[len])] = coded_[i];
   }
 
   // Decode LUT: every lut_bits_ window whose prefix is a code of length
@@ -282,7 +306,7 @@ void HuffmanCodec::deserialize_table(std::span<const std::uint8_t> bytes, std::s
     }
     i += static_cast<std::size_t>(run);
   }
-  assign_canonical();
+  assign_decode();
 }
 
 double HuffmanCodec::entropy_bits(std::span<const std::uint64_t> freqs) {

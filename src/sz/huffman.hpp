@@ -8,11 +8,14 @@
 /// Table build, serialization, parsing and canonical assignment all loop
 /// over the k symbols that have a code, not over the alphabet: an SZ window
 /// codes a few thousand of its 65,536 symbols, and a call's fixed cost is
-/// proportional to those. The per-symbol code table spans only the coded
-/// range [lowest, highest coded symbol]. The serialized table is still the
-/// run-length encoding of the full per-symbol length array (gaps between
-/// coded symbols become zero runs), so the bytes do not depend on how it
-/// was built.
+/// proportional to those. Each side fills only its own tables: build() and
+/// build_sparse() the encode table, deserialize_table() the decode tables,
+/// so an encoder decodes (and a decoder encodes) through
+/// serialize_table()/deserialize_table(), as every codec does. The
+/// per-symbol code table spans only the coded range [lowest, highest coded
+/// symbol]. The serialized table is still the run-length encoding of the
+/// full per-symbol length array (gaps between coded symbols become zero
+/// runs), so the bytes do not depend on how it was built.
 ///
 /// The bitstream moves whole words (bitstream.hpp): encode shifts each code
 /// into a 64-bit accumulator and stores a big-endian 32-bit word whenever
@@ -55,10 +58,7 @@ class HuffmanCodec {
   void deserialize_table(std::span<const std::uint8_t> bytes, std::size_t alphabet);
 
   /// Code length of `symbol`; 0 when it has no code or is outside the alphabet.
-  unsigned code_length(std::uint32_t symbol) const {
-    const std::size_t i = symbol - std::size_t{enc_base_};
-    return symbol >= enc_base_ && i < enc_.size() ? enc_[i].len : 0;
-  }
+  unsigned code_length(std::uint32_t symbol) const;
 
   /// Shannon-optimal size estimate in bits for the given frequencies.
   static double entropy_bits(std::span<const std::uint64_t> freqs);
@@ -71,7 +71,12 @@ class HuffmanCodec {
   static constexpr unsigned kLutBits = 12;
 
  private:
-  void assign_canonical();
+  /// count_ and first_code_ from coded_len_ (both sides).
+  void assign_lengths();
+  /// The encode table from coded_/coded_len_ (build side).
+  void assign_encode();
+  /// The canonical decode tables and LUT from coded_/coded_len_ (parse side).
+  void assign_decode();
   /// LUT entry: the decoded symbol and its code length (0 = no code of
   /// length <= kLutBits has this prefix; take the slow path).
   struct LutEntry {
@@ -91,14 +96,15 @@ class HuffmanCodec {
   std::size_t alphabet_ = 0;
   std::vector<std::uint32_t> coded_;         // symbols with a code, ascending
   std::vector<std::uint8_t> coded_len_;      // their code lengths
-  // Per-symbol codes over [enc_base_, coded_.back()] only: an SZ window
-  // codes a few thousand symbols of a 65,536-symbol alphabet.
+  // Per length, on both sides.
+  std::vector<std::uint32_t> first_code_;
+  std::vector<std::uint32_t> count_;
+  // Encode side: per-symbol codes over [enc_base_, coded_.back()] only: an
+  // SZ window codes a few thousand symbols of a 65,536-symbol alphabet.
   std::uint32_t enc_base_ = 0;
   std::vector<Code> enc_;
-  // Canonical decode tables.
-  std::vector<std::uint32_t> first_code_;    // per length
+  // Decode side: the canonical tables.
   std::vector<std::uint32_t> offset_;        // per length, into sorted_symbols_
-  std::vector<std::uint32_t> count_;         // per length
   std::vector<std::uint32_t> sorted_symbols_;
   // Table-driven fast path, rebuilt alongside the canonical tables.
   std::vector<LutEntry> lut_;

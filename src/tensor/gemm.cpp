@@ -21,6 +21,7 @@ namespace {
 using B = GemmBlocking;
 
 inline std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+inline std::size_t round_up(std::size_t a, std::size_t b) { return ceil_div(a, b) * b; }
 
 /// One micro-tile: the Mr x Nr product of an A panel (`ap`, Mr floats per k
 /// step) and a B panel (`bp`, Nr floats per k step) over `kc` steps, with
@@ -226,30 +227,32 @@ void pack_b(const float* b, std::size_t rs, std::size_t cs, std::size_t kc,
   }
 }
 
-/// One (i0, j0) tile of C: sweep k in kKc slabs, packing the A block and B
-/// panel for each slab into this thread's scratch arena, then run the
-/// micro-kernel grid. Accumulation order is a pure function of the shape —
-/// tiles never share C elements and the k sweep is sequential — so outputs
-/// are bitwise identical at every thread count.
-void compute_tile(const Kernel& kern, const float* a, std::size_t a_rs, std::size_t a_cs,
-                  const float* b, std::size_t b_rs, std::size_t b_cs, float* c,
-                  std::size_t k, std::size_t n, bool accumulate, std::size_t i0,
-                  std::size_t mc, std::size_t j0, std::size_t nc) {
+/// One (i0, j0) tile of C: sweep k in kKc slabs, packing the B panel for
+/// each slab into this thread's scratch arena and pairing it with the slab's
+/// pre-packed A panels, then run the micro-kernel grid. Accumulation order
+/// is a pure function of the shape — tiles never share C elements and the k
+/// sweep is sequential — so outputs are bitwise identical at every thread
+/// count.
+void compute_tile(const Kernel& kern, const float* apanels, const float* b, std::size_t b_rs,
+                  std::size_t b_cs, float* c, std::size_t k, std::size_t n, bool accumulate,
+                  std::size_t i0, std::size_t mc, std::size_t j0, std::size_t nc) {
   const std::size_t mr = kern.mr, nr = kern.nr;
-  ScratchBuffer apack(ceil_div(mc, mr) * mr * B::kKc);
+  const std::size_t mcp = round_up(mc, mr);  // the block's rows, padded to Mr
   ScratchBuffer bpack(ceil_div(nc, nr) * nr * B::kKc);
+  // Row block i0 / kMc starts at i0 * k: every block above it is kMc rows.
+  const float* ablock = apanels + i0 * k;
 
   for (std::size_t p0 = 0; p0 < k; p0 += B::kKc) {
     const std::size_t kc = std::min(B::kKc, k - p0);
     const bool first = p0 == 0 && !accumulate;
-    pack_a(a + i0 * a_rs + p0 * a_cs, a_rs, a_cs, mc, kc, mr, apack.data());
+    const float* apack = ablock + mcp * p0;
     pack_b(b + p0 * b_rs + j0 * b_cs, b_rs, b_cs, kc, nc, nr, bpack.data());
 
     for (std::size_t jr = 0; jr < nc; jr += nr) {
       const std::size_t cols = std::min(nr, nc - jr);
       const float* bp = bpack.data() + (jr / nr) * nr * kc;
       for (std::size_t ir = 0; ir < mc; ir += mr) {
-        const float* ap = apack.data() + (ir / mr) * mr * kc;
+        const float* ap = apack + (ir / mr) * mr * kc;
         kern.tile(ap, bp, kc, c + (i0 + ir) * n + j0 + jr, n, std::min(mr, mc - ir), cols,
                   first);
       }
@@ -257,18 +260,17 @@ void compute_tile(const Kernel& kern, const float* a, std::size_t a_rs, std::siz
   }
 }
 
-/// Shared driver for all three transposition variants: the logical operands
-/// A[m,k] and B[k,n] are described by (row, col) element strides, so the
-/// packers absorb the layout difference and the tile kernel is identical.
-void gemm_driver(const float* a, std::size_t a_rs, std::size_t a_cs, const float* b,
-                 std::size_t b_rs, std::size_t b_cs, float* c, std::size_t m,
-                 std::size_t k, std::size_t n, bool accumulate) {
+/// The C-tile grid on a pre-packed A; B[k,n] is described by (row, col)
+/// element strides, so its packer absorbs the layout difference and the
+/// tile kernel is identical for every transposition variant.
+void run_tiles(const Kernel& kern, const float* apanels, std::size_t m, std::size_t k,
+               const float* b, std::size_t b_rs, std::size_t b_cs, float* c, std::size_t n,
+               bool accumulate) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
     return;
   }
-  const Kernel& kern = kKernels[active_isa().load(std::memory_order_relaxed)];
   const std::size_t mt = ceil_div(m, B::kMc);
   const std::size_t nt = ceil_div(n, B::kNc);
   const std::size_t tiles = mt * nt;
@@ -283,9 +285,22 @@ void gemm_driver(const float* a, std::size_t a_rs, std::size_t a_cs, const float
   parallel_for(tiles, tile_work, [&](std::size_t t) {
     const std::size_t i0 = (t / nt) * B::kMc;
     const std::size_t j0 = (t % nt) * B::kNc;
-    compute_tile(kern, a, a_rs, a_cs, b, b_rs, b_cs, c, k, n, accumulate, i0,
+    compute_tile(kern, apanels, b, b_rs, b_cs, c, k, n, accumulate, i0,
                  std::min(B::kMc, m - i0), j0, std::min(B::kNc, n - j0));
   });
+}
+
+/// Shared driver for all three transposition variants: A[m,k] is stored
+/// row-major or transposed, B[k,n] is described by (row, col) element
+/// strides. A is packed once for the whole call, then the tile grid runs
+/// on it.
+void gemm_driver(const float* a, bool a_transposed, const float* b, std::size_t b_rs,
+                 std::size_t b_cs, float* c, std::size_t m, std::size_t k, std::size_t n,
+                 bool accumulate) {
+  if (m == 0 || n == 0) return;
+  const PackedA pa(a, m, k, a_transposed);
+  run_tiles(kKernels[static_cast<int>(pa.isa())], pa.panels(), m, k, b, b_rs, b_cs, c, n,
+            accumulate);
 }
 
 }  // namespace
@@ -319,6 +334,33 @@ ScopedGemmIsa::~ScopedGemmIsa() {
   active_isa().store(static_cast<int>(prev_), std::memory_order_relaxed);
 }
 
+PackedA::PackedA(const float* a, std::size_t m, std::size_t k, bool transposed)
+    : isa_(gemm_isa()),
+      m_(m),
+      k_(k),
+      buf_(round_up(m, kKernels[static_cast<int>(isa_)].mr) * k),
+      panels_(buf_.data()) {
+  // Element (i, kk) of A sits at a[i*rs + kk*cs]. The packed block of rows
+  // [i0, i0+mc) and slab [p0, p0+kc) sits at i0*k + mcp*p0: the row blocks
+  // above it are kMc rows by k, its earlier slabs mcp (mc padded to Mr) by
+  // kKc. Blocks are disjoint, so they pack as independent tasks.
+  const std::size_t rs = transposed ? 1 : k, cs = transposed ? m : 1;
+  const std::size_t mr = kKernels[static_cast<int>(isa_)].mr;
+  const std::size_t mt = ceil_div(m, B::kMc), ks = ceil_div(k, B::kKc);
+  float* panels = panels_;
+  parallel_for(mt * ks, std::min(B::kMc, m) * std::min(B::kKc, k), [&](std::size_t blk) {
+    const std::size_t i0 = (blk / ks) * B::kMc, p0 = (blk % ks) * B::kKc;
+    const std::size_t mc = std::min(B::kMc, m - i0);
+    pack_a(a + i0 * rs + p0 * cs, rs, cs, mc, std::min(B::kKc, k - p0), mr,
+           panels + i0 * k + round_up(mc, mr) * p0);
+  });
+}
+
+void gemm_packed(const PackedA& a, const float* b, float* c, std::size_t n, bool accumulate) {
+  run_tiles(kKernels[static_cast<int>(a.isa())], a.panels(), a.rows(), a.depth(), b, n, 1, c,
+            n, accumulate);
+}
+
 GemmStats gemm_plan(std::size_t m, std::size_t k, std::size_t n) {
   GemmStats s;
   if (m == 0 || n == 0 || k == 0) return s;
@@ -330,19 +372,19 @@ GemmStats gemm_plan(std::size_t m, std::size_t k, std::size_t n) {
 
 void gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
           std::size_t n, bool accumulate) {
-  gemm_driver(a, k, 1, b, n, 1, c, m, k, n, accumulate);
+  gemm_driver(a, /*a_transposed=*/false, b, n, 1, c, m, k, n, accumulate);
 }
 
 void gemm_at(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
              std::size_t n, bool accumulate) {
   // A is stored [k, m]: element (i, kk) lives at a[kk*m + i].
-  gemm_driver(a, 1, m, b, n, 1, c, m, k, n, accumulate);
+  gemm_driver(a, /*a_transposed=*/true, b, n, 1, c, m, k, n, accumulate);
 }
 
 void gemm_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
              std::size_t n, bool accumulate) {
   // B is stored [n, k]: element (kk, j) lives at b[j*k + kk].
-  gemm_driver(a, k, 1, b, 1, k, c, m, k, n, accumulate);
+  gemm_driver(a, /*a_transposed=*/false, b, 1, k, c, m, k, n, accumulate);
 }
 
 }  // namespace ebct::tensor

@@ -3,12 +3,15 @@
 // the host runs, checked against a double-precision naive reference AND for
 // bitwise-identical output across thread counts (the engine's determinism
 // contract: within one level, tile decomposition and accumulation order are
-// pure functions of the shape).
+// pure functions of the shape), and of the pre-packed A entry against the
+// unpacked ones.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "tensor/alloc.hpp"
@@ -120,6 +123,87 @@ TEST(GemmEngine, PropertySweepAllVariantsThreadCountsAccumulate) {
     }
   }
   set_threads(nthreads);
+}
+
+TEST(GemmEngine, PackedAMatchesGemmBytewise) {
+  // gemm_packed on a PackedA is gemm (row-major A) or gemm_at (A stored
+  // [k,m]) byte for byte: every C element meets the same panels in the same
+  // slab order. The shapes are ragged in each dimension: m off the level's
+  // Mr, k over two Kc slabs with a short last slab, n off its Nr.
+  const int nthreads = default_threads();
+  using Bk = GemmBlocking;
+  for (GemmIsa isa : supported_levels()) {
+    ScopedGemmIsa pin(isa);
+    const GemmKernelShape ks = gemm_kernel_shape(isa);
+    const std::size_t shapes[][3] = {
+        {3 * ks.mr + 1, Bk::kKc + 37, 2 * ks.nr + 5},
+        {Bk::kMc + ks.mr + 1, 2 * Bk::kKc + 1, Bk::kNc + ks.nr + 3},
+        {1, 2 * Bk::kKc + 100, 1},
+    };
+    for (const auto& shape : shapes) {
+      const std::size_t m = shape[0], k = shape[1], n = shape[2];
+      Rng rng(m * 1000 + k);
+      std::vector<float> a(m * k), at(k * m), b(k * n), init(m * n);
+      rng.fill_uniform({a.data(), a.size()}, -1, 1);
+      rng.fill_uniform({b.data(), b.size()}, -1, 1);
+      rng.fill_uniform({init.data(), init.size()}, -1, 1);
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t kk = 0; kk < k; ++kk) at[kk * m + i] = a[i * k + kk];
+      for (bool accumulate : {false, true}) {
+        std::vector<float> plain = init, trans = init;
+        gemm(a.data(), b.data(), plain.data(), m, k, n, accumulate);
+        gemm_at(at.data(), b.data(), trans.data(), m, k, n, accumulate);
+        for (int t : {1, 2, nthreads > 2 ? nthreads : 4}) {
+          set_threads(t);
+          const PackedA pa(a.data(), m, k);
+          const PackedA pt(at.data(), m, k, /*transposed=*/true);
+          EXPECT_EQ(pa.rows(), m);
+          EXPECT_EQ(pa.depth(), k);
+          std::vector<float> got = init, got_t = init;
+          gemm_packed(pa, b.data(), got.data(), n, accumulate);
+          gemm_packed(pt, b.data(), got_t.data(), n, accumulate);
+          set_threads(nthreads);
+          const std::string where = std::string(gemm_isa_name(isa)) + " shape " +
+                                    std::to_string(m) + "x" + std::to_string(k) + "x" +
+                                    std::to_string(n) + " acc " + std::to_string(accumulate) +
+                                    " pool " + std::to_string(t);
+          ASSERT_EQ(0, std::memcmp(got.data(), plain.data(), plain.size() * sizeof(float)))
+              << "gemm_packed != gemm: " << where;
+          ASSERT_EQ(0, std::memcmp(got_t.data(), trans.data(), trans.size() * sizeof(float)))
+              << "gemm_packed != gemm_at: " << where;
+        }
+      }
+    }
+  }
+  set_threads(nthreads);
+}
+
+TEST(GemmEngine, PackedAKeepsItsLevel) {
+  // The panels follow the Mr of the level they were packed at, so a GEMM on
+  // them runs that level's kernel even after the dispatched level changes.
+  const std::vector<GemmIsa> levels = supported_levels();
+  const std::size_t m = 29, k = 300, n = 41;
+  Rng rng(77);
+  std::vector<float> a(m * k), b(k * n);
+  rng.fill_uniform({a.data(), a.size()}, -1, 1);
+  rng.fill_uniform({b.data(), b.size()}, -1, 1);
+  for (GemmIsa packed_at : levels) {
+    std::vector<float> want(m * n);
+    std::unique_ptr<PackedA> pa;
+    {
+      ScopedGemmIsa pin(packed_at);
+      gemm(a.data(), b.data(), want.data(), m, k, n);
+      pa = std::make_unique<PackedA>(a.data(), m, k);
+    }
+    EXPECT_EQ(pa->isa(), packed_at);
+    for (GemmIsa run_at : levels) {
+      ScopedGemmIsa pin(run_at);
+      std::vector<float> got(m * n);
+      gemm_packed(*pa, b.data(), got.data(), n);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)))
+          << "packed at " << gemm_isa_name(packed_at) << ", run at " << gemm_isa_name(run_at);
+    }
+  }
 }
 
 TEST(GemmEngine, DispatchesBestSupportedLevel) {

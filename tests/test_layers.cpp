@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "nn/softmax_xent.hpp"
 #include "tensor/alloc.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/sched.hpp"
 #include "util/test_util.hpp"
 
@@ -328,18 +330,45 @@ struct BatchedConvCase {
   const char* what;
   Conv2dSpec spec;
   std::size_t n, h, w;
+  /// Loss entries of magnitude denorm_min: a dX product with |W| < 0.5 then
+  /// underflows, and a fused kernel rounds such a sum to -0.
+  bool tiny_loss = false;
 };
+
+std::size_t negative_zeros(const float* v, std::size_t count) {
+  std::size_t z = 0;
+  for (std::size_t i = 0; i < count; ++i) z += v[i] == 0.0f && std::signbit(v[i]);
+  return z;
+}
 
 /// The batched conv against the per-sample reference at pools 1, 2 and N:
 /// forward and input gradient bitwise, dW/db within 1e-5 (only their
-/// summation order changes) and bitwise stable across pools.
+/// summation order changes) and bitwise stable across pools. The input
+/// gradient carries no -0 on any path: col2im's `0.0f +` turns it into +0,
+/// and the in-place pointwise path must do the same.
 void check_batched_conv(const BatchedConvCase& c, const char* level) {
   Rng shape_rng(1);
   Conv2d probe("p", c.spec, shape_rng);
   const Shape in = Shape::nchw(c.n, c.spec.in_channels, c.h, c.w);
   Tensor x = random_tensor(in, 91);
   Tensor gy = random_tensor(probe.output_shape(in), 92);
+  if (c.tiny_loss) {
+    for (float& v : gy.span()) v = std::copysign(std::numeric_limits<float>::denorm_min(), v);
+    // The premise: at a fused level the raw dX GEMM of this data holds -0s
+    // (run_conv's layer draws its weights from Rng(90)).
+    Rng wrng(90);
+    Conv2d conv("c", c.spec, wrng);
+    const std::size_t k = c.spec.in_channels, cout = c.spec.out_channels, hw = c.h * c.w;
+    std::vector<float> dcols(k * hw);
+    tensor::gemm_at(conv.weight().value.data(), gy.data(), dcols.data(), k, cout, hw);
+    if (tensor::gemm_isa() != tensor::GemmIsa::kPortable) {
+      EXPECT_GT(negative_zeros(dcols.data(), dcols.size()), 0u)
+          << level << ": no product underflowed to -0";
+    }
+  }
   const ConvRun ref = run_conv(c.spec, x, gy, /*per_sample=*/true);
+  EXPECT_EQ(negative_zeros(ref.grad_in.data(), ref.grad_in.size()), 0u)
+      << level << ", " << c.what << ": per-sample input gradient holds -0";
   const int pool = tensor::sched::num_threads();
   ConvRun first;
   for (int t : {1, 2, pool > 2 ? pool : 4}) {
@@ -371,14 +400,22 @@ TEST(Conv2dLayer, BatchedGemmMatchesPerSampleReference) {
   Conv2dSpec rect_7x1{6, 5, 7, 1, 3};
   rect_7x1.kernel_w = 1;
   rect_7x1.pad_w = 0;
+  // Groups hold the fewest samples whose columns reach 32 (forward) or 64
+  // (backward), spread evenly over the batch; "fwd/bwd" below counts them.
   const BatchedConvCase cases[] = {
-      {"ohow >= kNc (one sample per group)", {3, 8, 3, 1, 1}, 3, 16, 16},
+      {"ohow >= 64 (one sample per group)", {3, 8, 3, 1, 1}, 3, 16, 16},
       {"more groups than weight-grad parts", {2, 4, 3, 1, 1}, 18, 13, 13},
-      {"ragged last group", {4, 8, 3, 1, 1}, 11, 6, 6},
+      {"ragged last bwd group (3, 3, 3, 2 samples)", {4, 8, 3, 1, 1}, 11, 6, 6},
       {"n = 1", {4, 8, 3, 1, 1}, 1, 4, 4},
-      {"stride 2", {4, 8, 3, 2, 1}, 12, 8, 8},
+      {"stride 2 (fwd 6 groups of 2, bwd 3 of 4)", {4, 8, 3, 2, 1}, 12, 8, 8},
       {"1x7 with pad_w", rect_1x7, 9, 5, 5},
       {"7x1 with pad_w", rect_7x1, 9, 5, 5},
+      {"16 samples at 4x4 (fwd 8 groups of 2, bwd 4 of 4)", {8, 8, 3, 1, 1}, 16, 4, 4},
+      {"1x1 grouped (im2col path)", {8, 6, 1, 1, 0}, 8, 4, 4},
+      {"1x1 in place, bias", {8, 6, 1, 1, 0}, 5, 8, 8},
+      {"1x1 in place, no bias", {8, 6, 1, 1, 0, false}, 5, 9, 9},
+      {"1x1 in place fwd, grouped bwd", {8, 6, 1, 1, 0}, 6, 6, 6},
+      {"1x1 in place, dX products underflow", {64, 4, 1, 1, 0, false}, 3, 8, 8, true},
   };
   for (int level = 0; level < tensor::kNumGemmIsas; ++level) {
     const auto isa = static_cast<tensor::GemmIsa>(level);

@@ -156,6 +156,15 @@ TEST(BitStream, WordWriterMatchesBitAtATimeReference) {
   }
 }
 
+/// A decoder for `codec`'s code, parsed from its serialized table: an
+/// encoder holds no decode tables, so every codec decodes this way.
+HuffmanCodec decoder_for(const HuffmanCodec& codec, std::size_t alphabet) {
+  const auto table = codec.serialize_table();
+  HuffmanCodec d;
+  d.deserialize_table({table.data(), table.size()}, alphabet);
+  return d;
+}
+
 TEST(Huffman, EncodeMatchesBitAtATimeReference) {
   // The encoder writes whole words into a presized buffer; its bytes must
   // be those of writing each code bit by bit. Alphabets up to 4096 symbols
@@ -187,7 +196,8 @@ TEST(Huffman, EncodeMatchesBitAtATimeReference) {
     ReferenceBitWriter ref;
     for (const std::uint32_t s : symbols) ref.put(code[s], len[s]);
     ASSERT_EQ(bytes, ref.bytes()) << "trial " << trial;
-    ASSERT_EQ(codec.decode(bytes, symbols.size()), symbols) << "trial " << trial;
+    ASSERT_EQ(decoder_for(codec, alphabet).decode(bytes, symbols.size()), symbols)
+        << "trial " << trial;
     past_lut += max_len > HuffmanCodec::kLutBits;
   }
   EXPECT_GE(past_lut, 5);  // the canonical-scan fallback really ran
@@ -211,7 +221,8 @@ TEST(Huffman, RoundtripCodesLongerThanLut) {
   std::vector<std::uint32_t> symbols(4096);
   for (auto& s : symbols) s = static_cast<std::uint32_t>(rng.uniform_index(alphabet));
   const auto bytes = codec.encode({symbols.data(), symbols.size()});
-  const auto decoded = codec.decode({bytes.data(), bytes.size()}, symbols.size());
+  const auto decoded =
+      decoder_for(codec, alphabet).decode({bytes.data(), bytes.size()}, symbols.size());
   ASSERT_EQ(decoded.size(), symbols.size());
   EXPECT_EQ(decoded, symbols);
 }
@@ -249,7 +260,7 @@ TEST(Huffman, RoundtripRandomSymbols) {
   HuffmanCodec codec;
   codec.build(freqs);
   const auto enc = codec.encode(symbols);
-  const auto dec = codec.decode({enc.data(), enc.size()}, symbols.size());
+  const auto dec = decoder_for(codec, 64).decode({enc.data(), enc.size()}, symbols.size());
   EXPECT_EQ(dec, symbols);
 }
 
@@ -265,7 +276,7 @@ TEST(Huffman, SkewedDistributionCompresses) {
   codec.build(freqs);
   const auto enc = codec.encode(symbols);
   EXPECT_LT(enc.size() * 8, symbols.size() * 2);  // < 2 bits/symbol
-  const auto dec = codec.decode({enc.data(), enc.size()}, symbols.size());
+  const auto dec = decoder_for(codec, 64).decode({enc.data(), enc.size()}, symbols.size());
   EXPECT_EQ(dec, symbols);
 }
 
@@ -276,7 +287,7 @@ TEST(Huffman, SingleSymbolAlphabet) {
   codec.build(freqs);
   std::vector<std::uint32_t> symbols(1000, 3);
   const auto enc = codec.encode(symbols);
-  const auto dec = codec.decode({enc.data(), enc.size()}, 1000);
+  const auto dec = decoder_for(codec, 16).decode({enc.data(), enc.size()}, 1000);
   EXPECT_EQ(dec, symbols);
 }
 
@@ -314,6 +325,28 @@ TEST(Huffman, EncodingUnknownSymbolThrows) {
   EXPECT_EQ(codec.code_length(~0u), 0u);
 }
 
+TEST(Huffman, EachSideFillsOnlyItsOwnTables) {
+  // A built table encodes and a parsed one decodes; the other direction
+  // fails closed instead of reading tables nobody filled.
+  std::vector<std::uint64_t> freqs{3, 5, 0, 9};
+  HuffmanCodec built;
+  built.build(freqs);
+  const std::vector<std::uint32_t> symbols{0, 1, 3, 3};
+  const auto enc = built.encode(symbols);
+  EXPECT_THROW(built.decode({enc.data(), enc.size()}, symbols.size()), std::runtime_error);
+  HuffmanCodec decoder = decoder_for(built, 4);
+  EXPECT_EQ(decoder.decode({enc.data(), enc.size()}, symbols.size()), symbols);
+  EXPECT_THROW(decoder.encode(symbols), std::logic_error);
+  // Rebuilding a parsed object drops its decode side, and the reverse.
+  decoder.build(freqs);
+  EXPECT_EQ(decoder.encode(symbols), enc);
+  EXPECT_THROW(decoder.decode({enc.data(), enc.size()}, symbols.size()), std::runtime_error);
+  const auto table = built.serialize_table();
+  built.deserialize_table({table.data(), table.size()}, 4);
+  EXPECT_THROW(built.encode(symbols), std::logic_error);
+  EXPECT_EQ(built.decode({enc.data(), enc.size()}, symbols.size()), symbols);
+}
+
 TEST(Huffman, EmptySymbolStream) {
   std::vector<std::uint64_t> freqs(8, 0);
   freqs[2] = 10;
@@ -321,7 +354,7 @@ TEST(Huffman, EmptySymbolStream) {
   codec.build(freqs);
   const auto enc = codec.encode({});
   EXPECT_TRUE(enc.empty());
-  EXPECT_TRUE(codec.decode({enc.data(), enc.size()}, 0).empty());
+  EXPECT_TRUE(decoder_for(codec, 8).decode({enc.data(), enc.size()}, 0).empty());
 }
 
 TEST(Huffman, TwoSymbolTableSerializationRoundtrip) {
