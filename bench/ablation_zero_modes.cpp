@@ -1,8 +1,8 @@
-// Ablation (design choice §4.4): the three zero-handling modes of the SZ
-// compressor on sparse activation data — no filter, the paper's re-zero
-// decompression filter, and our exact-RLE extension. Stock SZ perturbs
-// zeros that follow non-zero values; under dual quantization zeros sit on
-// the grid, so every mode restores them.
+// Ablation (design choice §4.4): the two zero-handling modes of the SZ
+// compressor on sparse activation data — no filter and the paper's re-zero
+// decompression filter. Stock SZ perturbs zeros that follow non-zero
+// values; under dual quantization zeros sit on the grid, so both modes
+// restore them.
 // Reports compression ratio, zero preservation and the induced gradient
 // error, connecting the Fig. 6a/6b observation to the compressor knob.
 
@@ -28,8 +28,7 @@ int main() {
   memory::Table table({"zero mode", "ratio", "zeros preserved", "max |err|"});
   for (const auto& [mode, name] :
        {std::pair{sz::ZeroMode::kNone, "none (no filter)"},
-        std::pair{sz::ZeroMode::kRezero, "re-zero filter (paper)"},
-        std::pair{sz::ZeroMode::kExactRle, "exact zero RLE (ours)"}}) {
+        std::pair{sz::ZeroMode::kRezero, "re-zero filter (paper)"}}) {
     sz::Config cfg;
     cfg.error_bound = eb;
     cfg.zero_mode = mode;
@@ -63,9 +62,8 @@ int main() {
                   stats::diagnose({e_pert.data(), e_pert.size()}).stddev,
               std::sqrt(0.4));
 
-  std::puts("\nTakeaway: on the quantization grid every mode restores all zeros and");
-  std::puts("keeps the strict eb bound (the re-zero filter only reaches escaped values),");
-  std::puts("so the modes differ in ratio alone: a zero after a zero is already a short");
-  std::puts("delta-0 code, and at this sparsity exact RLE's side stream does not pay.");
+  std::puts("\nTakeaway: on the quantization grid both modes restore all zeros and");
+  std::puts("keep the strict eb bound (the re-zero filter only reaches escaped values),");
+  std::puts("and a zero after a zero is already a short delta-0 code.");
   return 0;
 }

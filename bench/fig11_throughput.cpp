@@ -1,7 +1,8 @@
 // Reproduces Fig. 11: raw training performance (images/s) as a function of
 // the batch size N. Three layers of evidence:
 //   1. the SZ hot path itself: compression/decompression throughput of the
-//      serial reference vs the block-parallel path across thread counts,
+//      serial reference (a one-thread pool) vs the block-parallel path
+//      across pool sizes,
 //      and the async double-buffered store vs the synchronous one,
 //   2. measured CPU step times of ResNet-50 (scaled) across batch sizes for
 //      baseline and framework — throughput rises with N in both,
@@ -52,12 +53,11 @@ double step_seconds(const std::string& codec, std::size_t batch, bool async = fa
   return bench::time_median([&] { session.run(3); }) / 3.0;
 }
 
-/// Compress+decompress seconds over `data` with the given worker count.
-std::pair<double, double> codec_seconds(const std::vector<float>& data,
-                                        std::uint32_t threads) {
+/// Compress+decompress seconds over `data` on a pool of `threads` threads.
+std::pair<double, double> codec_seconds(const std::vector<float>& data, int threads) {
+  tensor::sched::set_num_threads(threads);
   sz::Config cfg;
   cfg.error_bound = 1e-3;
-  cfg.num_threads = threads;
   sz::Compressor comp(cfg);
   sz::CompressedBuffer buf;
   const double tc = bench::time_median(
@@ -76,12 +76,12 @@ void compressor_throughput_section() {
   rng.fill_relu_like({data.data(), n}, 0.5, 1.0f);
   const double mb = static_cast<double>(n * sizeof(float)) / (1024.0 * 1024.0);
 
+  const int hw = tensor::sched::num_threads();
   const auto [ser_c, ser_d] = codec_seconds(data, 1);
   memory::Table t({"threads", "compress MB/s", "decompress MB/s",
                    "compress speedup", "decompress speedup"});
-  const int hw = tensor::sched::num_threads();
-  for (std::uint32_t threads : {1, 2, 4, 8}) {
-    if (threads > static_cast<std::uint32_t>(hw) && threads != 1) {
+  for (const int threads : {1, 2, 4, 8}) {
+    if (threads > hw && threads != 1) {
       // Oversubscribed settings measure scheduler noise, not scaling.
       continue;
     }
@@ -89,10 +89,11 @@ void compressor_throughput_section() {
     // cost another full pass and let noise print a not-quite-1.00x.
     const auto [tc, td] = threads == 1 ? std::pair{ser_c, ser_d}
                                        : codec_seconds(data, threads);
-    t.add_row({memory::fmt("%u", threads), memory::fmt("%.0f", mb / tc),
+    t.add_row({memory::fmt("%d", threads), memory::fmt("%.0f", mb / tc),
                memory::fmt("%.0f", mb / td), memory::fmt("%.2fx", ser_c / tc),
                memory::fmt("%.2fx", ser_d / td)});
   }
+  tensor::sched::set_num_threads(hw);
   t.print();
   std::printf("(hardware threads available: %d; the paper's ≥2x target needs 4+)\n\n", hw);
 }

@@ -5,11 +5,6 @@
 // byte-identical at every point — the budget moves bytes between RAM, disk
 // and time, never values. Emits BENCH_fig_budget_sweep.json.
 //
-// Also answers the ROADMAP's max_workers question: with training compute
-// saturating the pool, does capping the codec's per-call worker count help
-// or hurt? A secondary sweep times async-encode training at caps 0 (whole
-// pool) / 2 / 1 and reports the ratio.
-//
 // Usage: fig_budget_sweep [--smoke]
 //   --smoke: reduced iterations, tighter sweep, non-zero exit on any
 //            violated invariant (budget overshoot, trajectory divergence,
@@ -52,8 +47,7 @@ struct SweepPoint {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-SweepPoint train(std::size_t budget, std::size_t iterations, bool async_encode,
-                 std::uint32_t codec_cap, bool write_behind = false) {
+SweepPoint train(std::size_t budget, std::size_t iterations, bool write_behind = false) {
   models::ModelConfig mcfg;
   mcfg.input_hw = 16;
   mcfg.num_classes = 4;
@@ -73,8 +67,6 @@ SweepPoint train(std::size_t budget, std::size_t iterations, bool async_encode,
   // codec: FrameworkConfig default ("sz"), or whatever EBCT_CODEC selects.
   cfg.framework.active_factor_w = 10;
   cfg.framework.memory_budget_bytes = budget;
-  cfg.framework.async_compression = async_encode;
-  cfg.framework.compressor_threads = codec_cap;
   cfg.framework.write_behind = write_behind;
   cfg.base_lr = 0.05;
   core::TrainingSession session(*net, loader, cfg);
@@ -134,7 +126,7 @@ int main(int argc, char** argv) {
   bench::JsonReporter report("fig_budget_sweep");
 
   // Reference: unbudgeted. Its resident peak defines the sweep ladder.
-  const SweepPoint ref = train(0, iters, false, 0);
+  const SweepPoint ref = train(0, iters);
   const std::size_t peak = ref.pager.peak_resident_bytes;
   std::printf("unbudgeted compressed peak: %s, %.2f iter/s\n",
               memory::human_bytes(peak).c_str(),
@@ -152,7 +144,7 @@ int main(int argc, char** argv) {
   for (const double frac : fractions) {
     const std::size_t budget =
         static_cast<std::size_t>(static_cast<double>(peak) * frac);
-    const SweepPoint p = train(budget, iters, false, 0);
+    const SweepPoint p = train(budget, iters);
     const bool respected = p.pager.peak_resident_bytes <= budget;
     const bool identical = p.losses == ref.losses;
     char name[32];
@@ -193,7 +185,7 @@ int main(int argc, char** argv) {
   for (const double frac : {0.5, 0.25}) {
     const std::size_t budget =
         static_cast<std::size_t>(static_cast<double>(peak) * frac);
-    const SweepPoint p = train(budget, iters, false, 0, /*write_behind=*/true);
+    const SweepPoint p = train(budget, iters, /*write_behind=*/true);
     const bool respected = p.pager.peak_resident_bytes <= budget;
     const bool identical = p.losses == ref.losses;
     char name[40];
@@ -216,21 +208,6 @@ int main(int argc, char** argv) {
     check(identical, "write-behind trajectory byte-identical under budget");
     check(p.pager.spill_write_bytes > 0,
           "write-behind sweep point actually reaches the disk tier");
-  }
-
-  // ROADMAP question: codec max_workers cap under async encode. cap=0 lets
-  // encode tasks use the whole pool (stealing idle cycles from compute);
-  // smaller caps pin them down.
-  for (const std::uint32_t cap : {0u, 2u, 1u}) {
-    const SweepPoint p = train(0, iters, /*async_encode=*/true, cap);
-    check(p.losses == ref.losses, "async encode trajectory byte-identical");
-    char name[32];
-    std::snprintf(name, sizeof(name), "codec_cap_%u", cap);
-    std::printf("%-12s %6.2f iter/s (vs sync %6.2f)\n", name,
-                static_cast<double>(iters) / p.seconds,
-                static_cast<double>(iters) / ref.seconds);
-    report.add(name, {{"iters_per_sec", static_cast<double>(iters) / p.seconds},
-                      {"sync_iters_per_sec", static_cast<double>(iters) / ref.seconds}});
   }
 
   // Inception under the liveness pager: same model and data at every

@@ -64,7 +64,6 @@ void BM_SzCompressSparsity(benchmark::State& state) {
   const auto data = activation_data(1 << 20, sparsity);
   sz::Config cfg;
   cfg.error_bound = 1e-3;
-  cfg.zero_mode = sz::ZeroMode::kExactRle;
   sz::Compressor comp(cfg);
   double ratio = 0.0;
   for (auto _ : state) {

@@ -29,7 +29,7 @@ int main() {
 
   sz::Config cfg;
   cfg.error_bound = 1e-3;                    // every element within +-1e-3
-  cfg.zero_mode = sz::ZeroMode::kExactRle;   // zeros restored exactly
+  cfg.zero_mode = sz::ZeroMode::kRezero;     // re-zero filter (§4.4)
   sz::Compressor compressor(cfg);
 
   const sz::CompressedBuffer buf = compressor.compress(activations);

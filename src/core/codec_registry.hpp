@@ -6,7 +6,7 @@
 /// in the tree registers a factory under a short name; sessions, benches,
 /// examples and tests select one with a spec string
 ///
-///   <name>[:<params>]       e.g. "sz", "sz:threads=1,eb=1e-3",
+///   <name>[:<params>]       e.g. "sz", "sz:eb=1e-3,zero=none",
 ///                                "lossless", "jpeg-act:quality=50", "none"
 ///
 /// and the composite
@@ -77,7 +77,7 @@ class CodecParams {
 struct CodecInfo {
   std::string name;
   std::string summary;      ///< one line: what it is
-  std::string params_help;  ///< e.g. "eb=<abs bound>, threads=<n>"
+  std::string params_help;  ///< e.g. "eb=<abs bound>, mode=abs|rel"
   bool error_bounded = false;  ///< implements nn::ErrorBoundedCodec
 };
 

@@ -14,7 +14,7 @@ namespace ebct::core {
 struct FrameworkConfig {
   /// Activation codec spec, resolved through the CodecRegistry
   /// (core/codec_registry.hpp): "<name>[:<params>]", e.g. "sz",
-  /// "sz:threads=1", "lossless", "jpeg-act:quality=50", or a per-layer
+  /// "sz:eb=1e-3", "lossless", "jpeg-act:quality=50", or a per-layer
   /// "policy:*conv*=sz;*=lossless". One sentinel is handled by the
   /// session rather than the registry: "none" — raw activations, no pager
   /// (the stock-framework baseline).
@@ -22,7 +22,7 @@ struct FrameworkConfig {
   /// registry spec (or "none" to force the raw baseline). It never
   /// overrides a configured "none", which selects a store topology, not a
   /// codec. Unset codec parameters inherit the fields below
-  /// (bootstrap_error_bound, zero_mode, compressor_threads).
+  /// (bootstrap_error_bound, zero_mode).
   std::string codec = "sz";
 
   /// Empirical coefficient `a` in sigma ≈ a * L̄ * sqrt(N*R) * eb (Eq. 6).
@@ -47,11 +47,6 @@ struct FrameworkConfig {
   /// Zero handling in the compressor (§4.4; the paper uses the re-zero
   /// decompression filter).
   sz::ZeroMode zero_mode = sz::ZeroMode::kRezero;
-
-  /// Worker threads for the SZ block-parallel compress/decompress hot path:
-  /// 0 = all hardware threads, 1 = the serial reference path. Purely a
-  /// throughput knob — the compressed bytes are identical at any setting.
-  std::uint32_t compressor_threads = 0;
 
   /// Pipeline compression off the critical path: stash() enqueues the raw
   /// activation and returns, the encode runs as a task on the shared
@@ -84,8 +79,8 @@ struct FrameworkConfig {
   /// Write-behind spill queue: when the pager must evict under a RAM
   /// budget, the disk write is issued as a pool task and compute continues;
   /// the budget accounting counts not-yet-written blobs as still resident
-  /// and a bounded window (PagerConfig::write_window) caps the in-flight
-  /// bytes, so the budget is never exceeded. Eviction choice and counters
+  /// and a fixed window of four in-flight writes (memory/pager.cpp) caps
+  /// the in-flight bytes, so the budget is never exceeded. Eviction choice and counters
   /// are identical to the synchronous path. Default-on since the PR 10
   /// soak (tests/test_pager.cpp WriteBehindSoak: many iterations at tight
   /// budgets plus injected write failures, bitwise equal to synchronous

@@ -53,21 +53,15 @@ void detail::register_sz_codec(CodecRegistry& reg) {
   reg.register_codec(
       {"sz",
        "SZ error-bounded lossy compressor — the framework codec (adaptive-compatible)",
-       "eb=<abs bound>, mode=abs|rel, zero=none|rezero|rle, threads=<n>, block=<n>",
+       "eb=<abs bound>, mode=abs|rel, zero=none|rezero",
        true},
       [](const std::string& params, const FrameworkConfig& fw) {
         CodecParams p("sz", params);
         // Spec defaults reproduce what TrainingSession hard-wired before the
-        // registry: bootstrap bound, framework zero mode, framework thread
-        // cap — so "sz" with no parameters trains byte-identically to the
-        // pre-registry pipeline.
+        // registry: bootstrap bound and framework zero mode — so "sz" with
+        // no parameters trains byte-identically to the pre-registry pipeline.
         sz::Config cfg;
         cfg.error_bound = p.get_double("eb", fw.bootstrap_error_bound);
-        cfg.num_threads = p.get_uint("threads", fw.compressor_threads);
-        const std::uint32_t block = p.get_uint("block", cfg.block_size);
-        if (block == 0)
-          throw std::invalid_argument("sz: block must be a positive block size");
-        cfg.block_size = block;
         const std::string mode = p.get_string("mode", "abs");
         if (mode == "abs") {
           cfg.bound_mode = sz::BoundMode::kAbsolute;
@@ -76,20 +70,14 @@ void detail::register_sz_codec(CodecRegistry& reg) {
         } else {
           throw std::invalid_argument("sz: mode must be abs or rel, got '" + mode + "'");
         }
-        const std::string zero_default =
-            fw.zero_mode == sz::ZeroMode::kNone       ? "none"
-            : fw.zero_mode == sz::ZeroMode::kExactRle ? "rle"
-                                                      : "rezero";
-        const std::string zero = p.get_string("zero", zero_default);
+        const std::string zero =
+            p.get_string("zero", fw.zero_mode == sz::ZeroMode::kNone ? "none" : "rezero");
         if (zero == "none") {
           cfg.zero_mode = sz::ZeroMode::kNone;
         } else if (zero == "rezero") {
           cfg.zero_mode = sz::ZeroMode::kRezero;
-        } else if (zero == "rle") {
-          cfg.zero_mode = sz::ZeroMode::kExactRle;
         } else {
-          throw std::invalid_argument("sz: zero must be none, rezero or rle, got '" +
-                                      zero + "'");
+          throw std::invalid_argument("sz: zero must be none or rezero, got '" + zero + "'");
         }
         p.finish();
         return std::make_shared<SzActivationCodec>(cfg);

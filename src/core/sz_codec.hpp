@@ -15,9 +15,9 @@
 namespace ebct::core {
 
 /// Registry spec:
-/// "sz[:eb=<bound>,mode=abs|rel,zero=none|rezero|rle,threads=<n>,block=<n>]"
+/// "sz[:eb=<bound>,mode=abs|rel,zero=none|rezero]"
 /// — unset parameters inherit the FrameworkConfig defaults (bootstrap
-/// error bound, zero mode, compressor thread cap).
+/// error bound, zero mode).
 class SzActivationCodec : public nn::ActivationCodec, public nn::ErrorBoundedCodec {
  public:
   explicit SzActivationCodec(sz::Config base_config);

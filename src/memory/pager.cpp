@@ -15,6 +15,9 @@ using tensor::Tensor;
 
 namespace {
 
+/// Max in-flight write-behind spills before eviction waits for one.
+constexpr std::size_t kWriteWindow = 4;
+
 /// FNV-1a 64 over a byte span: the spill-payload integrity check. Disk
 /// corruption of a lossy blob would often be caught by the SZ header
 /// guards, but a flipped bit deep in the Huffman payload — or anywhere in
@@ -35,7 +38,6 @@ std::uint64_t fnv1a(const void* data, std::size_t n) {
 ActivationPager::ActivationPager(PagerConfig cfg, std::shared_ptr<nn::ActivationCodec> codec)
     : cfg_(std::move(cfg)), codec_(std::move(codec)) {
   if (cfg_.encode_window == 0) cfg_.encode_window = 1;
-  if (cfg_.write_window == 0) cfg_.write_window = 1;
 }
 
 ActivationPager::~ActivationPager() {
@@ -582,7 +584,7 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
     return;
   }
 
-  // Write-behind: queue victims (up to write_window in flight) and only
+  // Write-behind: queue victims (up to kWriteWindow in flight) and only
   // return once the *actual* resident bytes fit — the budget is a hard cap
   // and not-yet-written blobs still occupy RAM. Victim *selection* runs
   // against the settled projection (resident minus bytes already queued) so
@@ -599,7 +601,7 @@ void ActivationPager::enforce_to(std::size_t target_bytes,
     }
     if (resident() <= target_bytes && pending_spill_count_ == 0) return;
     if (resident() > target_bytes + pending_spill_bytes_ &&
-        pending_spill_count_ < cfg_.write_window) {
+        pending_spill_count_ < kWriteWindow) {
       if (Page* victim = pick_victim()) {
         // The eviction/write counters are charged inside spill_payload_async
         // (and rolled back there if the write fails): the charge must land

@@ -96,14 +96,12 @@ struct PagerConfig {
   /// victim sequence the synchronous path picks, so eviction/spill counters
   /// are identical either way — but enforcement only returns once the
   /// *actual* resident bytes fit the target, so the RAM peak never exceeds
-  /// the budget. The win is up to `write_window` concurrent writes plus the
-  /// evicting thread helping the pool run compute while it waits.
+  /// the budget. The win is up to four concurrent writes (kWriteWindow in
+  /// pager.cpp) plus the evicting thread helping the pool run compute
+  /// while it waits.
   /// Default-on (soaked in tests/test_pager.cpp, including injected write
   /// failures); FrameworkConfig / EBCT_WRITE_BEHIND=0 is the opt-out.
   bool write_behind = true;
-
-  /// Max in-flight write-behind spills before eviction waits for one.
-  std::size_t write_window = 4;
 };
 
 /// Per-pager counters: the one ledger of this pager's bytes and events.

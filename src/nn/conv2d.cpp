@@ -100,7 +100,7 @@ Tensor Conv2d::compute(const Tensor& input) const {
   // tasks next to their GEMMs' tile tasks; the column and output buffers
   // come from the thread-local scratch arena and are reused across calls.
   const tensor::PackedA wpack(weight_.value.data(), cout, k);
-  tensor::parallel_for_tasks(ceil_div(n, g), 0, [&](std::size_t grp) {
+  tensor::parallel_for_tasks(ceil_div(n, g), [&](std::size_t grp) {
     const std::size_t s0 = grp * g, gs = std::min(g, n - s0), w = gs * ohow;
     tensor::ScratchBuffer cols(in_place ? 1 : k * w);
     tensor::ScratchBuffer ybuf(gs > 1 ? cout * w : 1);
@@ -193,7 +193,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const bool in_place = g == 1 && pointwise();
   const tensor::PackedA wtpack(weight_.value.data(), k, cout, /*transposed=*/true);
 
-  tensor::parallel_for_tasks(parts, 0, [&](std::size_t part) {
+  tensor::parallel_for_tasks(parts, [&](std::size_t part) {
     const std::size_t wmax = g * ohow;
     tensor::ScratchBuffer cols(in_place ? 1 : k * wmax);
     tensor::ScratchBuffer cols_grad(in_place ? 1 : k * wmax);

@@ -64,15 +64,14 @@ Tensor Linear::backward(const Tensor& grad_output) {
   // fetched once, not once per column sharing it.
   const std::size_t col_grain = std::max<std::size_t>(
       1, tensor::kParallelWorkGrain / std::max<std::size_t>(n, 1));
-  tensor::sched::parallel_ranges(out_features_, col_grain, 0,
-                                 [&](std::size_t jb, std::size_t je) {
-                                   for (std::size_t s = 0; s < n; ++s) {
-                                     const float* row = grad_output.data() + s * out_features_;
-                                     for (std::size_t j = jb; j < je; ++j) {
-                                       bias_.grad[j] += row[j];
-                                     }
-                                   }
-                                 });
+  tensor::sched::parallel_ranges(out_features_, col_grain, [&](std::size_t jb, std::size_t je) {
+    for (std::size_t s = 0; s < n; ++s) {
+      const float* row = grad_output.data() + s * out_features_;
+      for (std::size_t j = jb; j < je; ++j) {
+        bias_.grad[j] += row[j];
+      }
+    }
+  });
   // dX[N, in] = L[N, out] * W[out, in]
   Tensor grad_input(saved_input_.shape());
   tensor::gemm(grad_output.data(), weight_.value.data(), grad_input.data(), n,

@@ -9,9 +9,7 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "sz/bitstream.hpp"
 #include "sz/huffman.hpp"
-#include "sz/zero_runs.hpp"
 #include "tensor/bytes.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/sched.hpp"
@@ -38,9 +36,9 @@ struct Header {
   std::uint8_t zero_mode = 0;
   std::uint32_t radius = 0;
   std::uint32_t block_size = 0;
-  std::uint64_t num_quantized = 0;  // elements that went through the code path
+  std::uint64_t num_quantized = 0;  // always num_elements
   std::uint64_t table_bytes = 0;
-  std::uint64_t rle_bytes = 0;
+  std::uint64_t rle_bytes = 0;      // always 0: no side stream follows the table
   std::uint64_t num_blocks = 0;
 };
 #pragma pack(pop)
@@ -241,19 +239,7 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   if (!valid_bound(eb))
     throw std::invalid_argument("Compressor: resolved error bound is not finite and > 0");
 
-  // Exact-zero RLE mode: strip zeros into a run-length side stream and
-  // compress only the packed non-zero sequence.
-  std::vector<std::uint8_t> rle_bytes;
-  std::vector<float> packed;
-  std::span<const float> payload = data;
-  if (cfg_.zero_mode == ZeroMode::kExactRle) {
-    BitWriter rle;
-    split_zero_runs(data, rle, packed);
-    rle_bytes = rle.finish();
-    payload = packed;
-  }
-
-  const std::size_t n = payload.size();
+  const std::size_t n = data.size();
   const std::size_t bs = cfg_.block_size;
   const std::size_t num_blocks = (n + bs - 1) / bs;
 
@@ -265,10 +251,10 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   // of waiting for a free OpenMP team, and skewed blocks (outlier-heavy
   // ones encode slower) are absorbed by stealing.
   std::vector<BlockResult> blocks(num_blocks);
-  tensor::parallel_for_tasks(num_blocks, cfg_.num_threads, [&](std::size_t b) {
+  tensor::parallel_for_tasks(num_blocks, [&](std::size_t b) {
     const std::size_t begin = b * bs;
     const std::size_t end = std::min(n, begin + bs);
-    detail::quantize_block_1d(payload.subspan(begin, end - begin), eb, cfg_.radius,
+    detail::quantize_block_1d(data.subspan(begin, end - begin), eb, cfg_.radius,
                               blocks[b].symbols, blocks[b].outliers);
   });
 
@@ -277,17 +263,15 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   // merge in chunk order. Integer counts make the merged histogram (and
   // hence the table and the output bytes) independent of the thread count,
   // and no step touches the whole alphabet.
-  const std::size_t hw = static_cast<std::size_t>(tensor::sched::num_threads());
-  const std::size_t workers =
-      cfg_.num_threads == 0 ? hw : std::min<std::size_t>(cfg_.num_threads, hw);
-  const std::size_t nchunks = std::min(num_blocks, std::max<std::size_t>(workers, 1));
+  const std::size_t workers = static_cast<std::size_t>(tensor::sched::num_threads());
+  const std::size_t nchunks = std::min(num_blocks, workers);
   struct SparseCounts {
     std::vector<std::uint32_t> symbols;
     std::vector<std::uint64_t> counts;
   };
   auto& histograms = HistogramPool::instance();
   std::vector<SparseCounts> chunk_counts(nchunks);
-  tensor::parallel_for_tasks(nchunks, cfg_.num_threads, [&](std::size_t c) {
+  tensor::parallel_for_tasks(nchunks, [&](std::size_t c) {
     const std::size_t lo = c * num_blocks / nchunks;
     const std::size_t hi = (c + 1) * num_blocks / nchunks;
     histograms.count(
@@ -311,7 +295,7 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   const std::vector<std::uint8_t> table = codec.serialize_table();
 
   // Stage 3 — block-parallel entropy coding against the shared table.
-  tensor::parallel_for_tasks(num_blocks, cfg_.num_threads, [&](std::size_t b) {
+  tensor::parallel_for_tasks(num_blocks, [&](std::size_t b) {
     blocks[b].encoded = codec.encode(blocks[b].symbols);
   });
 
@@ -323,7 +307,6 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   h.block_size = cfg_.block_size;
   h.num_quantized = n;
   h.table_bytes = table.size();
-  h.rle_bytes = rle_bytes.size();
   h.num_blocks = num_blocks;
 
   CompressedBuffer out;
@@ -331,7 +314,6 @@ CompressedBuffer Compressor::compress(std::span<const float> data) const {
   out.abs_error_bound = eb;
   append_bytes(out.bytes, &h, sizeof(h));
   append_bytes(out.bytes, table.data(), table.size());
-  append_bytes(out.bytes, rle_bytes.data(), rle_bytes.size());
   // Block-offset index: one (symbols, encoded bytes, outliers) triplet per
   // block. Prefix sums over it give each block's payload offsets, which is
   // what lets decompression fan the blocks back out across threads.
@@ -359,20 +341,16 @@ void Compressor::decompress(std::span<const std::uint8_t> bytes, std::span<float
   if (h.table_bytes > remaining)
     throw std::runtime_error("Compressor::decompress: corrupt header (table)");
   remaining -= static_cast<std::size_t>(h.table_bytes);
-  if (h.rle_bytes > remaining)
-    throw std::runtime_error("Compressor::decompress: corrupt header (rle)");
-  remaining -= static_cast<std::size_t>(h.rle_bytes);
+  if (h.rle_bytes != 0) throw std::runtime_error("Compressor::decompress: corrupt header (rle)");
   constexpr std::size_t kIndexEntry = 3 * sizeof(std::uint64_t);
   if (h.num_blocks > remaining / kIndexEntry)
     throw std::runtime_error("Compressor::decompress: corrupt header (blocks)");
   remaining -= static_cast<std::size_t>(h.num_blocks) * kIndexEntry;
-  if (h.predictor != kPredictor || h.zero_mode > static_cast<std::uint8_t>(ZeroMode::kExactRle))
+  if (h.predictor != kPredictor || h.zero_mode > static_cast<std::uint8_t>(ZeroMode::kRezero))
     throw std::runtime_error("Compressor::decompress: corrupt header (mode)");
-  // num_quantized sizes the payload buffer and, for the non-RLE modes, is
-  // copied verbatim into `out` — forging it must not move the write bounds.
-  if (static_cast<ZeroMode>(h.zero_mode) == ZeroMode::kExactRle
-          ? h.num_quantized > h.num_elements
-          : h.num_quantized != h.num_elements)
+  // The block index is checked against num_quantized, and blocks decode
+  // straight into `out`: forging it must not move the write bounds.
+  if (h.num_quantized != h.num_elements)
     throw std::runtime_error("Compressor::decompress: corrupt header (count)");
   if (h.radius < 2 || h.radius > kMaxRadius)
     throw std::runtime_error("Compressor::decompress: corrupt header (radius)");
@@ -385,8 +363,6 @@ void Compressor::decompress(std::span<const std::uint8_t> bytes, std::span<float
   codec.deserialize_table({p, static_cast<std::size_t>(h.table_bytes)},
                           2 * std::size_t{h.radius});
   p += h.table_bytes;
-  std::span<const std::uint8_t> rle{p, static_cast<std::size_t>(h.rle_bytes)};
-  p += h.rle_bytes;
 
   struct BlockMeta {
     std::uint64_t symbol_count, encoded_bytes, outlier_count;
@@ -419,13 +395,8 @@ void Compressor::decompress(std::span<const std::uint8_t> bytes, std::span<float
   const std::uint8_t* enc_base = p;
   const std::uint8_t* outlier_base = p + enc_off;
 
-  // The non-RLE modes reconstruct straight into `out`; RLE reconstructs the
-  // packed non-zero sequence, then expands it.
-  const auto zero_mode = static_cast<ZeroMode>(h.zero_mode);
-  std::vector<float> packed;
-  if (zero_mode == ZeroMode::kExactRle) packed.resize(h.num_quantized);
-  float* const payload = zero_mode == ZeroMode::kExactRle ? packed.data() : out.data();
-  tensor::parallel_for_tasks(metas.size(), cfg_.num_threads, [&](std::size_t b) {
+  const bool rezero = static_cast<ZeroMode>(h.zero_mode) == ZeroMode::kRezero;
+  tensor::parallel_for_tasks(metas.size(), [&](std::size_t b) {
     const BlockMeta& m = metas[b];
     const auto symbols = codec.decode(
         {enc_base + m.encoded_off, static_cast<std::size_t>(m.encoded_bytes)},
@@ -434,12 +405,8 @@ void Compressor::decompress(std::span<const std::uint8_t> bytes, std::span<float
         symbols,
         {outlier_base + m.outlier_off * sizeof(float),
          static_cast<std::size_t>(m.outlier_count) * sizeof(float)},
-        h.abs_eb, h.radius, zero_mode == ZeroMode::kRezero,
-        {payload + m.out_off, symbols.size()});
+        h.abs_eb, h.radius, rezero, {out.data() + m.out_off, symbols.size()});
   });
-
-  if (zero_mode == ZeroMode::kExactRle)
-    join_zero_runs(rle, packed, out, "Compressor::decompress");
 }
 
 std::vector<float> Compressor::decompress(const CompressedBuffer& buf) const {

@@ -24,13 +24,20 @@
 ///                   reconstructed value with |x| < eb. Every non-zero grid
 ///                   value lies beyond eb, so only escaped values can be
 ///                   re-zeroed, and those are under eb: the strict eb bound
-///                   holds,
-///  - kExactRle    : our extension — exact zeros are run-length encoded in a
-///                   side stream (zero_runs.hpp) and restored verbatim.
+///                   holds.
+/// Both modes restore every exact zero; the header's zero-mode byte is 0 or
+/// 1, its side-stream length 0 and its quantized count the element count,
+/// and a stream declaring anything else is rejected.
 ///
 /// The grid arithmetic is compiled without FMA contraction, so the bytes
 /// are identical at every SIMD level: spill files, EBCS containers and
 /// serve responses share this format.
+///
+/// Blocks compress and decompress as tasks in the shared work-stealing
+/// pool (tensor/sched.hpp). The bytes are identical at every pool size:
+/// blocks are laid out in index order and the Huffman table is built from
+/// per-chunk histograms merged in order. A one-thread pool
+/// (EBCT_SCHED_THREADS=1) is the serial reference.
 ///
 /// Cost: each compress/decompress call does work proportional to its
 /// elements plus the k distinct quantization codes it entropy-codes (a few
@@ -52,7 +59,6 @@ inline constexpr std::uint32_t kMaxRadius = 32768;
 enum class ZeroMode : std::uint8_t {
   kNone = 0,
   kRezero = 1,
-  kExactRle = 2,
 };
 
 enum class BoundMode : std::uint8_t {
@@ -66,16 +72,6 @@ struct Config {
   ZeroMode zero_mode = ZeroMode::kRezero;
   std::uint32_t radius = 32768;      ///< codes in (-radius, radius); 2 <= radius <= kMaxRadius
   std::uint32_t block_size = 65536;  ///< independent prediction blocks (parallelism)
-
-  /// Concurrency cap for the block-parallel compress/decompress paths,
-  /// which run as tasks in the shared work-stealing scheduler (see
-  /// tensor/sched.hpp): 0 = the whole pool, 1 = serial, N = at most N
-  /// pool threads pulling blocks dynamically. The compressed bytes are
-  /// identical for every setting and every pool size — blocks are laid
-  /// out in index order and the Huffman table is built from
-  /// deterministically merged per-chunk histograms — so this is purely a
-  /// throughput knob.
-  std::uint32_t num_threads = 0;
 };
 
 /// Opaque compressed representation. `bytes` is self-describing; the

@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file zero_runs.hpp
-/// The exact-zero side stream of SZ's kExactRle mode and of the lossless
-/// codec. A span of floats becomes (a) varint run lengths that alternate
+/// The exact-zero side stream of the lossless codec. A span of floats becomes (a) varint run lengths that alternate
 /// zero run, non-zero run, starting with a zero run that may be empty and
 /// always ending on a non-zero run (0 after a final zero run), and (b) the
 /// non-zero values packed in order. -0.0 counts as a zero.

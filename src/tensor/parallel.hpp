@@ -56,7 +56,7 @@ void parallel_for(std::size_t n, std::size_t work_per_iter, Fn&& fn) {
   }
   if (work_per_iter == 0) work_per_iter = 1;
   const std::size_t grain = kParallelWorkGrain / work_per_iter;
-  sched::parallel_indices(n, grain, 0, fn);
+  sched::parallel_indices(n, grain, fn);
 }
 
 /// Run `fn(i)` for i in [0, n) assuming unit-cost iterations (elementwise
@@ -70,22 +70,19 @@ void parallel_for(std::size_t n, Fn&& fn) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  sched::parallel_indices(n, kParallelGrain, 0, fn);
+  sched::parallel_indices(n, kParallelGrain, fn);
 }
 
 /// Run `fn(i)` for i in [0, n) with NO grain threshold — for coarse tasks
 /// (per-block codec work, per-sample conv batches) where every iteration is
 /// already substantial and the caller wants parallelism even at small trip
-/// counts. `num_threads` caps the worker count: 0 = the whole pool, 1 =
-/// force serial, N = at most N pool threads pulling indices dynamically
-/// (scheduler worker slots). Index distribution stays dynamic at
-/// granularity 1 in every mode, which is what absorbs skewed iteration
-/// costs (outlier-heavy codec blocks encode slower). The iteration order a
-/// thread observes is unspecified, so `fn` must write only to per-index
-/// state.
+/// counts. Every index is its own stealable task, which is what absorbs
+/// skewed iteration costs (outlier-heavy codec blocks encode slower); a
+/// one-thread pool runs the same loop inline. The iteration order a thread
+/// observes is unspecified, so `fn` must write only to per-index state.
 template <typename Fn>
-void parallel_for_tasks(std::size_t n, unsigned num_threads, Fn&& fn) {
-  sched::parallel_indices(n, 1, num_threads, fn);
+void parallel_for_tasks(std::size_t n, Fn&& fn) {
+  sched::parallel_indices(n, 1, fn);
 }
 
 /// Fixed-partition reduction over [0, n): the range is cut into
@@ -105,7 +102,7 @@ T parallel_reduce(std::size_t n, T identity, ChunkFn&& chunk, MergeFn&& merge) {
   }
   const std::size_t nchunks = (n + kParallelGrain - 1) / kParallelGrain;
   std::vector<T> partial(nchunks, identity);
-  sched::parallel_ranges(nchunks, 1, 0, [&](std::size_t cb, std::size_t ce) {
+  sched::parallel_ranges(nchunks, 1, [&](std::size_t cb, std::size_t ce) {
     for (std::size_t c = cb; c < ce; ++c) {
       const std::size_t lo = c * kParallelGrain;
       chunk(lo, lo + kParallelGrain < n ? lo + kParallelGrain : n, partial[c]);

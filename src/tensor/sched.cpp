@@ -32,33 +32,10 @@ struct TaskSet {
   void* ctx;
   std::atomic<std::size_t> remaining;
   std::size_t grain;
-  bool splittable;  ///< false for capped (max_workers) worker-slot sets
+  bool splittable;  ///< false for an async() single-task set
 };
 
 namespace {
-
-/// Capped submission (max_workers = k > 1): the set's tasks are min(k, n)
-/// *worker slots*, not index ranges — each slot pulls indices one at a time
-/// from the shared counter until the range drains. At most k threads can
-/// hold a slot (the cap), while index distribution stays dynamic at
-/// granularity 1, matching the old OpenMP schedule(dynamic,1)
-/// num_threads(k) behaviour for skewed iteration costs. Which thread runs
-/// which index floats; callers observe only per-index writes, so outputs
-/// stay deterministic.
-struct CappedLoop {
-  void (*body)(void*, std::size_t, std::size_t);
-  void* ctx;
-  std::atomic<std::size_t> next;
-  std::size_t n;
-};
-
-void run_capped_slot(void* c, std::size_t, std::size_t) {
-  auto* loop = static_cast<CappedLoop*>(c);
-  std::size_t i;
-  while ((i = loop->next.fetch_add(1, std::memory_order_relaxed)) < loop->n) {
-    loop->body(loop->ctx, i, i + 1);
-  }
-}
 
 struct Task {
   TaskSet* set;
@@ -366,18 +343,16 @@ class Scheduler {
     start_workers(n);
   }
 
-  void run(std::size_t n, std::size_t grain, unsigned max_workers,
+  void run(std::size_t n, std::size_t grain,
            void (*body)(void*, std::size_t, std::size_t), void* ctx) {
     if (n == 0) return;
     if (grain == 0) grain = 1;
-    // A single task's worth of work never forks: n == 1, an uncapped range
-    // that fits in one grain, or an explicit serial cap.
-    const bool one_task = max_workers == 0 ? n <= grain : (n == 1 || max_workers == 1);
+    // A range that fits in one grain never forks.
     Slot* slot = nullptr;
-    if (!one_task && threads() > 1) slot = this_thread_slot();
+    if (n > grain && threads() > 1) slot = this_thread_slot();
     if (slot == nullptr) {
-      // Serial: one thread configured, caller capped the set to one worker,
-      // or no free submitter slot (extreme external-thread pressure).
+      // Serial: one thread configured, one grain of work, or no free
+      // submitter slot (extreme external-thread pressure).
       body(ctx, 0, n);
       return;
     }
@@ -385,29 +360,8 @@ class Scheduler {
     // Once a set is published, every body invocation must be no-throw (see
     // execute()): an unwind past the stack-resident set while workers hold
     // its address would be use-after-scope.
-    CappedLoop capped{body, ctx, {0}, n};
     TaskSet set{body, ctx, {n}, grain, /*splittable=*/true};
-    if (max_workers > 1) {
-      // See CappedLoop: min(max_workers, n) pull-loop slots bound the
-      // concurrency while keeping index distribution dynamic.
-      const std::size_t parts = std::min<std::size_t>(max_workers, n);
-      set.body = run_capped_slot;
-      set.ctx = &capped;
-      set.remaining.store(parts, std::memory_order_relaxed);
-      set.splittable = false;
-      const auto run_slot = [&]() noexcept {
-        run_capped_slot(&capped, 0, 0);
-        set.remaining.fetch_sub(1, std::memory_order_release);
-      };
-      for (std::size_t p = 1; p < parts; ++p) {
-        if (deque_push(*slot, {&set, p, p + 1})) {
-          notify_workers();
-        } else {
-          run_slot();
-        }
-      }
-      run_slot();
-    } else if (deque_push(*slot, {&set, 0, n})) {
+    if (deque_push(*slot, {&set, 0, n})) {
       // Publish the whole range; the join loop below pops it straight back
       // and execute() fans it out (help-first), racing the woken workers.
       notify_workers();
@@ -658,9 +612,9 @@ StealStats drain_steal_stats() {
 }
 
 namespace detail {
-void run_range(std::size_t n, std::size_t grain, unsigned max_workers,
+void run_range(std::size_t n, std::size_t grain,
                void (*body)(void*, std::size_t, std::size_t), void* ctx) {
-  Scheduler::instance().run(n, grain, max_workers, body, ctx);
+  Scheduler::instance().run(n, grain, body, ctx);
 }
 }  // namespace detail
 

@@ -19,8 +19,8 @@
 ///    task forking its sample's GEMM tile grid — are executed cooperatively
 ///    on whichever thread gets there first.
 ///  - Determinism contract: the scheduler fixes *what* runs (a partition of
-///    [0, n) that is a pure function of n, grain and max_workers — never of
-///    the thread count) but not *where or when*. Callers that write results
+///    [0, n) that is a pure function of n and grain — never of the thread
+///    count) but not *where or when*. Callers that write results
 ///    only to per-index locations, or reduce through fixed partitions merged
 ///    in index order, produce byte-identical output at every thread count.
 ///    Every hot path in this library follows that discipline.
@@ -29,8 +29,9 @@
 /// workers. It defaults to the hardware thread count, can be pinned with
 /// the EBCT_SCHED_THREADS environment variable (read once, at first use),
 /// and can be reconfigured at runtime with set_num_threads() while no
-/// parallel work is in flight. Per-call caps (sz::Config::num_threads)
-/// arrive through the `max_workers` argument.
+/// parallel work is in flight. There is no per-call cap: a serial run is
+/// a one-thread pool (EBCT_SCHED_THREADS=1 or set_num_threads(1)), which
+/// executes the same bodies inline.
 
 #include <array>
 #include <cstddef>
@@ -47,8 +48,7 @@ int num_threads();
 /// Resize the pool to `n` total threads (clamped to [1, 112], the slot
 /// table's worker bound). Blocks until the old workers have drained and
 /// exited. Must only be called while no parallel region is executing;
-/// intended for tests, benchmarks and process-level configuration, not
-/// per-call throttling (use `max_workers` for that).
+/// intended for tests, benchmarks and process-level configuration.
 void set_num_threads(int n);
 
 namespace detail {
@@ -142,35 +142,29 @@ StealStats drain_steal_stats();
 namespace detail {
 /// Type-erased core. Executes body(ctx, begin, end) over disjoint
 /// subranges that exactly cover [0, n), blocking until all have run.
-///  - grain: minimum indices per task (0 behaves as 1); ranges above it are
-///    split so thieves can share the work.
-///  - max_workers: 0 = no cap; 1 = run serially inline; k > 1 = submit
-///    min(k, n) worker-slot tasks that pull indices one at a time from a
-///    shared counter, so at most k threads ever touch the set while load
-///    balance stays index-granular (which index runs where floats, but
-///    callers observe only per-index writes — determinism holds).
-void run_range(std::size_t n, std::size_t grain, unsigned max_workers,
+/// grain is the minimum indices per task (0 behaves as 1); ranges above it
+/// are split so thieves can share the work.
+void run_range(std::size_t n, std::size_t grain,
                void (*body)(void*, std::size_t, std::size_t), void* ctx);
 }  // namespace detail
 
 /// Run fn(begin, end) over disjoint chunks covering [0, n). See
-/// detail::run_range for grain / max_workers semantics. `fn` must tolerate
-/// concurrent invocation on distinct ranges and write only range-owned
-/// state.
+/// detail::run_range for grain semantics. `fn` must tolerate concurrent
+/// invocation on distinct ranges and write only range-owned state.
 template <typename Fn>
-void parallel_ranges(std::size_t n, std::size_t grain, unsigned max_workers, Fn&& fn) {
+void parallel_ranges(std::size_t n, std::size_t grain, Fn&& fn) {
   using Body = std::remove_reference_t<Fn>;
   Body& body = fn;
   detail::run_range(
-      n, grain, max_workers,
+      n, grain,
       [](void* ctx, std::size_t b, std::size_t e) { (*static_cast<Body*>(ctx))(b, e); },
       const_cast<void*>(static_cast<const void*>(std::addressof(body))));
 }
 
 /// Run fn(i) for every i in [0, n); chunking is an internal detail.
 template <typename Fn>
-void parallel_indices(std::size_t n, std::size_t grain, unsigned max_workers, Fn&& fn) {
-  parallel_ranges(n, grain, max_workers, [&fn](std::size_t b, std::size_t e) {
+void parallel_indices(std::size_t n, std::size_t grain, Fn&& fn) {
+  parallel_ranges(n, grain, [&fn](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) fn(i);
   });
 }

@@ -106,13 +106,11 @@ TEST(CodecRegistry, UserRegisteredCodecIsCreatable) {
 // --- Parameter parsing -------------------------------------------------------------
 
 TEST(CodecParams, ParsesTypedValuesAndFlagsUnknownKeys) {
-  const auto sz =
-      CodecRegistry::instance().create("sz:eb=0.01,threads=2,zero=rle,mode=rel");
+  const auto sz = CodecRegistry::instance().create("sz:eb=0.01,zero=none,mode=rel");
   EXPECT_EQ(sz->name(), "sz-error-bounded");
   const auto& cfg = dynamic_cast<core::SzActivationCodec&>(*sz).base_config();
   EXPECT_DOUBLE_EQ(cfg.error_bound, 0.01);
-  EXPECT_EQ(cfg.num_threads, 2u);
-  EXPECT_EQ(cfg.zero_mode, sz::ZeroMode::kExactRle);
+  EXPECT_EQ(cfg.zero_mode, sz::ZeroMode::kNone);
   EXPECT_EQ(cfg.bound_mode, sz::BoundMode::kRelative);
 }
 
@@ -125,7 +123,7 @@ TEST(CodecParams, MalformedSpecsThrow) {
   EXPECT_THROW(reg.create("sz:eb=inf"), std::invalid_argument);      // not finite
   EXPECT_THROW(reg.create("sz:eb=nan"), std::invalid_argument);      // not finite
   EXPECT_THROW(reg.create("sz:eb=1e-3x"), std::invalid_argument);    // trailing junk
-  EXPECT_THROW(reg.create("sz:threads=-1"), std::invalid_argument);  // negative uint
+  EXPECT_THROW(reg.create("jpeg-act:quality=-1"), std::invalid_argument);  // negative uint
   EXPECT_THROW(reg.create("sz:frobnicate=1"), std::invalid_argument);  // unknown key
   EXPECT_THROW(reg.create("sz:zero=sometimes"), std::invalid_argument);
   EXPECT_THROW(reg.create("sz:mode=both"), std::invalid_argument);
@@ -138,34 +136,29 @@ TEST(CodecParams, MalformedSpecsThrow) {
 
 TEST(CodecParams, FrameworkDefaultsSeedTheSzFactory) {
   // "sz" with no parameters must reproduce exactly what the session
-  // hard-wired before the registry: bootstrap bound, zero mode, threads.
+  // hard-wired before the registry: bootstrap bound and zero mode.
   core::FrameworkConfig fw;
   fw.bootstrap_error_bound = 5e-4;
-  fw.zero_mode = sz::ZeroMode::kExactRle;
-  fw.compressor_threads = 3;
+  fw.zero_mode = sz::ZeroMode::kNone;
   const auto codec = CodecRegistry::instance().create("sz", fw);
   const auto& cfg = dynamic_cast<core::SzActivationCodec&>(*codec).base_config();
   EXPECT_DOUBLE_EQ(cfg.error_bound, 5e-4);
-  EXPECT_EQ(cfg.zero_mode, sz::ZeroMode::kExactRle);
-  EXPECT_EQ(cfg.num_threads, 3u);
+  EXPECT_EQ(cfg.zero_mode, sz::ZeroMode::kNone);
   // An explicit parameter beats the framework default.
   const auto codec2 = CodecRegistry::instance().create("sz:eb=1e-2", fw);
   EXPECT_DOUBLE_EQ(
       dynamic_cast<core::SzActivationCodec&>(*codec2).base_config().error_bound, 1e-2);
 }
 
-TEST(CodecParams, SzBlockParam) {
-  // block= sets the parallel block size in the compressor Config the codec
-  // was built around.
-  const auto c1 = CodecRegistry::instance().create("sz:block=4096");
-  EXPECT_EQ(dynamic_cast<core::SzActivationCodec&>(*c1).base_config().block_size, 4096u);
-
-  // Strict errors: a zero block size throws instead of silently configuring
-  // something else, and there is no predictor= key (1-D Lorenzo is the only
-  // predictor), so naming one throws as an unknown parameter.
-  EXPECT_THROW(CodecRegistry::instance().create("sz:block=0"), std::invalid_argument);
-  EXPECT_THROW(CodecRegistry::instance().create("sz:predictor=lorenzo1d"),
-               std::invalid_argument);
+TEST(CodecParams, RetiredSzKeysAndValuesThrow) {
+  // The spec grammar has no worker cap, no block size, no run-length zero
+  // mode and no predictor choice: naming any of them throws instead of
+  // being ignored, so an old spec cannot silently select something else.
+  auto& reg = CodecRegistry::instance();
+  EXPECT_THROW(reg.create("sz:zero=rle"), std::invalid_argument);
+  EXPECT_THROW(reg.create("sz:threads=2"), std::invalid_argument);
+  EXPECT_THROW(reg.create("sz:block=4096"), std::invalid_argument);
+  EXPECT_THROW(reg.create("sz:predictor=lorenzo1d"), std::invalid_argument);
 }
 
 // --- "none" identity codec ---------------------------------------------------------

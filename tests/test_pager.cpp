@@ -258,7 +258,6 @@ TEST(PagerTest, WriteBehindSoakRecoversFromInjectedWriteFaults) {
   cfg.budget_bytes = 2 * kPage;  // evicts on nearly every put
   cfg.prefetch_depth = 0;
   cfg.write_behind = true;
-  cfg.write_window = 4;
 
   constexpr int kIterations = 50;
   constexpr int kPages = 8;

@@ -37,7 +37,7 @@ struct CompressorCase {
   double sparsity;
   float scale;
   std::size_t n;
-  std::uint32_t num_threads = 0;
+  int pool = 0;  ///< pool size for the case; 0 keeps the machine's
 };
 
 class CompressorContract : public ::testing::TestWithParam<CompressorCase> {};
@@ -52,15 +52,15 @@ TEST_P(CompressorContract, BoundHoldsAndRoundtrips) {
   cfg.zero_mode = c.zero_mode;
   cfg.radius = c.radius;
   cfg.block_size = c.block_size;
-  cfg.num_threads = c.num_threads;
+  const testutil::ScopedPoolSize pool(c.pool > 0 ? c.pool : tensor::sched::num_threads());
   sz::Compressor comp(cfg);
   const auto buf = comp.compress({data.data(), c.n});
   EXPECT_EQ(buf.num_elements, c.n);
   const auto recon = comp.decompress(buf);
   ASSERT_EQ(recon.size(), c.n);
-  // kRezero admits up to 2eb on re-zeroed elements; others are strict.
-  const double bound = c.zero_mode == sz::ZeroMode::kRezero ? 2.0 * c.eb : c.eb;
-  EXPECT_TRUE(sz::within_bound({data.data(), c.n}, {recon.data(), c.n}, bound))
+  // Every mode meets the strict bound: the re-zero filter only reaches
+  // escaped values, which lie under eb.
+  EXPECT_TRUE(sz::within_bound({data.data(), c.n}, {recon.data(), c.n}, c.eb, 0.0))
       << "max err " << sz::max_abs_error({data.data(), c.n}, {recon.data(), c.n});
   if (c.zero_mode != sz::ZeroMode::kNone) {
     for (std::size_t i = 0; i < c.n; ++i) {
@@ -76,24 +76,20 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         CompressorCase{1e-2, sz::ZeroMode::kNone, 32768, 65536, 0.5, 1.0f, 40000},
         CompressorCase{1e-3, sz::ZeroMode::kRezero, 32768, 65536, 0.5, 1.0f, 40000},
-        CompressorCase{1e-4, sz::ZeroMode::kExactRle, 32768, 65536, 0.7, 1.0f, 40000},
         CompressorCase{1e-3, sz::ZeroMode::kRezero, 256, 65536, 0.5, 1.0f, 40000},
-        CompressorCase{1e-3, sz::ZeroMode::kExactRle, 16, 1024, 0.3, 1.0f, 20000},
         CompressorCase{1e-5, sz::ZeroMode::kNone, 32768, 512, 0.0, 0.01f, 20000},
         CompressorCase{1e-1, sz::ZeroMode::kRezero, 32768, 65536, 0.9, 10.0f, 20000},
-        CompressorCase{1e-3, sz::ZeroMode::kExactRle, 32768, 65536, 1.0, 1.0f, 5000},
         CompressorCase{1e-3, sz::ZeroMode::kNone, 32768, 65536, 0.5, 1e4f, 20000},
         CompressorCase{1e-6, sz::ZeroMode::kRezero, 32768, 65536, 0.5, 1.0f, 10000},
         CompressorCase{1e-3, sz::ZeroMode::kNone, 32768, 65536, 0.5, 1.0f, 1},
-        CompressorCase{1e-3, sz::ZeroMode::kExactRle, 32768, 65536, 0.5, 1.0f, 2},
         // Same contract through the block-parallel path at fixed and
-        // oversubscribed thread counts.
+        // oversubscribed pool sizes.
         CompressorCase{1e-3, sz::ZeroMode::kRezero, 32768, 4096, 0.5, 1.0f, 120000, 2},
-        CompressorCase{1e-4, sz::ZeroMode::kExactRle, 32768, 4096, 0.7, 1.0f, 120000, 8},
+        CompressorCase{1e-4, sz::ZeroMode::kRezero, 32768, 4096, 0.7, 1.0f, 120000, 8},
         CompressorCase{1e-3, sz::ZeroMode::kNone, 256, 1024, 0.3, 10.0f, 60000, 4}));
 
-// Randomized shapes/bounds/thread-counts: the error-bound contract must hold
-// and the bytes must match the serial reference for every drawn config.
+// Randomized shapes/bounds: the error-bound contract must hold and the bytes
+// at pool sizes 2 and 8 must match the one-thread pool for every drawn config.
 TEST(CompressorRandomized, ContractAndDeterminismUnderRandomConfigs) {
   Rng rng(7777);
   for (int trial = 0; trial < 25; ++trial) {
@@ -102,8 +98,7 @@ TEST(CompressorRandomized, ContractAndDeterminismUnderRandomConfigs) {
     const double sparsity = rng.uniform();
     const float scale = static_cast<float>(std::pow(10.0, 2.0 * rng.uniform() - 1.0));
     const std::uint32_t block_size = static_cast<std::uint32_t>(64 + rng.uniform_index(32768));
-    const auto zero_mode = static_cast<sz::ZeroMode>(rng.uniform_index(3));
-    const std::uint32_t threads = static_cast<std::uint32_t>(1 + rng.uniform_index(8));
+    const auto zero_mode = static_cast<sz::ZeroMode>(rng.uniform_index(2));
 
     std::vector<float> data(n);
     rng.fill_relu_like({data.data(), n}, sparsity, scale);
@@ -111,22 +106,24 @@ TEST(CompressorRandomized, ContractAndDeterminismUnderRandomConfigs) {
     cfg.error_bound = eb;
     cfg.zero_mode = zero_mode;
     cfg.block_size = block_size;
-    cfg.num_threads = threads;
-    sz::Compressor comp(cfg);
-    const auto buf = comp.compress({data.data(), n});
-    const auto recon = comp.decompress(buf);
-    ASSERT_EQ(recon.size(), n);
-    const double bound = zero_mode == sz::ZeroMode::kRezero ? 2.0 * eb : eb;
-    ASSERT_TRUE(sz::within_bound({data.data(), n}, {recon.data(), n}, bound * (1 + 1e-9)))
-        << "trial " << trial << " n=" << n << " eb=" << eb
-        << " threads=" << threads << " max err "
-        << sz::max_abs_error({data.data(), n}, {recon.data(), n});
-
-    sz::Config serial_cfg = cfg;
-    serial_cfg.num_threads = 1;
-    const auto serial_buf = sz::Compressor(serial_cfg).compress({data.data(), n});
-    ASSERT_EQ(buf.bytes, serial_buf.bytes)
-        << "trial " << trial << ": parallel bytes diverge from serial reference";
+    const sz::Compressor comp(cfg);
+    sz::CompressedBuffer serial_buf;
+    {
+      const testutil::ScopedPoolSize serial(1);
+      serial_buf = comp.compress({data.data(), n});
+    }
+    for (const int pool_size : {2, 8}) {
+      const testutil::ScopedPoolSize pool(pool_size);
+      const auto buf = comp.compress({data.data(), n});
+      const auto recon = comp.decompress(buf);
+      ASSERT_EQ(recon.size(), n);
+      ASSERT_TRUE(sz::within_bound({data.data(), n}, {recon.data(), n}, eb, 0.0))
+          << "trial " << trial << " n=" << n << " eb=" << eb << " pool=" << pool_size
+          << " max err " << sz::max_abs_error({data.data(), n}, {recon.data(), n});
+      ASSERT_EQ(buf.bytes, serial_buf.bytes)
+          << "trial " << trial << ": pool " << pool_size
+          << " bytes diverge from the one-thread pool";
+    }
   }
 }
 

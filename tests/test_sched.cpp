@@ -1,7 +1,7 @@
 // Unit tests for the shared work-stealing scheduler (tensor/sched.hpp):
 // coverage of every index under steal-heavy fork/join stress, nested
 // batch x tile submission (the pattern the pool exists to serve), external
-// submitter threads, per-call worker caps, and the determinism contract —
+// submitter threads, and the determinism contract —
 // byte-identical GEMM / conv / codec outputs at pool sizes 1 / 2 / N.
 
 #include <gtest/gtest.h>
@@ -40,7 +40,7 @@ TEST_F(SchedStress, EveryIndexRunsExactlyOnceUnderStealHeavyLoad) {
     constexpr std::size_t kN = 20000;
     std::vector<std::atomic<int>> hits(kN);
     for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-    sched::parallel_indices(kN, 1, 0, [&](std::size_t i) {
+    sched::parallel_indices(kN, 1, [&](std::size_t i) {
       // Skewed cost: a few heavy indices make static schedules lopsided,
       // which is exactly what stealing must absorb.
       if (i % 1024 == 0) {
@@ -62,7 +62,7 @@ TEST_F(SchedStress, RepeatedForkJoinDoesNotWedge) {
   sched::set_num_threads(4);
   std::atomic<std::size_t> total{0};
   for (int round = 0; round < 300; ++round) {
-    sched::parallel_indices(17, 1, 0,
+    sched::parallel_indices(17, 1,
                             [&](std::size_t) { total.fetch_add(1, std::memory_order_relaxed); });
   }
   EXPECT_EQ(total.load(), 300u * 17u);
@@ -77,8 +77,8 @@ TEST_F(SchedStress, NestedBatchTileSubmissionCoversTheGrid) {
     sched::set_num_threads(threads);
     constexpr std::size_t kBatch = 12, kTiles = 64;
     std::vector<int> grid(kBatch * kTiles, -1);
-    parallel_for_tasks(kBatch, 0, [&](std::size_t b) {
-      sched::parallel_indices(kTiles, 1, 0, [&](std::size_t t) {
+    parallel_for_tasks(kBatch, [&](std::size_t b) {
+      sched::parallel_indices(kTiles, 1, [&](std::size_t t) {
         grid[b * kTiles + t] = static_cast<int>(b * kTiles + t);
       });
     });
@@ -95,9 +95,9 @@ TEST_F(SchedStress, DeeplyNestedSubmissionStillCompletes) {
   constexpr std::size_t kA = 4, kB = 4, kC = 32;
   std::vector<std::atomic<int>> hits(kA * kB * kC);
   for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-  sched::parallel_indices(kA, 1, 0, [&](std::size_t a) {
-    sched::parallel_indices(kB, 1, 0, [&](std::size_t b) {
-      sched::parallel_indices(kC, 1, 0, [&](std::size_t c) {
+  sched::parallel_indices(kA, 1, [&](std::size_t a) {
+    sched::parallel_indices(kB, 1, [&](std::size_t b) {
+      sched::parallel_indices(kC, 1, [&](std::size_t c) {
         hits[(a * kB + b) * kC + c].fetch_add(1, std::memory_order_relaxed);
       });
     });
@@ -117,7 +117,7 @@ TEST_F(SchedStress, ExternalThreadsCanSubmitConcurrently) {
     hits_b[i].store(0);
   }
   auto submit = [](std::vector<std::atomic<int>>& hits) {
-    sched::parallel_indices(hits.size(), 1, 0, [&](std::size_t i) {
+    sched::parallel_indices(hits.size(), 1, [&](std::size_t i) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
   };
@@ -190,7 +190,7 @@ TEST_F(SchedStress, StealStatsRecordUnderContention) {
   // steals before the submitter drains the range alone.
   std::atomic<std::size_t> sink{0};
   for (int round = 0; round < 20; ++round) {
-    sched::parallel_indices(2000, 1, 0, [&](std::size_t i) {
+    sched::parallel_indices(2000, 1, [&](std::size_t i) {
       std::size_t acc = i;
       for (int k = 0; k < 2000; ++k) acc = acc * 1664525u + 1013904223u;
       sink.fetch_add(acc, std::memory_order_relaxed);
@@ -205,37 +205,6 @@ TEST_F(SchedStress, StealStatsRecordUnderContention) {
     EXPECT_GT(s.percentile_ns(0.5), 0.0);
     EXPECT_LE(s.percentile_ns(0.5), s.percentile_ns(0.99));
   }
-}
-
-TEST_F(SchedThreads, MaxWorkersOneRunsInlineOnTheCallingThread) {
-  sched::set_num_threads(4);
-  const std::thread::id self = std::this_thread::get_id();
-  bool all_inline = true;
-  sched::parallel_indices(64, 1, 1, [&](std::size_t) {
-    if (std::this_thread::get_id() != self) all_inline = false;
-  });
-  EXPECT_TRUE(all_inline);
-}
-
-TEST_F(SchedThreads, MaxWorkersCapsThePartition) {
-  // A cap of k submits min(k, n) worker-slot pull loops, so at most k
-  // threads ever work the set; indices still distribute dynamically.
-  sched::set_num_threads(4);
-  constexpr std::size_t kN = 1000;
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  std::vector<std::atomic<int>> hits(kN);
-  for (auto& h : hits) h.store(0);
-  sched::parallel_ranges(kN, 1, 2, [&](std::size_t b, std::size_t e) {
-    const int now = concurrent.fetch_add(1, std::memory_order_acq_rel) + 1;
-    int prev = peak.load(std::memory_order_relaxed);
-    while (now > prev && !peak.compare_exchange_weak(prev, now)) {
-    }
-    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1, std::memory_order_relaxed);
-    concurrent.fetch_sub(1, std::memory_order_acq_rel);
-  });
-  EXPECT_LE(peak.load(), 2);
-  for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
 TEST_F(SchedThreads, SetNumThreadsClampsAndReports) {

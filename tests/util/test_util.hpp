@@ -2,7 +2,7 @@
 
 /// \file test_util.hpp
 /// Shared helpers for the test suite: numerical gradient checking (central
-/// differences) for layers, and random tensor factories.
+/// differences) for layers, random tensor factories and a scoped pool size.
 
 #include <algorithm>
 #include <cmath>
@@ -11,6 +11,7 @@
 
 #include "nn/layer.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/sched.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ebct::testutil {
@@ -134,5 +135,18 @@ inline tensor::Tensor relu_like_tensor(tensor::Shape shape, std::uint64_t seed,
   rng.fill_relu_like(t.span(), sparsity, scale);
   return t;
 }
+
+/// Resizes the shared pool for one scope, then restores the previous size.
+/// A pool of 1 is the serial reference every parallel path must match.
+class ScopedPoolSize {
+ public:
+  explicit ScopedPoolSize(int n) { tensor::sched::set_num_threads(n); }
+  ~ScopedPoolSize() { tensor::sched::set_num_threads(prev_); }
+  ScopedPoolSize(const ScopedPoolSize&) = delete;
+  ScopedPoolSize& operator=(const ScopedPoolSize&) = delete;
+
+ private:
+  const int prev_ = tensor::sched::num_threads();
+};
 
 }  // namespace ebct::testutil

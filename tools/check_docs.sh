@@ -4,7 +4,7 @@
 #
 #   tools/check_docs.sh
 #
-# Seven gates, all stdlib-only (bash + python3, no packages):
+# Eight gates, all stdlib-only (bash + python3, no packages):
 #
 #  1. Link check — every relative markdown link in README.md and docs/*.md
 #     must resolve to an existing file or directory. External links
@@ -41,6 +41,14 @@
 #     `option(EBCT_...)` or `set(EBCT_... CACHE ...)` in CMakeLists.txt
 #     needs a row in docs/CONFIG.md's "CMake options" table, and every row
 #     there must name an option that still exists.
+#
+#  8. Codec-param guard — both directions for every codec whose factory
+#     parses its spec through CodecParams: each key the factory reads with
+#     `get_*("<key>", ...)` must appear as `<key>=` in the params_help
+#     string it registers and in the first cell of README's codec-table row
+#     for that codec, and each key listed in either place must still be
+#     read. The policy codec parses routing rules, not keys, and is not
+#     covered.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -200,6 +208,66 @@ for o in sorted(rows - options):
     print(f"STALE  CMake option {o} (documented, but not in CMakeLists.txt)")
     ok = False
 print(f"checked {len(options)} options against {len(rows)} rows")
+sys.exit(0 if ok else 1)
+EOF
+
+echo "== codec-param guard =="
+python3 - <<'EOF' || fail=1
+import glob, re, sys
+
+STR = r'(?:"[^"]*"\s*)+'
+INFO = re.compile(r"\{\s*(" + STR + r"),\s*(" + STR + r"),\s*(" + STR + r"),")
+
+def literal(group):
+    return "".join(re.findall(r'"([^"]*)"', group))
+
+def keys(text):
+    return set(re.findall(r"(\w+)=", text))
+
+def call_args(src, start):
+    """The text of the call whose '(' is at src[start], up to its ')'."""
+    depth, i = 0, start
+    while True:
+        c = src[i]
+        if c == '"':
+            i = src.index('"', i + 1)
+        elif c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                return src[start:i]
+        i += 1
+
+readme = open("README.md", encoding="utf-8").read()
+rows = {}
+for cell in re.findall(r"^\| `([^`]+)` \|", readme, re.M):
+    rows.setdefault(re.match(r"[\w-]*", cell).group(0), cell)
+
+ok = True
+checked = 0
+for path in sorted(glob.glob("src/**/*.cpp", recursive=True)):
+    src = open(path, encoding="utf-8").read()
+    for m in re.finditer(r"\.register_codec(?=\()", src):
+        chunk = call_args(src, m.end())
+        if "CodecParams" not in chunk:
+            continue
+        info = INFO.search(chunk)
+        name, help_keys = literal(info.group(1)), keys(literal(info.group(3)))
+        read = set(re.findall(r'\bget_\w+\(\s*"(\w+)"', chunk))
+        checked += 1
+        if name not in rows:
+            print(f"UNDOCUMENTED  codec '{name}' ({path}) has no row in README's codec table")
+            ok = False
+        for where, listed in (("params_help", help_keys),
+                              ("README's codec table", keys(rows.get(name, "")))):
+            for k in sorted(read - listed):
+                print(f"UNDOCUMENTED  {name}: key '{k}' is read in {path}, missing from {where}")
+                ok = False
+            for k in sorted(listed - read):
+                print(f"STALE  {name}: key '{k}' is listed in {where}, but {path} no longer reads it")
+                ok = False
+print(f"checked {checked} codecs")
 sys.exit(0 if ok else 1)
 EOF
 
